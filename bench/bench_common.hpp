@@ -1,7 +1,10 @@
 #pragma once
 /// Shared helpers for the table/figure benchmark binaries: solver
-/// construction, warm-up-then-measure runs, and metric averaging.
+/// construction, warm-up-then-measure runs, metric averaging, and the
+/// reader for the checked-in `--check-baseline` files.
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +17,37 @@
 #include "util/check.hpp"
 
 namespace bd::bench {
+
+/// Whole-file read; empty when the file cannot be opened.
+inline std::string read_file(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return {};
+  std::string text;
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    text.append(buf, got);
+  }
+  std::fclose(f);
+  return text;
+}
+
+/// Fixed-schema scan of a baseline file: the integer following `"<key>":`
+/// inside the object that starts at `anchor` (the search stops at the
+/// first `}` after it), or anywhere in the file when `anchor` is empty.
+/// Returns -1 when the anchor or the key is missing.
+inline long long baseline_value(const std::string& text,
+                                const std::string& anchor,
+                                const std::string& key) {
+  std::size_t at = anchor.empty() ? 0 : text.find(anchor);
+  if (at == std::string::npos) return -1;
+  const std::size_t end =
+      anchor.empty() ? std::string::npos : text.find('}', at);
+  const std::string needle = "\"" + key + "\":";
+  at = text.find(needle, at);
+  if (at == std::string::npos || at > end) return -1;
+  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
+}
 
 /// Construct a solver by name ("two-phase" | "heuristic" | "predictive").
 inline std::unique_ptr<core::RpSolver> make_solver(

@@ -16,8 +16,6 @@
 ///    cores, and the contract is meaningless on a 1-core CI box.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,27 +118,6 @@ FleetRun run_fleet(std::uint32_t grid, std::size_t particles,
   return out;
 }
 
-/// Minimal fixed-schema scan: the integer after `"<key>":`.
-long long baseline_value(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
-}
-
-std::string read_file(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -236,7 +213,7 @@ int main(int argc, char** argv) {
   if (baseline_path.empty()) return 0;
 
   // --- gate ----------------------------------------------------------------
-  const std::string baseline = read_file(baseline_path);
+  const std::string baseline = bench::read_file(baseline_path);
   if (baseline.empty()) {
     std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
     return 1;
@@ -248,10 +225,11 @@ int main(int argc, char** argv) {
     ++failures;
   }
   const long long min_threads =
-      baseline_value(baseline, "min_hardware_threads");
+      bench::baseline_value(baseline, "", "min_hardware_threads");
   const long long min_speedup_pct =
-      baseline_value(baseline, "min_speedup_pct");
-  const long long gate_sims = baseline_value(baseline, "sims_for_gate");
+      bench::baseline_value(baseline, "", "min_speedup_pct");
+  const long long gate_sims =
+      bench::baseline_value(baseline, "", "sims_for_gate");
   if (min_threads < 0 || min_speedup_pct < 0 || gate_sims < 0) {
     std::fprintf(stderr, "baseline %s is missing gate fields\n",
                  baseline_path.c_str());

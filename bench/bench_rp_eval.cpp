@@ -23,8 +23,6 @@
 /// warm-up.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -89,36 +87,6 @@ EvalCounts measure_counts(const std::string& kind,
   out.scratch_reuses = counter(counters, "rp.scratch_reuses");
   registry.reset();
   return out;
-}
-
-/// Fixed-schema scan of a baseline written by this binary: returns the
-/// integer following `"<key>":` inside the `"kernel": "<kind>"` object.
-/// Returns -1 when the kind or key is missing.
-long long baseline_value(const std::string& text, const std::string& kind,
-                         const std::string& key) {
-  const std::string anchor = "\"kernel\": \"" + kind + "\"";
-  std::size_t at = text.find(anchor);
-  if (at == std::string::npos) return -1;
-  const std::size_t end = text.find('}', at);
-  const std::string needle = "\"" + key + "\":";
-  at = text.find(needle, at);
-  if (at == std::string::npos || (end != std::string::npos && at > end)) {
-    return -1;
-  }
-  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
-}
-
-std::string read_file(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
 }
 
 }  // namespace
@@ -279,7 +247,7 @@ int main(int argc, char** argv) {
 
   const std::string baseline_path = args.get_string("check-baseline");
   if (!baseline_path.empty()) {
-    const std::string baseline = read_file(baseline_path);
+    const std::string baseline = bench::read_file(baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "cannot read baseline %s\n",
                    baseline_path.c_str());
@@ -287,7 +255,8 @@ int main(int argc, char** argv) {
     }
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       const long long base =
-          baseline_value(baseline, kinds[i], "evaluations_total");
+          bench::baseline_value(baseline, "\"kernel\": \"" + kinds[i] + "\"",
+                                "evaluations_total");
       if (base < 0) {
         std::fprintf(stderr, "baseline %s has no evaluations_total for %s\n",
                      baseline_path.c_str(), kinds[i].c_str());

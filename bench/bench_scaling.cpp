@@ -25,8 +25,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +33,7 @@
 #include "beam/analytic.hpp"
 #include "beam/history.hpp"
 #include "beam/units.hpp"
+#include "bench_common.hpp"
 #include "core/predictive.hpp"
 #include "simt/cache.hpp"
 #include "simt/device.hpp"
@@ -214,28 +213,6 @@ ReplayResult replay_at(unsigned threads, const ReplayWorkload& work,
   return out;
 }
 
-/// Fixed-schema scan (bench_fleet idiom): the integer following a
-/// top-level `"<key>":`; -1 when missing.
-long long baseline_value(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
-}
-
-std::string read_file(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -367,14 +344,15 @@ int main(int argc, char** argv) {
   // --- regression gate ------------------------------------------------------
   const std::string baseline_path = args.get_string("check-baseline");
   if (!baseline_path.empty()) {
-    const std::string baseline = read_file(baseline_path);
+    const std::string baseline = bench::read_file(baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
       return 1;
     }
-    const long long min_hw = baseline_value(baseline, "min_hardware_threads");
+    const long long min_hw =
+        bench::baseline_value(baseline, "", "min_hardware_threads");
     const long long floor_pct =
-        baseline_value(baseline, "min_replay_speedup_pct");
+        bench::baseline_value(baseline, "", "min_replay_speedup_pct");
     if (min_hw < 0 || floor_pct < 0) {
       std::fprintf(stderr, "baseline %s is missing gate fields\n",
                    baseline_path.c_str());

@@ -1,26 +1,20 @@
-/// Integrand-evaluation throughput of the SIMD batch engine on the Table I
+/// Integrand-evaluation throughput of the batched engine on the Table I
 /// default geometry (64×64 grid, Gaussian moment fill). One WakeIntegrand
 /// per grid node evaluates the simpson-sweep sample layout — per subregion
-/// interval the batch {m, b, (a+m)/2, (m+b)/2} — three ways:
+/// interval the batch {m, b, (a+m)/2, (m+b)/2} — two ways:
 ///
-///   scalar         four WakeIntegrand::eval calls per interval (the
-///                  always-built reference path)
-///   batch-scalar   eval_batch with the dispatch forced to Level::kScalar —
-///                  isolates the geometry-hoisting + bulk-probe gains
-///   batch-active   eval_batch at simd::active_level() — adds the AVX2
-///                  inner-sum kernel when the host and build allow
+///   scalar   four WakeIntegrand::eval calls per interval (the reference)
+///   batch    one eval_batch call per interval — the geometry-hoisting +
+///            bulk-probe SoA path the solvers run
 ///
 /// Every batched output is compared bitwise against the scalar reference;
 /// any mismatch fails the run regardless of flags. Writes
 /// **BENCH_simd.json**. With `--check-baseline=tools/perf_baseline_simd.json`
-/// the run also enforces the throughput floor: when the active level is
-/// AVX2, batch-active must beat scalar by at least the baseline's
-/// `min_speedup_pct` (the ISSUE gate is 200 — ≥2×). On scalar-only hosts
-/// (or under BD_SIMD=off) the floor is skipped and only identity gates.
+/// the run also enforces the throughput floor: batch must beat scalar by
+/// at least the baseline's `min_speedup_pct` (200 — ≥2×).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -30,11 +24,10 @@
 #include "beam/history.hpp"
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
-#include "beam/wake_simd.hpp"
+#include "bench_common.hpp"
 #include "quad/batch_eval.hpp"
 #include "simt/probe.hpp"
 #include "util/cli.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -129,48 +122,15 @@ double batch_pass(const Scenario& sc, std::vector<double>* out) {
   return acc;
 }
 
-/// Best-of-`reps` wall nanoseconds per evaluation for one pass function.
+/// Wall seconds of one pass.
 template <typename Fn>
-double time_ns_per_eval(const Scenario& sc, std::size_t reps, Fn&& pass) {
-  double best = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    util::WallTimer timer;
-    const double acc = pass();
-    const double secs = timer.seconds();
-    // Keep the accumulator observable so the pass cannot be elided.
-    if (acc == 0.12345678901234567) std::printf("%g\n", acc);
-    best = std::min(best, secs);
-  }
-  return best * 1e9 / static_cast<double>(sc.evals_per_pass());
-}
-
-/// Fixed-schema scan (same idiom as bench_rp_eval): the integer following
-/// `"<key>":` inside the `"kernel": "<kind>"` object; -1 when missing.
-long long baseline_value(const std::string& text, const std::string& kind,
-                         const std::string& key) {
-  const std::string anchor = "\"kernel\": \"" + kind + "\"";
-  std::size_t at = text.find(anchor);
-  if (at == std::string::npos) return -1;
-  const std::size_t end = text.find('}', at);
-  const std::string needle = "\"" + key + "\":";
-  at = text.find(needle, at);
-  if (at == std::string::npos || (end != std::string::npos && at > end)) {
-    return -1;
-  }
-  return std::strtoll(text.c_str() + at + needle.size(), nullptr, 10);
-}
-
-std::string read_file(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  return text;
+double time_pass(Fn&& pass) {
+  util::WallTimer timer;
+  const double acc = pass();
+  const double secs = timer.seconds();
+  // Keep the accumulator observable so the pass cannot be elided.
+  if (acc == 0.12345678901234567) std::printf("%g\n", acc);
+  return secs;
 }
 
 }  // namespace
@@ -180,7 +140,7 @@ int main(int argc, char** argv) {
                        "WakeIntegrand batch-evaluation throughput + identity");
   args.add_int("grid", 64, "grid resolution (Table I default)");
   args.add_int("subregions", 12, "radial subregions (sweep intervals)");
-  args.add_int("reps", 5, "timed repetitions (best-of)");
+  args.add_int("reps", 5, "timed repetitions per path (best-of)");
   args.add_string("json", "BENCH_simd.json", "JSON output path");
   args.add_string("check-baseline", "",
                   "baseline JSON; exit 1 below the speedup floor");
@@ -192,59 +152,46 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(args.get_int("reps"));
 
   Scenario sc(grid, subregions);
-  const simd::Level active = beam::wake_batch_level();
 
-  std::printf("SIMD integrand engine — %ux%u grid, %zu subregions, "
-              "%zu evals/pass, level %s\n\n",
-              grid, grid, subregions, sc.evals_per_pass(),
-              simd::level_name(active));
+  std::printf("batched integrand engine — %ux%u grid, %zu subregions, "
+              "%zu evals/pass\n\n",
+              grid, grid, subregions, sc.evals_per_pass());
 
   // --- identity: every batched output bitwise equals the scalar path ------
   std::vector<double> ref, got;
   ref.reserve(sc.evals_per_pass());
   got.reserve(sc.evals_per_pass());
   scalar_pass(sc, &ref);
+  batch_pass(sc, &got);
   int failures = 0;
-  const char* const variants[] = {"batch-scalar", "batch-active"};
-  for (const char* variant : variants) {
-    const bool forced = std::strcmp(variant, "batch-scalar") == 0;
-    if (forced) simd::override_level(simd::Level::kScalar);
-    got.clear();
-    batch_pass(sc, &got);
-    if (forced) simd::reset_level();
-    const bool same =
-        got.size() == ref.size() &&
-        std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)) == 0;
-    if (!same) {
-      std::fprintf(stderr, "FAIL %s: outputs not bitwise identical to the "
-                           "scalar reference\n", variant);
-      ++failures;
-    }
+  if (got.size() != ref.size() ||
+      std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)) != 0) {
+    std::fprintf(stderr, "FAIL batch: outputs not bitwise identical to the "
+                         "scalar reference\n");
+    ++failures;
   }
   std::printf("identity vs scalar reference: %s\n\n",
               failures == 0 ? "OK (bitwise)" : "FAILED");
 
   // --- throughput ---------------------------------------------------------
-  const double scalar_ns =
-      time_ns_per_eval(sc, reps, [&] { return scalar_pass(sc, nullptr); });
-  simd::override_level(simd::Level::kScalar);
-  const double batch_scalar_ns =
-      time_ns_per_eval(sc, reps, [&] { return batch_pass(sc, nullptr); });
-  simd::reset_level();
-  const double batch_active_ns =
-      time_ns_per_eval(sc, reps, [&] { return batch_pass(sc, nullptr); });
-  const double speedup = scalar_ns / std::max(1e-12, batch_active_ns);
+  // Best of `reps` per path, the two paths alternating so that load from
+  // other processes on a shared host slows both alike.
+  double scalar_s = 1e300;
+  double batch_s = 1e300;
+  for (std::size_t r = 0; r < reps; ++r) {
+    scalar_s = std::min(
+        scalar_s, time_pass([&] { return scalar_pass(sc, nullptr); }));
+    batch_s =
+        std::min(batch_s, time_pass([&] { return batch_pass(sc, nullptr); }));
+  }
+  const double evals = static_cast<double>(sc.evals_per_pass());
+  const double scalar_ns = scalar_s * 1e9 / evals;
+  const double batch_ns = batch_s * 1e9 / evals;
+  const double speedup = scalar_ns / std::max(1e-12, batch_ns);
 
   util::ConsoleTable table({"path", "ns/eval", "speedup vs scalar"});
   table.cell("scalar").cell(scalar_ns, 1).cell(1.0, 2).end_row();
-  table.cell("batch-scalar")
-      .cell(batch_scalar_ns, 1)
-      .cell(scalar_ns / std::max(1e-12, batch_scalar_ns), 2)
-      .end_row();
-  table.cell(std::string("batch-") + simd::level_name(active))
-      .cell(batch_active_ns, 1)
-      .cell(speedup, 2)
-      .end_row();
+  table.cell("batch").cell(batch_ns, 1).cell(speedup, 2).end_row();
   table.print();
 
   const std::string json_path = args.get_string("json");
@@ -258,15 +205,13 @@ int main(int argc, char** argv) {
                "  \"config\": {\"grid\": %u, \"subregions\": %zu, "
                "\"reps\": %zu, \"evals_per_pass\": %zu},\n",
                grid, subregions, reps, sc.evals_per_pass());
-  std::fprintf(json, "  \"simd_level\": \"%s\",\n", simd::level_name(active));
   std::fprintf(json, "  \"results\": [\n");
   std::fprintf(json,
                "    {\"kernel\": \"wake-batch\", \"scalar_ns_per_eval\": "
-               "%.2f,\n     \"batch_scalar_ns_per_eval\": %.2f, "
-               "\"batch_active_ns_per_eval\": %.2f,\n"
+               "%.2f,\n     \"batch_scalar_ns_per_eval\": %.2f,\n"
                "     \"speedup_pct\": %lld, \"identical\": %d}\n",
-               scalar_ns, batch_scalar_ns, batch_active_ns,
-               static_cast<long long>(speedup * 100.0), failures == 0 ? 1 : 0);
+               scalar_ns, batch_ns, static_cast<long long>(speedup * 100.0),
+               failures == 0 ? 1 : 0);
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path.c_str());
@@ -274,29 +219,23 @@ int main(int argc, char** argv) {
   // --- regression gate ----------------------------------------------------
   const std::string baseline_path = args.get_string("check-baseline");
   if (!baseline_path.empty()) {
-    const std::string baseline = read_file(baseline_path);
+    const std::string baseline = bench::read_file(baseline_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
       return 1;
     }
-    const long long floor_pct =
-        baseline_value(baseline, "wake-batch", "min_speedup_pct");
+    const long long floor_pct = bench::baseline_value(
+        baseline, "\"kernel\": \"wake-batch\"", "min_speedup_pct");
     if (floor_pct < 0) {
       std::fprintf(stderr, "baseline %s has no min_speedup_pct\n",
                    baseline_path.c_str());
       ++failures;
-    } else if (active == simd::Level::kAvx2) {
-      if (speedup * 100.0 < static_cast<double>(floor_pct)) {
-        std::fprintf(stderr,
-                     "FAIL wake-batch: speedup %.2fx below the baseline "
-                     "floor %.2fx\n",
-                     speedup, static_cast<double>(floor_pct) / 100.0);
-        ++failures;
-      }
-    } else {
-      std::printf("speedup floor skipped: active level is %s (floor gates "
-                  "AVX2 hosts only; identity still enforced)\n",
-                  simd::level_name(active));
+    } else if (speedup * 100.0 < static_cast<double>(floor_pct)) {
+      std::fprintf(stderr,
+                   "FAIL wake-batch: speedup %.2fx below the baseline "
+                   "floor %.2fx\n",
+                   speedup, static_cast<double>(floor_pct) / 100.0);
+      ++failures;
     }
     std::printf("baseline check vs %s: %s\n", baseline_path.c_str(),
                 failures == 0 ? "OK" : "FAILED");

@@ -30,7 +30,7 @@ double sample_spatial(const GridHistory& history, MomentChannel channel,
                       simt::LaneProbe& probe);
 
 /// Probe sites the space–time stencil reports at. Public because the
-/// batched wake path (wake_simd.cpp) must emit the identical event stream
+/// batched wake path (wake_batch.cpp) must emit the identical event stream
 /// from the identical sites.
 inline constexpr std::uint32_t kStencilBoundsSite =
     simt::site_id("beam/stencil/bounds");

@@ -79,7 +79,7 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
         model.coupling_derivative ? -delta / sigma_sq * kernel : kernel;
     inner_w_[static_cast<std::size_t>(i)] *= coupling;
   }
-  // Hoisted stencil geometry for the batched path (wake_simd.cpp). The
+  // Hoisted stencil geometry for the batched path (wake_batch.cpp). The
   // inner nodes are fixed per integrand, so the per-node y index, bounds
   // flag and TSC weights sample_spacetime recomputes on every sample can
   // be evaluated once here — same expressions, so same bits.

@@ -56,7 +56,7 @@ struct WakeModel {
 inline constexpr int kMaxInnerPoints = 9;
 
 /// Probe site of the fast-reject range branch in WakeIntegrand::eval.
-/// Public because the batched path (wake_simd.cpp) reports at the same
+/// Public because the batched path (wake_batch.cpp) reports at the same
 /// site.
 inline constexpr std::uint32_t kWakeRangeSite =
     simt::site_id("beam/wake/s-range");
@@ -78,11 +78,10 @@ class WakeIntegrand final : public quad::RadialIntegrand {
 
   double eval(double u, simt::LaneProbe& probe) const override;
 
-  /// Batched evaluation (wake_simd.cpp): evaluates up to quad::kBatchWidth
+  /// Batched evaluation (wake_batch.cpp): evaluates up to quad::kBatchWidth
   /// retarded separations per call with the per-sample stencil geometry
-  /// hoisted into SoA form and the inner 27-point accumulation dispatched
-  /// to an AVX2 kernel when simd::active_level() allows. Bitwise identical
-  /// to n sequential eval() calls — values and probe streams alike.
+  /// hoisted into SoA form. Bitwise identical to n sequential eval() calls
+  /// — values and probe streams alike.
   void eval_batch(const double* u, double* out, std::size_t n,
                   simt::LaneProbe& probe) const override;
 

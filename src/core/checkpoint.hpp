@@ -14,9 +14,9 @@
 /// Restore requires a Simulation constructed the same way as the saved
 /// one: identical SimConfig geometry/seed fields and the same solver
 /// lineup (type and order). Every mismatch is diagnosed by field name.
-/// Restoring in place (into the simulation that wrote the snapshot) keeps
-/// the history buffer's allocation, so even the address-sensitive SIMT
-/// cache metrics replay bit-identically.
+/// A restored run, in place or into a fresh Simulation, replays the SIMT
+/// KernelMetrics bit-identically too: the cache replay sees device-virtual
+/// addresses (GridHistory::probe_address), not host allocations.
 
 #include <string>
 

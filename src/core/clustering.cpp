@@ -17,11 +17,10 @@ namespace {
 /// boundaries, partials reduced serially in chunk order).
 constexpr std::size_t kInertiaChunk = 2048;
 
-/// Full-set inertia of a fixed assignment: Σ‖x_i − c_{a(i)}‖². This is
-/// the figure of merit both training paths are compared on (the coreset
-/// path optimizes a weighted estimate of it, the stride path a subsample
-/// of it), so ClusterAssignment reports it rather than either training
-/// surrogate. Deterministic at any thread count.
+/// Full-set inertia of a fixed assignment: Σ‖x_i − c_{a(i)}‖². Coreset
+/// training optimizes a weighted estimate of it, so ClusterAssignment
+/// reports this figure of merit rather than the training surrogate.
+/// Deterministic at any thread count.
 double assignment_inertia(std::span<const double> features, std::size_t n,
                           std::size_t dim, std::span<const double> centroids,
                           std::span<const std::uint32_t> assignment) {
@@ -45,42 +44,19 @@ double assignment_inertia(std::span<const double> features, std::size_t n,
 /// Centroid training shared by rp_clustering and rp_clustering_tiled.
 struct TrainedCentroids {
   ml::KMeansResult result;
-  std::size_t coreset_size = 0;  ///< 0 = legacy stride path
+  std::size_t coreset_size = 0;
   bool warm_started = false;
 };
 
 TrainedCentroids train_centroids(std::span<const double> features,
                                  std::size_t n, std::size_t dim,
                                  std::size_t k, std::uint64_t seed,
-                                 std::size_t train_subsample,
                                  const ClusteringAccel& accel) {
   TrainedCentroids out;
   ml::KMeansConfig config;
   config.clusters = k;
-  config.balanced = false;
   config.seed = seed;
   config.max_iterations = 15;
-
-  if (!accel.enabled) {
-    // Legacy path, kept bitwise unchanged: train on a stride subsample.
-    const std::size_t sample_target =
-        std::max<std::size_t>(k, std::min(n, train_subsample));
-    const std::size_t stride = std::max<std::size_t>(1, n / sample_target);
-    std::vector<double> sample;
-    sample.reserve((n / stride + 1) * dim);
-    std::size_t sample_count = 0;
-    for (std::size_t i = 0; i < n; i += stride) {
-      sample.insert(sample.end(),
-                    features.begin() + static_cast<std::ptrdiff_t>(i * dim),
-                    features.begin() +
-                        static_cast<std::ptrdiff_t>((i + 1) * dim));
-      ++sample_count;
-    }
-    out.result = ml::kmeans(sample, sample_count, dim, config);
-    return out;
-  }
-
-  // Accelerated path: D² weighted coreset + pruned Lloyd + warm seeds.
   config.pruned = true;
   ml::CoresetConfig coreset_config;
   coreset_config.target_size = accel.coreset_size;
@@ -192,11 +168,8 @@ ClusterAssignment rp_clustering(const PatternField& patterns,
   const std::vector<double> features =
       build_features(patterns, xs, ys, options.spatial_weight, dim);
 
-  // Train centroids (stride subsample, or coreset/warm-start when the
-  // acceleration is enabled).
-  const TrainedCentroids trained = train_centroids(
-      features, n, dim, k, options.seed, options.train_subsample,
-      options.accel);
+  const TrainedCentroids trained =
+      train_centroids(features, n, dim, k, options.seed, options.accel);
 
   // Balance-assign the full point set to the trained centroids.
   const std::size_t capacity =
@@ -294,11 +267,9 @@ ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
   BD_CHECK_MSG(capacity * k >= num_tiles,
                "tile capacity insufficient: increase clusters");
 
-  // Train centroids on the tiles (stride subsample, or coreset/warm-start
-  // when the acceleration is enabled), then balance-assign all tiles.
+  // Train centroids on the tiles, then balance-assign all tiles.
   const TrainedCentroids trained = train_centroids(
-      tile_features, num_tiles, fdim, k, options.seed,
-      options.train_subsample, options.accel);
+      tile_features, num_tiles, fdim, k, options.seed, options.accel);
   const std::vector<std::uint32_t> tile_assignment = ml::assign_balanced(
       tile_features, num_tiles, fdim, trained.result.centroids, k, capacity);
 

@@ -8,9 +8,9 @@
 /// every cluster fits one thread block exactly.
 ///
 /// Two engineering refinements over a literal k-means call:
-///  * centroids are trained on a subsample (Lloyd is O(n·k·d) per
-///    iteration) and the full point set is then balance-assigned in one
-///    capacity-constrained pass;
+///  * centroids are trained on a weighted D² coreset (Lloyd is O(n·k·d)
+///    per iteration; see ClusteringAccel) and the full point set is then
+///    balance-assigned in one capacity-constrained pass;
 ///  * grid coordinates can be appended as weighted features, so clusters
 ///    of equal access pattern prefer spatially-compact shapes — the
 ///    property that turns pattern similarity into actual coalesced loads
@@ -31,10 +31,10 @@ struct ClusterAssignment {
   std::vector<std::vector<std::uint32_t>> members;
   std::size_t max_cluster_size = 0;
   /// Full-set inertia under the final (balanced) assignment — comparable
-  /// between the legacy and the coreset-accelerated training paths.
+  /// across coreset sizes, including the full set.
   double inertia = 0.0;
   std::size_t kmeans_iterations = 0;
-  std::size_t coreset_size = 0;  ///< training points used (0 = stride path)
+  std::size_t coreset_size = 0;  ///< training points used
   bool warm_started = false;     ///< centroids seeded from the cache
 };
 
@@ -53,14 +53,11 @@ struct ClusteringCache {
   }
 };
 
-/// Acceleration for the centroid-training stage of RP-CLUSTERING: a D²
-/// importance-sampled weighted coreset replaces the stride subsample,
-/// Lloyd runs with triangle-inequality pruning, and (when a cache is
-/// supplied) the previous step's centroids seed the next step — skipping
-/// k-means++ entirely while patterns drift slowly. Off by default: the
-/// legacy stride-subsample path stays the bitwise reference.
+/// Centroid training of RP-CLUSTERING: Lloyd runs with triangle-inequality
+/// pruning on a D² importance-sampled weighted coreset, and (when a cache
+/// is supplied) the previous step's centroids seed the next step —
+/// skipping k-means++ entirely while patterns drift slowly.
 struct ClusteringAccel {
-  bool enabled = false;
   /// D² coreset draws used for Lloyd training (0 = keep the full set).
   std::size_t coreset_size = 512;
   /// Warm-started training whose inertia exceeds the cached inertia by
@@ -76,7 +73,6 @@ struct RpClusteringOptions {
   std::size_t clusters = 8;
   bool balanced = true;           ///< cap clusters at ceil(points/clusters)
   std::uint64_t seed = 42;
-  std::size_t train_subsample = 2048;  ///< points used for Lloyd iterations
   /// Relative weight of the spatial features (0 disables them; 1 makes
   /// coordinate variance comparable to total pattern variance).
   double spatial_weight = 0.75;
@@ -104,7 +100,6 @@ struct TiledClusteringOptions {
   std::uint32_t tile_w = 8;        ///< tile width  (points along s)
   std::uint32_t tile_h = 4;        ///< tile height (points along y)
   std::uint64_t seed = 42;
-  std::size_t train_subsample = 2048;
   std::size_t max_tiles_per_cluster = 32;  ///< 32 warps = 1024 threads
   /// Weight of the tile-center coordinates in the clustering features.
   /// Spatially-adjacent tiles share stencil rows (the inner window spans

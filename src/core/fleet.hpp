@@ -36,9 +36,8 @@
 /// scheduled, so thousands of queued scenarios need only a bounded
 /// working set (and the spool survives process restarts — a resubmitted
 /// job resumes from its spool file if one exists). Restores are
-/// bit-identical in *physics* (values/errors/fallback work/digest);
-/// SIMT cache-model metrics are address-sensitive and may differ after a
-/// cross-object restore (see tests/test_checkpoint.cpp).
+/// bit-identical in physics (values/errors/fallback work/digest) and in
+/// SIMT KernelMetrics (see tests/test_checkpoint.cpp).
 ///
 /// ## Supervision (docs/ROBUSTNESS.md)
 ///
@@ -198,8 +197,8 @@ struct FleetRecoveredJob {
 /// digest: step index, dropped charge, potential values/errors (bit
 /// patterns), fallback/kernel work counts, sanitizer tallies and forecast
 /// MAE — everything PR 2 + checkpointing guarantee bit-identical across
-/// thread counts and across evict/resume. Timing fields and the
-/// address-sensitive SIMT cache metrics are excluded.
+/// thread counts and across evict/resume. Timing fields and the SIMT
+/// KernelMetrics are excluded.
 std::uint32_t fleet_digest_step(const StepStats& stats, std::uint32_t prev);
 
 /// The job-queue engine. All public methods are thread-safe.

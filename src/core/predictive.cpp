@@ -256,7 +256,6 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
       1024);
   const std::size_t m = options_.clusters ? options_.clusters : auto_m;
   ClusteringAccel accel;
-  accel.enabled = options_.cluster_accel;
   accel.coreset_size = options_.coreset_size;
   accel.warm_inertia_growth = options_.warm_inertia_growth;
   accel.cache = &cluster_cache_;

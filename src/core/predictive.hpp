@@ -59,12 +59,10 @@ struct PredictiveOptions {
   /// EMA factor blending new observations into the training targets
   /// (damps refine/coarsen oscillation; 1 = use raw observations).
   double observation_ema = 0.5;
-  /// Coreset/pruned-Lloyd/warm-start clustering acceleration (see
-  /// ClusteringAccel). The per-step host clustering cost is the fixed
-  /// overhead the paper's Table II prices at 2.9 ms/step; with the accel
-  /// it becomes sublinear in grid area. false = legacy stride-subsample
-  /// training (the bitwise reference, used by the ablation benches).
-  bool cluster_accel = true;
+  /// Coreset/pruned-Lloyd/warm-start clustering (see ClusteringAccel).
+  /// The per-step host clustering cost is the fixed overhead the paper's
+  /// Table II prices at 2.9 ms/step; the coreset makes it sublinear in
+  /// grid area.
   std::size_t coreset_size = 512;   ///< D² coreset draws (0 = full set)
   /// Re-seed threshold for warm starts (see ClusteringAccel).
   double warm_inertia_growth = 1.5;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "beam/wake.hpp"
-#include "beam/wake_simd.hpp"
 #include "core/solver_scratch.hpp"
 #include "quad/adaptive.hpp"
 #include "quad/partition.hpp"
@@ -216,13 +215,6 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
     telemetry::counter_add("rp.kernel_intervals", out.intervals);
     telemetry::counter_add("rp.kernel_evaluations", out.evaluations);
     telemetry::counter_add("rp.evals_saved", out.evaluations_saved);
-    // Batched-engine accounting: the shared-sample sweep evaluates one
-    // scalar head per partition plus four batched samples per interval.
-    telemetry::gauge_set("simd.dispatch_level",
-                         static_cast<double>(beam::wake_batch_level()));
-    telemetry::counter_add("simd.batched_evals", 4 * out.intervals);
-    telemetry::counter_add("simd.scalar_evals",
-                           out.evaluations - 4 * out.intervals);
   }
   return out;
 }
@@ -365,9 +357,6 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
   span.arg("evaluations", out.evaluations);
   span.arg("non_converged", out.non_converged);
   telemetry::counter_add("rp.fallback_evaluations", out.evaluations);
-  // Every fallback evaluation is paid through a memoized refinement pair
-  // (one eval_batch block of two fine points).
-  telemetry::counter_add("simd.batched_evals", out.evaluations);
   telemetry::counter_add("rp.fallback_non_converged", out.non_converged);
   telemetry::counter_add("rp.evals_saved", out.evaluations_saved);
   telemetry::counter_add("rp.integrand_cache_hits",

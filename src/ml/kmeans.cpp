@@ -133,16 +133,12 @@ void update_centroids(std::span<const double> points, std::size_t count,
 }
 
 /// Exact Lloyd engine (the bitwise reference): every point scans all k
-/// centroids per iteration. Handles both the plain and the balanced
-/// (capacity-constrained) assignment.
+/// centroids per iteration.
 void lloyd_exact(std::span<const double> points, std::size_t count,
                  std::size_t dim, std::span<const double> weights,
                  const KMeansConfig& config, KMeansResult& result) {
   const std::size_t k = config.clusters;
   const bool has_weights = !weights.empty();
-  const std::size_t capacity = config.balanced
-                                   ? (count + k - 1) / k
-                                   : std::numeric_limits<std::size_t>::max();
   std::vector<double> best_d(count);
 
   double prev_inertia = std::numeric_limits<double>::max();
@@ -151,77 +147,28 @@ void lloyd_exact(std::span<const double> points, std::size_t count,
     std::fill(result.sizes.begin(), result.sizes.end(), 0u);
     result.inertia = 0.0;
 
-    if (!config.balanced) {
-      // Assignment: each point's nearest centroid is independent, so it
-      // runs on the thread pool; sizes and inertia are reduced serially in
-      // point order afterwards (deterministic for any thread count).
-      util::parallel_for(0, count, [&](std::size_t i) {
-        auto p = point_at(points, dim, i);
-        double best = std::numeric_limits<double>::max();
-        std::uint32_t best_c = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          auto centroid =
-              std::span<const double>(result.centroids).subspan(c * dim, dim);
-          const double d = squared_distance(p, centroid);
-          if (d < best) {
-            best = d;
-            best_c = static_cast<std::uint32_t>(c);
-          }
+    // Assignment: each point's nearest centroid is independent, so it runs
+    // on the thread pool; sizes and inertia are reduced serially in point
+    // order afterwards (deterministic for any thread count).
+    util::parallel_for(0, count, [&](std::size_t i) {
+      auto p = point_at(points, dim, i);
+      double best = std::numeric_limits<double>::max();
+      std::uint32_t best_c = 0;
+      for (std::size_t c = 0; c < k; ++c) {
+        auto centroid =
+            std::span<const double>(result.centroids).subspan(c * dim, dim);
+        const double d = squared_distance(p, centroid);
+        if (d < best) {
+          best = d;
+          best_c = static_cast<std::uint32_t>(c);
         }
-        result.assignment[i] = best_c;
-        best_d[i] = best;
-      });
-      for (std::size_t i = 0; i < count; ++i) {
-        ++result.sizes[result.assignment[i]];
-        result.inertia += has_weights ? weights[i] * best_d[i] : best_d[i];
       }
-    } else {
-      // Balanced assignment: process points in order of how much they care
-      // (max-min distance gap), each going to the nearest non-full cluster.
-      std::vector<std::size_t> order(count);
-      std::iota(order.begin(), order.end(), 0);
-      std::vector<double> urgency(count);
-      util::parallel_for(0, count, [&](std::size_t i) {
-        double best = std::numeric_limits<double>::max();
-        double second = std::numeric_limits<double>::max();
-        for (std::size_t c = 0; c < k; ++c) {
-          auto centroid =
-              std::span<const double>(result.centroids).subspan(c * dim, dim);
-          const double d = squared_distance(point_at(points, dim, i), centroid);
-          if (d < best) {
-            second = best;
-            best = d;
-          } else if (d < second) {
-            second = d;
-          }
-        }
-        urgency[i] = second - best;
-      });
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return urgency[a] > urgency[b];
-                       });
-      std::vector<std::size_t> load(k, 0);
-      for (std::size_t oi : order) {
-        auto p = point_at(points, dim, oi);
-        double best = std::numeric_limits<double>::max();
-        std::uint32_t best_c = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          if (load[c] >= capacity) continue;
-          auto centroid =
-              std::span<const double>(result.centroids).subspan(c * dim, dim);
-          const double d = squared_distance(p, centroid);
-          if (d < best) {
-            best = d;
-            best_c = static_cast<std::uint32_t>(c);
-          }
-        }
-        result.assignment[oi] = best_c;
-        best_d[oi] = best;
-        ++load[best_c];
-        ++result.sizes[best_c];
-        result.inertia += best;
-      }
+      result.assignment[i] = best_c;
+      best_d[i] = best;
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      ++result.sizes[result.assignment[i]];
+      result.inertia += has_weights ? weights[i] * best_d[i] : best_d[i];
     }
 
     update_centroids(points, count, dim, k, weights, best_d, result);
@@ -372,8 +319,6 @@ KMeansResult kmeans_weighted(std::span<const double> points,
   for (const double w : weights) {
     BD_CHECK_MSG(w > 0.0, "weights must be positive");
   }
-  BD_CHECK_MSG(!config.balanced || (weights.empty() && !config.pruned),
-               "balanced mode supports neither weights nor pruning");
   BD_CHECK_MSG(initial_centroids.empty() ||
                    initial_centroids.size() == k * dim,
                "initial centroids must be empty or clusters x dim");
@@ -447,20 +392,6 @@ std::vector<std::uint32_t> assign_balanced(std::span<const double> points,
     ++load[best_c];
   }
   return assignment;
-}
-
-std::vector<std::vector<std::uint32_t>> members_by_cluster(
-    const KMeansResult& result, std::size_t clusters) {
-  std::vector<std::vector<std::uint32_t>> members(clusters);
-  for (std::size_t c = 0; c < clusters && c < result.sizes.size(); ++c) {
-    members[c].reserve(result.sizes[c]);
-  }
-  for (std::size_t i = 0; i < result.assignment.size(); ++i) {
-    const std::uint32_t c = result.assignment[i];
-    BD_CHECK(c < clusters);
-    members[c].push_back(static_cast<std::uint32_t>(i));
-  }
-  return members;
 }
 
 }  // namespace bd::ml

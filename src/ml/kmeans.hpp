@@ -3,8 +3,8 @@
 /// k-means clustering (k-means++ initialization, Lloyd iterations) — the
 /// paper's RP-CLUSTERING groups grid points by access-pattern similarity.
 /// The paper notes k-means "prefers clusters of approximately similar size";
-/// a balanced assignment option enforces a hard per-cluster capacity so
-/// clusters map cleanly onto fixed-size thread blocks.
+/// assign_balanced enforces a hard per-cluster capacity so clusters map
+/// cleanly onto fixed-size thread blocks.
 ///
 /// Two Lloyd engines sit behind the same entry points:
 ///  * the **exact** engine (default) scans all k centroids per point per
@@ -36,7 +36,6 @@ struct KMeansConfig {
   std::size_t clusters = 8;
   std::size_t max_iterations = 25;
   double tolerance = 1e-6;       ///< relative inertia improvement to stop
-  bool balanced = false;         ///< enforce ceil(n/k) capacity per cluster
   bool pruned = false;           ///< triangle-inequality-pruned Lloyd engine
   std::uint64_t seed = 1234;
 };
@@ -63,17 +62,11 @@ KMeansResult kmeans(std::span<const double> points, std::size_t count,
 /// coreset optimizes the full-set objective. `initial_centroids` (empty =
 /// k-means++ seeding, else clusters × dim row-major) start Lloyd from the
 /// given centroids without spending any RNG draws — the warm-start path.
-/// Balanced mode supports neither weights nor pruning.
 KMeansResult kmeans_weighted(std::span<const double> points,
                              std::size_t count, std::size_t dim,
                              std::span<const double> weights,
                              std::span<const double> initial_centroids,
                              const KMeansConfig& config);
-
-/// Group point indices by cluster (cluster id -> member list), preserving
-/// point order within each cluster.
-std::vector<std::vector<std::uint32_t>> members_by_cluster(
-    const KMeansResult& result, std::size_t clusters);
 
 /// Capacity-constrained assignment of points to fixed centroids: points
 /// are processed in order of decreasing urgency (gap between their best

@@ -5,7 +5,7 @@ namespace bd::quad {
 // The scalar reference semantics of a batch: n sequential eval() calls.
 // Every override must be bitwise indistinguishable from this loop (values
 // and probe streams alike); it also serves integrands that never grow a
-// vectorized path, including test doubles that count eval() calls.
+// batched path, including test doubles that count eval() calls.
 void RadialIntegrand::eval_batch(const double* r, double* out, std::size_t n,
                                  simt::LaneProbe& probe) const {
   for (std::size_t k = 0; k < n; ++k) out[k] = eval(r[k], probe);

@@ -6,7 +6,7 @@
 /// shared-sample sweep pays four fresh samples per interval (fm, fb, fl,
 /// fr) and the memoized adaptive refinement pays two (fl, fr). Both now
 /// hand those samples to `RadialIntegrand::eval_batch` as one block, so an
-/// integrand with a vectorized path (beam::WakeIntegrand) evaluates all
+/// integrand with a batched path (beam::WakeIntegrand) evaluates all
 /// lanes per call while integrands without one fall back to the default
 /// scalar loop defined here.
 ///
@@ -25,7 +25,8 @@
 
 namespace bd::quad {
 
-/// Maximum samples per eval_batch call — one AVX2 register of doubles.
+/// Maximum samples per eval_batch call — the four samples simpson_sweep
+/// adds per interval.
 inline constexpr std::size_t kBatchWidth = 4;
 
 /// The memoized-refinement pair: evaluates the two fine points fl, fr of

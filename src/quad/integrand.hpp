@@ -29,7 +29,7 @@ class RadialIntegrand {
   /// eval(r[k], probe), and probe events must be emitted per sample in
   /// index order with the same per-site sequences the scalar path produces.
   /// The default implementation (batch_eval.cpp) is exactly that loop;
-  /// integrands with a vectorized path (beam::WakeIntegrand) override it.
+  /// integrands with a batched path (beam::WakeIntegrand) override it.
   virtual void eval_batch(const double* r, double* out, std::size_t n,
                           simt::LaneProbe& probe) const;
 };

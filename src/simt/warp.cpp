@@ -185,20 +185,4 @@ void replay_l2_lines(const std::vector<std::uint64_t>& lines,
   }
 }
 
-void replay_interleaved(std::vector<WarpReplay>& replays,
-                        const DeviceSpec& spec, SetAssocCache& l1,
-                        SetAssocCache& l2, KernelMetrics& out) {
-  std::vector<std::uint64_t> l2_misses;
-  replay_interleaved_l1(replays, spec, l1, out, l2_misses);
-  replay_l2_lines(l2_misses, spec, l2, out);
-}
-
-void analyze_warp(const std::vector<const LaneTrace*>& traces,
-                  const DeviceSpec& spec, SetAssocCache& l1,
-                  SetAssocCache& l2, KernelMetrics& out) {
-  std::vector<WarpReplay> replays;
-  replays.push_back(analyze_warp_groups(traces, spec, out));
-  replay_interleaved(replays, spec, l1, l2, out);
-}
-
 }  // namespace bd::simt

@@ -29,21 +29,15 @@ struct WarpReplay {
 WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
                                const DeviceSpec& spec, KernelMetrics& out);
 
-/// Replay several warps' transaction streams through the SM's L1 and the
-/// shared L2, interleaving round-robin one instruction at a time — the
-/// concurrency model of an SM's warp schedulers. Scattered per-warp
-/// streams thrash the shared L1; streams touching common lines share it.
-/// Composition of replay_interleaved_l1 + replay_l2_lines.
-void replay_interleaved(std::vector<WarpReplay>& replays,
-                        const DeviceSpec& spec, SetAssocCache& l1,
-                        SetAssocCache& l2, KernelMetrics& out);
-
-/// L1 stage of replay_interleaved: interleaves the warps through the SM's
-/// private L1, accumulating L1 hit/miss counters into `out` and appending
-/// the line address of every L1 miss to `l2_misses` in replay order
-/// instead of touching the shared L2. Per-SM L1 state is independent, so
-/// the executor runs this stage for all SMs in parallel (sharded replay)
-/// and feeds the recorded miss streams to replay_l2_lines serially.
+/// L1 stage of the cache replay: interleaves several warps' transaction
+/// streams through the SM's private L1 round-robin, one instruction at a
+/// time — the concurrency model of an SM's warp schedulers. Scattered
+/// per-warp streams thrash the shared L1; streams touching common lines
+/// share it. Accumulates L1 hit/miss counters into `out` and appends the
+/// line address of every L1 miss to `l2_misses` in replay order instead
+/// of touching the shared L2. Per-SM L1 state is independent, so the
+/// executor runs this stage for all SMs in parallel (sharded replay) and
+/// feeds the recorded miss streams to replay_l2_lines serially.
 void replay_interleaved_l1(std::vector<WarpReplay>& replays,
                            const DeviceSpec& spec, SetAssocCache& l1,
                            KernelMetrics& out,
@@ -57,10 +51,5 @@ void replay_interleaved_l1(std::vector<WarpReplay>& replays,
 void replay_l2_lines(const std::vector<std::uint64_t>& lines,
                      const DeviceSpec& spec, SetAssocCache& l2,
                      KernelMetrics& out);
-
-/// Convenience for tests: analyze one warp and replay it alone.
-void analyze_warp(const std::vector<const LaneTrace*>& traces,
-                  const DeviceSpec& spec, SetAssocCache& l1,
-                  SetAssocCache& l2, KernelMetrics& out);
 
 }  // namespace bd::simt

@@ -1,102 +1,20 @@
 #pragma once
 /// \file simd.hpp
-/// Compile-time + runtime SIMD dispatch for the batched evaluation engine.
-///
-/// Policy (see docs/ARCHITECTURE.md, "The SIMD evaluation engine"):
-///  - Compile time: AVX2 kernels are compiled only on x86-64 GCC/Clang,
-///    using per-function `__attribute__((target("avx2")))` so the rest of
-///    the translation unit — and the rest of the build — needs no global
-///    `-mavx2`. Other architectures get the scalar batched path.
-///  - Run time: the AVX2 path is taken only if the CPU reports AVX2 and the
-///    `BD_SIMD` environment variable does not force it off. `BD_SIMD=off`
-///    (or `scalar` / `0`) is the escape hatch: it pins every batched
-///    evaluation to the scalar reference path.
-///  - Identity contract: whichever level is active, batched results are
-///    bitwise identical to the scalar `eval()` reference — vector lanes run
-///    the same IEEE op sequence per sample, and FMA contraction is never
-///    used on the identity path (a fused multiply-add rounds once, the
-///    scalar reference rounds twice).
-///
-/// The active level is resolved once per process (first query) and cached;
-/// tests and benches that need to exercise a specific path use
-/// override_level(), which is not thread-safe and intended for
-/// single-threaded setup code only.
-
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define BD_SIMD_X86 1
-#else
-#define BD_SIMD_X86 0
-#endif
+/// Instruction-set level of the batched evaluation engine, reported in
+/// run headers. The engine has one implementation, the SoA-batched scalar
+/// path of WakeIntegrand::eval_batch (beam/wake_batch.cpp), so the level
+/// is always kScalar.
 
 namespace bd::simd {
 
-/// Instruction-set level a batched kernel can dispatch to.
+/// Instruction-set level the batched kernels run at.
 enum class Level : int {
-  kScalar = 0,  ///< scalar reference path (always available)
-  kAvx2 = 1,    ///< 4-lane double AVX2 path (x86-64, runtime-checked)
+  kScalar = 0,  ///< SoA-batched scalar path
 };
 
-inline const char* level_name(Level level) {
-  return level == Level::kAvx2 ? "avx2" : "scalar";
-}
+inline const char* level_name(Level) { return "scalar"; }
 
-/// True if this binary contains the AVX2 kernels at all.
-constexpr bool compiled_with_avx2() { return BD_SIMD_X86 != 0; }
-
-/// True if the CPU this process runs on supports AVX2.
-inline bool cpu_supports_avx2() {
-#if BD_SIMD_X86
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-namespace detail {
-// 0 = unresolved, 1 = scalar, 2 = avx2; resolved on first active_level().
-inline std::atomic<int>& level_state() {
-  static std::atomic<int> state{0};
-  return state;
-}
-
-inline Level resolve_level() {
-  if (const char* env = std::getenv("BD_SIMD")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
-        std::strcmp(env, "0") == 0) {
-      return Level::kScalar;
-    }
-  }
-  return (compiled_with_avx2() && cpu_supports_avx2()) ? Level::kAvx2
-                                                       : Level::kScalar;
-}
-}  // namespace detail
-
-/// The level batched kernels dispatch to right now (cached after first call).
-inline Level active_level() {
-  int state = detail::level_state().load(std::memory_order_relaxed);
-  if (state == 0) {
-    state = static_cast<int>(detail::resolve_level()) + 1;
-    detail::level_state().store(state, std::memory_order_relaxed);
-  }
-  return static_cast<Level>(state - 1);
-}
-
-/// Force a specific level (tests/benches only; call from single-threaded
-/// setup). Forcing kAvx2 on a CPU without AVX2 falls back to scalar.
-inline void override_level(Level level) {
-  if (level == Level::kAvx2 && !cpu_supports_avx2()) level = Level::kScalar;
-  detail::level_state().store(static_cast<int>(level) + 1,
-                              std::memory_order_relaxed);
-}
-
-/// Drop any override / cached value; the next active_level() re-reads the
-/// environment and CPU.
-inline void reset_level() {
-  detail::level_state().store(0, std::memory_order_relaxed);
-}
+/// The level batched kernels run at.
+inline Level active_level() { return Level::kScalar; }
 
 }  // namespace bd::simd

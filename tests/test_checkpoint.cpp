@@ -15,12 +15,21 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/serialize.hpp"
 
 namespace bd {
 namespace {
+
+/// Temp file private to the running test: ctest runs the tests of one
+/// binary as concurrent processes, so fixtures must not share a file.
+std::string test_temp_path(const std::string& stem, const std::string& ext) {
+  return ::testing::TempDir() + stem + "_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ext;
+}
 
 TEST(Serialize, WriterReaderRoundTrip) {
   util::BinaryWriter out;
@@ -80,7 +89,7 @@ TEST(Serialize, Crc32MatchesKnownVector) {
 
 class CheckedFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_checked_file_test.bin";
+  std::string path_ = test_temp_path("bd_checked_file_test", ".bin");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -203,7 +212,7 @@ TEST_F(CheckedFileTest, ConcurrentWritersToSamePathNeverCorrupt) {
 /// (loud failure).
 class JournalFrameTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_journal_frame_test.wal";
+  std::string path_ = test_temp_path("bd_journal_frame_test", ".wal");
   void TearDown() override { std::remove(path_.c_str()); }
 
   static std::vector<std::byte> record(std::uint64_t tag) {
@@ -334,7 +343,7 @@ std::unique_ptr<core::Simulation> make_sim(bool with_fallbacks = true) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bd_checkpoint_test.ckpt";
+  std::string path_ = test_temp_path("bd_checkpoint_test", ".ckpt");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -343,9 +352,8 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, FreshObjectRestoreMatchesContinuedRun) {
   // Run A: 2 + 2 steps straight through. Run B: restore a fresh simulation
-  // from A's step-2 snapshot, then 2 steps. Physics outputs must agree
-  // bit-for-bit (metrics are address-sensitive and are checked in
-  // test_determinism with an in-place restore).
+  // from A's step-2 snapshot, then 2 steps. Physics outputs and SIMT
+  // KernelMetrics must agree bit-for-bit.
   auto a = make_sim();
   a->initialize();
   a->run(2);
@@ -369,6 +377,8 @@ TEST_F(CheckpointTest, FreshObjectRestoreMatchesContinuedRun) {
               b_stats[k].longitudinal.fallback_items);
     EXPECT_EQ(a_stats[k].longitudinal.kernel_intervals,
               b_stats[k].longitudinal.kernel_intervals);
+    testing::expect_identical(a_stats[k].longitudinal.metrics,
+                              b_stats[k].longitudinal.metrics);
   }
   // Particle phase space identical after the resumed steps.
   for (std::size_t i = 0; i < 100; ++i) {

@@ -66,7 +66,6 @@ TEST(RpClustering, SeparatesDistinctPatternPopulations) {
   options.clusters = 2;
   options.balanced = true;
   options.spatial_weight = 0.0;
-  options.train_subsample = 64;
   const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
   // Points 0..3 of a row (left half) should share a cluster distinct from
   // points 4..7 (right half).
@@ -285,18 +284,17 @@ PatternField radial_patterns(std::size_t nx, std::size_t ny,
 
 TEST(ClusteringAccel, InertiaWithinBoundOfFullTraining) {
   // The coreset path trains on ~512 weighted samples instead of the full
-  // stride subsample; the full-set inertia of its final assignment must
-  // stay within a modest factor of the reference path's.
+  // point set; the full-set inertia of its final assignment must stay
+  // within a modest factor of the full-set reference's.
   const PatternField patterns = radial_patterns(96, 96, 11);
   RpClusteringOptions reference;
   reference.clusters = 16;
   reference.spatial_weight = 0.0;
-  reference.train_subsample = 96 * 96;  // full-set Lloyd reference
+  reference.accel.coreset_size = 0;  // full-set Lloyd reference
   const ClusterAssignment base = rp_clustering(patterns, {}, {}, reference);
-  EXPECT_EQ(base.coreset_size, 0u);
+  EXPECT_EQ(base.coreset_size, 96u * 96u);
 
   RpClusteringOptions accel = reference;
-  accel.accel.enabled = true;
   accel.accel.coreset_size = 512;
   const ClusterAssignment fast = rp_clustering(patterns, {}, {}, accel);
   EXPECT_GT(fast.coreset_size, 0u);
@@ -311,7 +309,6 @@ TEST(ClusteringAccel, WarmStartReusesCachedCentroids) {
   ClusteringCache cache;
   TiledClusteringOptions options;
   options.clusters = 8;
-  options.accel.enabled = true;
   options.accel.coreset_size = 256;
   options.accel.cache = &cache;
 
@@ -336,7 +333,6 @@ TEST(ClusteringAccel, DeterministicAcrossThreadCounts) {
   RpClusteringOptions options;
   options.clusters = 8;
   options.spatial_weight = 0.0;
-  options.accel.enabled = true;
   options.accel.coreset_size = 256;
 
   util::ThreadPool::set_global_threads(1);

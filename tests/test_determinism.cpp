@@ -22,36 +22,12 @@
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 #include "util/serialize.hpp"
-#include "util/simd.hpp"
 #include "util/telemetry.hpp"
 
 namespace bd {
 namespace {
 
-/// Bit-for-bit comparison of every KernelMetrics field the paper reports.
-void expect_identical(const simt::KernelMetrics& a,
-                      const simt::KernelMetrics& b) {
-  EXPECT_EQ(a.flops, b.flops);
-  EXPECT_EQ(a.warp_instructions, b.warp_instructions);
-  EXPECT_EQ(a.active_lane_slots, b.active_lane_slots);
-  EXPECT_EQ(a.lane_slots, b.lane_slots);
-  EXPECT_EQ(a.branch_events, b.branch_events);
-  EXPECT_EQ(a.divergent_branches, b.divergent_branches);
-  EXPECT_EQ(a.load_instructions, b.load_instructions);
-  EXPECT_EQ(a.bytes_requested, b.bytes_requested);
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred);
-  EXPECT_EQ(a.l1_transactions, b.l1_transactions);
-  EXPECT_EQ(a.l1.hits, b.l1.hits);
-  EXPECT_EQ(a.l1.misses, b.l1.misses);
-  EXPECT_EQ(a.l2.hits, b.l2.hits);
-  EXPECT_EQ(a.l2.misses, b.l2.misses);
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  // Exact equality on purpose: the replay and time model must see the same
-  // counters in the same order regardless of threading.
-  EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
-  EXPECT_EQ(a.warp_execution_efficiency(), b.warp_execution_efficiency());
-  EXPECT_EQ(a.l1_hit_rate(), b.l1_hit_rate());
-}
+using testing::expect_identical;
 
 simt::KernelMetrics run_synthetic_launch() {
   const simt::DeviceSpec spec = simt::tesla_k40();
@@ -91,10 +67,8 @@ struct SolverRun {
   std::uint64_t kernel_intervals = 0;
 };
 
-/// One fixture shared by both runs: recorded load addresses come from the
-/// history grids, so the cache replay only matches bit-for-bit when both
-/// runs sample the *same* allocations. reset_history() rewinds the ring
-/// buffer content in place (no reallocation of the grid storage).
+/// One fixture shared by the runs each test compares; reset_history()
+/// rewinds the ring buffer content in place.
 testing::ProblemFixture& shared_fixture() {
   static testing::ProblemFixture fixture(16, 1e-6, 12);
   return fixture;
@@ -172,11 +146,7 @@ TEST(Determinism, RepeatedParallelRunsIdentical) {
 TEST(Determinism, CheckpointRoundTripBitwiseIdentical) {
   // Straight run of 2N steps vs checkpoint-at-N + in-place resume: the
   // second N steps must match bit-for-bit, *including* the SIMT cache
-  // metrics. The restore goes into the same Simulation object because the
-  // cache replay records actual history-buffer addresses — GridHistory::
-  // load copies into the existing allocation, so a restored in-place run
-  // replays the exact memory behaviour. (Cross-object restores can only
-  // promise identical physics; see test_checkpoint.cpp.)
+  // metrics.
   const std::string path = ::testing::TempDir() + "bd_determinism_ckpt.bin";
   core::SimConfig config;
   config.particles = 4000;
@@ -241,10 +211,9 @@ TEST(Determinism, WarmStartCacheSurvivesSolverStateRoundTrip) {
   restored.load_state(in);
   EXPECT_TRUE(in.done());
 
-  // Cross-object restore promises identical physics (cache *metrics* are
-  // address-sensitive; the in-place variant above covers those).
   const core::SolveResult a = solver.solve(fixture.problem);
   const core::SolveResult b = restored.solve(fixture.problem);
+  expect_identical(a.metrics, b.metrics);
   EXPECT_EQ(a.fallback_items, b.fallback_items);
   EXPECT_EQ(a.kernel_intervals, b.kernel_intervals);
   ASSERT_EQ(a.values.data().size(), b.values.data().size());
@@ -293,7 +262,7 @@ simt::KernelMetrics serial_replay(
   simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
     simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    simt::replay_interleaved(streams[sm], spec, l1, l2, out);
+    testing::replay_interleaved(streams[sm], spec, l1, l2, out);
   }
   return out;
 }
@@ -344,51 +313,6 @@ TEST(Determinism, ShardedReplayMatchesSerialReference) {
                                                      << " threads";
   }
   util::ThreadPool::set_global_threads(0);
-}
-
-TEST(Determinism, CheckpointRoundTripThroughBatchedPath) {
-  // A checkpoint written while the integrand engine dispatched scalar must
-  // resume bit-identically under the SIMD dispatch (and vice versa): the
-  // dispatch level is execution strategy, not state. On hosts without AVX2
-  // both halves run scalar and this degenerates to the plain round trip.
-  const std::string path = ::testing::TempDir() + "bd_simd_ckpt.bin";
-  core::SimConfig config;
-  config.particles = 4000;
-  config.nx = 16;
-  config.ny = 16;
-  config.tolerance = 1e-5;
-  config.rigid = false;
-
-  core::Simulation sim(
-      config, std::make_unique<core::PredictiveSolver>(simt::tesla_k40()));
-  sim.initialize();
-  sim.run(2);
-  core::save_checkpoint(sim, path);
-
-  simd::override_level(simd::Level::kScalar);
-  const std::vector<core::StepStats> scalar_run = sim.run(2);
-  simd::reset_level();
-
-  core::restore_checkpoint(sim, path);
-  EXPECT_EQ(sim.current_step(), 2);
-  const std::vector<core::StepStats> simd_run = sim.run(2);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(scalar_run.size(), simd_run.size());
-  for (std::size_t k = 0; k < scalar_run.size(); ++k) {
-    const core::SolveResult& a = scalar_run[k].longitudinal;
-    const core::SolveResult& b = simd_run[k].longitudinal;
-    expect_identical(a.metrics, b.metrics);
-    EXPECT_EQ(a.fallback_items, b.fallback_items);
-    EXPECT_EQ(a.kernel_intervals, b.kernel_intervals);
-    ASSERT_EQ(a.values.data().size(), b.values.data().size());
-    for (std::size_t i = 0; i < a.values.data().size(); ++i) {
-      ASSERT_EQ(a.values.data()[i], b.values.data()[i])
-          << "step " << k << " node " << i;
-      ASSERT_EQ(a.errors.data()[i], b.errors.data()[i])
-          << "step " << k << " node " << i;
-    }
-  }
 }
 
 TEST(Determinism, ExternalScratchArenaDoesNotChangeResults) {

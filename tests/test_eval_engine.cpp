@@ -12,13 +12,11 @@
 #include <vector>
 
 #include "beam/wake.hpp"
-#include "beam/wake_simd.hpp"
 #include "quad/adaptive.hpp"
 #include "quad/batch_eval.hpp"
 #include "quad/simpson.hpp"
 #include "simt/trace.hpp"
 #include "test_helpers.hpp"
-#include "util/simd.hpp"
 
 namespace bd::quad {
 namespace {
@@ -275,16 +273,10 @@ TEST(WakeIntegrandProperty, SweepMatchesNaiveLoopOnRealProblem) {
   EXPECT_EQ(visited, n);
 }
 
-// ---- SIMD batch engine (src/beam/wake_simd.cpp) ---------------------------
+// ---- Batched integrand engine (src/beam/wake_batch.cpp) -------------------
 // eval_batch must be bitwise identical to sequential eval() calls — output
-// values AND probe event streams — at every dispatch level, for every batch
-// width, including boundary stencils and out-of-range samples.
-
-/// Pins the dispatch level for one scope; always restores the default.
-struct LevelGuard {
-  explicit LevelGuard(simd::Level level) { simd::override_level(level); }
-  ~LevelGuard() { simd::reset_level(); }
-};
+// values AND probe event streams — for every batch width, including
+// boundary stencils and out-of-range samples.
 
 /// The simpson-sweep batch layout for subregion interval j of width 1.
 std::array<double, 4> sweep_batch(std::size_t j) {
@@ -321,9 +313,9 @@ TEST(SimdBatch, BatchedMatchesScalarBitwiseOnTableIWorkload) {
 }
 
 TEST(SimdBatch, PartialWidthsBoundaryAndOutOfRangeSamples) {
-  // Widths 1..4 never take the AVX2 fast path below 4; out-of-range u
-  // (past r_max the range branch rejects) and edge nodes (x-stencil out of
-  // bounds) force the mixed-lane scalar fallback inside eval_batch.
+  // Partial widths 1..3 next to full batches; out-of-range u (past r_max
+  // the range branch rejects) and edge nodes (x-stencil out of bounds) mix
+  // rejected and accumulated lanes inside one eval_batch call.
   const bd::testing::ProblemFixture fixture(16, 1e-6, 12);
   const beam::GridSpec& spec = fixture.spec;
   const double far = fixture.problem.r_max() + 25.0;  // in_range == false
@@ -346,29 +338,6 @@ TEST(SimdBatch, PartialWidthsBoundaryAndOutOfRangeSamples) {
                                     << ") width " << n << " lane " << k;
         }
       }
-    }
-  }
-}
-
-TEST(SimdBatch, ForcedScalarAndActiveDispatchAgree) {
-  // The escape hatch (BD_SIMD=off ≙ override to kScalar) must not move a
-  // bit. On hosts without AVX2 both runs are scalar and the test is a
-  // tautology — the CI AVX2 leg provides the interesting coverage.
-  const bd::testing::ProblemFixture fixture(32, 1e-6, 12);
-  const beam::GridSpec& spec = fixture.spec;
-  const beam::WakeIntegrand f(
-      *fixture.problem.history, *fixture.problem.model, spec.x_at(13),
-      spec.y_at(17), fixture.problem.step, fixture.problem.sub_width);
-  for (std::size_t j = 0; j < 12; ++j) {
-    const std::array<double, 4> u = sweep_batch(j);
-    double scalar[4], active[4];
-    {
-      LevelGuard guard(simd::Level::kScalar);
-      f.eval_batch(u.data(), scalar, 4, probe());
-    }
-    f.eval_batch(u.data(), active, 4, probe());
-    for (std::size_t k = 0; k < 4; ++k) {
-      ASSERT_EQ(active[k], scalar[k]) << "interval " << j << " lane " << k;
     }
   }
 }

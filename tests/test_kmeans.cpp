@@ -75,25 +75,6 @@ TEST(KMeans, DeterministicForSeed) {
   EXPECT_EQ(a.inertia, b.inertia);
 }
 
-TEST(KMeans, BalancedCapsClusterSizes) {
-  util::Rng rng(11);
-  // Heavily imbalanced data: one dense blob, few outliers.
-  std::vector<double> pts;
-  for (int i = 0; i < 90; ++i) {
-    pts.push_back(rng.normal(0.0, 0.1));
-    pts.push_back(rng.normal(0.0, 0.1));
-  }
-  for (int i = 0; i < 10; ++i) {
-    pts.push_back(100.0 + rng.normal(0.0, 0.1));
-    pts.push_back(rng.normal(0.0, 0.1));
-  }
-  KMeansConfig config;
-  config.clusters = 4;
-  config.balanced = true;
-  const KMeansResult r = kmeans(pts, 100, 2, config);
-  for (std::uint32_t size : r.sizes) EXPECT_LE(size, 25u);
-}
-
 TEST(KMeans, SizesSumToCount) {
   util::Rng rng(13);
   const std::vector<double> pts = three_blobs(20, rng);
@@ -121,15 +102,6 @@ TEST(KMeans, ValidatesArguments) {
   config.clusters = 3;
   EXPECT_THROW(kmeans(pts, 2, 1, config), bd::CheckError);  // k > count
   EXPECT_THROW(kmeans(pts, 3, 1, config), bd::CheckError);  // size mismatch
-}
-
-TEST(KMeans, MembersByClusterPreservesOrder) {
-  KMeansResult r;
-  r.assignment = {1, 0, 1, 0, 1};
-  r.sizes = {2, 3};
-  const auto members = members_by_cluster(r, 2);
-  EXPECT_EQ(members[0], (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(members[1], (std::vector<std::uint32_t>{0, 2, 4}));
 }
 
 TEST(AssignBalanced, NearestWhenUnconstrained) {
@@ -305,15 +277,6 @@ TEST(KMeansWeighted, ValidatesArguments) {
   EXPECT_THROW(kmeans_weighted(pts, 4, 1, {}, std::vector<double>{1.0},
                                config),
                bd::CheckError);
-  // Balanced mode rejects weights and pruning.
-  KMeansConfig balanced = config;
-  balanced.balanced = true;
-  EXPECT_THROW(kmeans_weighted(pts, 4, 1,
-                               std::vector<double>{1.0, 1.0, 1.0, 1.0}, {},
-                               balanced),
-               bd::CheckError);
-  balanced.pruned = true;
-  EXPECT_THROW(kmeans_weighted(pts, 4, 1, {}, {}, balanced), bd::CheckError);
 }
 
 TEST(KMeans, EmptyClusterReseedPicksDistinctPoints) {

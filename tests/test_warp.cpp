@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "simt/warp.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 
 namespace bd::simt {
 namespace {
+
+using bd::testing::analyze_warp;
 
 constexpr std::uint32_t kLoad = site_id("test/load");
 constexpr std::uint32_t kLoop = site_id("test/loop");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Docs consistency check (run by the CI docs job and tools/ci.sh):
 #   1. every telemetry metric / span name used in src/ must be documented
-#      in docs/METRICS.md;
+#      in docs/METRICS.md, and every name a docs/METRICS.md table lists
+#      must still be used in src/;
 #   2. no markdown file may contain a dead relative link.
 # Pure grep/sed — no build needed.
 set -euo pipefail
@@ -31,6 +32,16 @@ fi
 for name in $names; do
   if ! grep -qF "\`$name\`" docs/METRICS.md; then
     echo "check_docs: '$name' is used in src/ but not documented in docs/METRICS.md" >&2
+    fail=1
+  fi
+done
+
+# The reverse direction: a name in the first column of a METRICS.md table
+# that src/ no longer emits is a stale row.
+documented=$(sed -nE 's/^\| `([^`]+)` \|.*/\1/p' docs/METRICS.md | sort -u)
+for name in $documented; do
+  if ! grep -qxF "$name" <<< "$names"; then
+    echo "check_docs: '$name' is documented in docs/METRICS.md but no longer used in src/" >&2
     fail=1
   fi
 done
