@@ -23,8 +23,7 @@ double sample_spacetime(const GridHistory& history, MomentChannel channel,
                         double x, double y, double t_steps,
                         simt::LaneProbe& probe);
 
-/// Spatial-only TSC sample of one retained step (used by tests and by the
-/// force gather).
+/// Spatial-only TSC sample of one retained step.
 double sample_spatial(const GridHistory& history, MomentChannel channel,
                       std::int64_t step, double x, double y,
                       simt::LaneProbe& probe);

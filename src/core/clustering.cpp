@@ -57,7 +57,6 @@ TrainedCentroids train_centroids(std::span<const double> features,
   config.clusters = k;
   config.seed = seed;
   config.max_iterations = 15;
-  config.pruned = true;
   ml::CoresetConfig coreset_config;
   coreset_config.target_size = accel.coreset_size;
   coreset_config.min_size = k;

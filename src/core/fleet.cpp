@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -13,7 +11,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -65,6 +62,8 @@ constexpr std::uint32_t kJournalVersion = 1;
 /// encoding). The frame around each payload is util/serialize's
 /// append_journal_record. New kinds bump kJournalVersion; a reader
 /// rejects versions above its own (same policy as checkpoints).
+/// tools/check_docs.sh parses the `kName = N,` lines below against the
+/// record-kind table in docs/ROBUSTNESS.md.
 enum class RecordKind : std::uint8_t {
   kHeader = 0,       ///< u32 version — always the first record
   kSubmit = 1,       ///< name, target u64, fault_spec, max_attempts, backoff
@@ -72,18 +71,131 @@ enum class RecordKind : std::uint8_t {
   kCheckpoint = 3,   ///< name, step u64, digest u32 — precedes spool write
   kComplete = 4,     ///< name, steps u64, digest u32
   kFailAttempt = 5,  ///< name, attempt u32, error — a retry will follow
-  kFailTerminal = 6, ///< name, error — setup failure, never retried
+  kFailTerminal = 6, ///< name, error — the job failed for good
   kQuarantine = 7,   ///< name, attempts u32, error — retry budget exhausted
   kCancel = 8,       ///< name
   kShutdown = 9,     ///< clean drain() — no payload beyond the kind
   kRetryState = 10,  ///< name, attempts u32, error — written by compaction
 };
 
+// Payload encoders, one per RecordKind. They are the only code that lays
+// out record fields; live appends and compaction both go through them.
+
+util::BinaryWriter begin_record(RecordKind kind) {
+  util::BinaryWriter out;
+  out.write_u8(static_cast<std::uint8_t>(kind));
+  return out;
+}
+
+util::BinaryWriter begin_record(RecordKind kind, const std::string& name) {
+  util::BinaryWriter out = begin_record(kind);
+  out.write_string(name);
+  return out;
+}
+
+util::BinaryWriter header_record() {
+  util::BinaryWriter out = begin_record(RecordKind::kHeader);
+  out.write_u32(kJournalVersion);
+  return out;
+}
+
+util::BinaryWriter submit_record(const std::string& name,
+                                 std::uint64_t target_steps,
+                                 const std::string& fault_spec,
+                                 const RetryPolicy& retry) {
+  util::BinaryWriter out = begin_record(RecordKind::kSubmit, name);
+  out.write_u64(target_steps);
+  out.write_string(fault_spec);
+  out.write_u32(retry.max_attempts);
+  out.write_u32(retry.backoff_rounds);
+  return out;
+}
+
+util::BinaryWriter start_record(const std::string& name) {
+  return begin_record(RecordKind::kStart, name);
+}
+
+util::BinaryWriter checkpoint_record(const std::string& name,
+                                     std::uint64_t step,
+                                     std::uint32_t digest) {
+  util::BinaryWriter out = begin_record(RecordKind::kCheckpoint, name);
+  out.write_u64(step);
+  out.write_u32(digest);
+  return out;
+}
+
+util::BinaryWriter complete_record(const std::string& name,
+                                   std::uint64_t steps, std::uint32_t digest) {
+  util::BinaryWriter out = begin_record(RecordKind::kComplete, name);
+  out.write_u64(steps);
+  out.write_u32(digest);
+  return out;
+}
+
+util::BinaryWriter fail_attempt_record(const std::string& name,
+                                       std::uint32_t attempt,
+                                       const std::string& error) {
+  util::BinaryWriter out = begin_record(RecordKind::kFailAttempt, name);
+  out.write_u32(attempt);
+  out.write_string(error);
+  return out;
+}
+
+util::BinaryWriter fail_terminal_record(const std::string& name,
+                                        const std::string& error) {
+  util::BinaryWriter out = begin_record(RecordKind::kFailTerminal, name);
+  out.write_string(error);
+  return out;
+}
+
+util::BinaryWriter quarantine_record(const std::string& name,
+                                     std::uint32_t attempts,
+                                     const std::string& error) {
+  util::BinaryWriter out = begin_record(RecordKind::kQuarantine, name);
+  out.write_u32(attempts);
+  out.write_string(error);
+  return out;
+}
+
+util::BinaryWriter cancel_record(const std::string& name) {
+  return begin_record(RecordKind::kCancel, name);
+}
+
+util::BinaryWriter shutdown_record() {
+  return begin_record(RecordKind::kShutdown);
+}
+
+util::BinaryWriter retry_state_record(const std::string& name,
+                                      std::uint32_t attempts,
+                                      const std::string& error) {
+  util::BinaryWriter out = begin_record(RecordKind::kRetryState, name);
+  out.write_u32(attempts);
+  out.write_string(error);
+  return out;
+}
+
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+std::string spool_file(const std::string& spool_dir, const std::string& name) {
+  return spool_dir + "/" + name + ".ckpt";
+}
+
+/// Postmortem record of a quarantined job. Its last good checkpoint stays
+/// on disk for the postmortem.
+FleetQuarantineEntry quarantine_entry(const std::string& name,
+                                      std::uint32_t attempts,
+                                      const std::string& error,
+                                      const std::string& spool_path) {
+  FleetQuarantineEntry q{name, attempts, error, ""};
+  if (!spool_path.empty() && std::filesystem::exists(spool_path)) {
+    q.checkpoint_path = spool_path;
+  }
+  return q;
 }
 
 /// Everything the journal knows about one job name during replay.
@@ -125,11 +237,11 @@ struct SimulationFleet::Job {
 
   /// Watchdog channel. The owning lane publishes `running_sim` with
   /// release (so the acquire load sees a fully constructed Simulation)
-  /// while the quantum is in flight and clears it (under Impl::mu)
-  /// before every sim.reset(); the driver dereferences it only under
-  /// Impl::mu, so the pointer it reads is never mid-destruction.
-  /// Timestamps are steady-clock nanoseconds (0 = not in a step /
-  /// quantum).
+  /// while the quantum's steps run and clears it under Impl::mu when they
+  /// end; Impl::release_sim clears it again before destroying the sim.
+  /// The driver dereferences it only under Impl::mu, so the pointer it
+  /// reads is never mid-destruction. Timestamps are steady-clock
+  /// nanoseconds (0 = not in a step / quantum).
   std::atomic<Simulation*> running_sim{nullptr};
   std::atomic<std::uint64_t> quantum_start_ns{0};
   std::atomic<std::uint64_t> step_start_ns{0};
@@ -160,6 +272,30 @@ struct SimulationFleet::Job {
   std::unique_ptr<util::faultinject::FaultHarness> harness;
 
   std::unique_ptr<Simulation> sim;  ///< resident iff non-null
+
+  /// Take over a journaled incomplete job: its checkpoint digests and
+  /// consumed attempts carry over, and its submit record is on disk.
+  void adopt(const JournalEntry& entry) {
+    checkpoint_digests = entry.checkpoints;
+    if (!entry.checkpoints.empty()) {
+      last_ckpt_step = entry.checkpoints.rbegin()->first;
+      last_ckpt_digest = entry.checkpoints.rbegin()->second;
+    }
+    attempts.store(entry.attempts, std::memory_order_relaxed);
+    started_journaled = true;
+  }
+
+  /// Snapshot for poll()/wait(); the caller holds Impl::mu.
+  FleetJobStatus status() const {
+    FleetJobStatus out;
+    out.state = state;
+    out.steps_done = steps_done.load(std::memory_order_relaxed);
+    out.target_steps = spec.target_steps;
+    out.digest = digest.load(std::memory_order_relaxed);
+    out.attempts = attempts.load(std::memory_order_relaxed);
+    if (fleet_job_terminal(state)) out.error = error;
+    return out;
+  }
 };
 
 struct SimulationFleet::Impl {
@@ -172,7 +308,7 @@ struct SimulationFleet::Impl {
   std::vector<std::pair<std::uint64_t, JobId>> backoff;
   std::uint64_t round_counter = 0;          // guarded by mu
   bool stop = false;                        // guarded by mu
-  bool stopping = false;  ///< dtor in progress: keep evicted spool files
+  bool stopping = false;  ///< dtor in progress: cancellations are crash-like
   bool draining = false;  ///< drain() in progress/finished: freeze queue
   bool drained = false;   ///< drain() completed (driver joined)
   std::thread driver;
@@ -188,22 +324,94 @@ struct SimulationFleet::Impl {
   /// (only populated when no recovery_factory was given).
   std::map<std::string, JournalEntry> pending_recovery;  // guarded by mu
 
-  void journal_append(RecordKind kind,
-                      const std::function<void(util::BinaryWriter&)>& fill);
+  void journal_append(const util::BinaryWriter& record);
+  std::size_t count_resident() const;
+  void persist(Job& job);
+  void release_sim(Job& job);
+  void retire(Job& job, FleetJobState state);
 };
 
-void SimulationFleet::Impl::journal_append(
-    RecordKind kind, const std::function<void(util::BinaryWriter&)>& fill) {
+void SimulationFleet::Impl::journal_append(const util::BinaryWriter& record) {
   if (journal_path.empty()) return;
-  util::BinaryWriter out;
-  out.write_u8(static_cast<std::uint8_t>(kind));
-  if (fill) fill(out);
   std::lock_guard<std::mutex> lk(journal_mu);
-  util::append_journal_record(journal_path, out.payload());
+  util::append_journal_record(journal_path, record.payload());
+}
+
+/// Live Simulation objects; the caller holds mu.
+std::size_t SimulationFleet::Impl::count_resident() const {
+  std::size_t n = 0;
+  for (const auto& job : jobs) {
+    n += job->sim_live.load(std::memory_order_relaxed);
+  }
+  return n;
+}
+
+/// Checkpoint the job's resident sim into its spool file. The journal
+/// record goes first: a crash between the two leaves the previous spool
+/// file, whose step and digest the journal already lists. The job must
+/// have a spool path and no other thread may use its sim. Throws on I/O
+/// failure, leaving the job's checkpoint bookkeeping untouched.
+void SimulationFleet::Impl::persist(Job& job) {
+  const std::uint64_t step = job.steps_done.load(std::memory_order_relaxed);
+  const std::uint32_t digest = job.digest.load(std::memory_order_relaxed);
+  journal_append(checkpoint_record(job.spec.name, step, digest));
+  save_checkpoint(*job.sim, job.spool_path);
+  job.checkpoint_digests[step] = digest;
+  job.last_ckpt_step = step;
+  job.last_ckpt_digest = digest;
+}
+
+/// The one place a job's Simulation is destroyed; the caller holds mu.
+void SimulationFleet::Impl::release_sim(Job& job) {
+  job.running_sim.store(nullptr, std::memory_order_relaxed);
+  job.sim_live.store(false, std::memory_order_relaxed);
+  job.sim.reset();
+}
+
+/// The one way a job ends: every terminal fate of a quantum, cancel() of
+/// a job no lane holds, and the destructor. The caller holds mu, so the
+/// terminal journal record, the released sim and the published state
+/// land together for every observer. A cancellation by the destructor is
+/// the crash-like teardown: it journals nothing and keeps the spool
+/// file, so a fleet restarted on the same spool dir recovers the job.
+void SimulationFleet::Impl::retire(Job& job, FleetJobState state) {
+  BD_CHECK_MSG(fleet_job_terminal(state),
+               "retire: fleet job '" << job.spec.name
+                                     << "' needs a terminal state");
+  const std::string& name = job.spec.name;
+  bool remove_spool = false;
+  if (state == FleetJobState::kDone) {
+    journal_append(
+        complete_record(name, job.steps_done.load(std::memory_order_relaxed),
+                        job.digest.load(std::memory_order_relaxed)));
+    job.error.clear();  // a retried-then-successful job reports no error
+    telemetry::counter_add("fleet.completed");
+    remove_spool = true;
+  } else if (state == FleetJobState::kCancelled) {
+    if (!stopping) journal_append(cancel_record(name));
+    telemetry::counter_add("fleet.cancelled");
+    remove_spool = !stopping;
+  } else if (state == FleetJobState::kFailed) {
+    journal_append(fail_terminal_record(name, job.error));
+    telemetry::counter_add("fleet.failed");
+  } else {  // kQuarantined
+    const std::uint32_t attempts =
+        job.attempts.load(std::memory_order_relaxed);
+    journal_append(quarantine_record(name, attempts, job.error));
+    telemetry::counter_add("fleet.quarantined");
+    telemetry::counter_add("fleet.failed");
+    quarantine.push_back(
+        quarantine_entry(name, attempts, job.error, job.spool_path));
+  }
+  release_sim(job);
+  job.state = state;
+  if (remove_spool && !job.spool_path.empty()) {
+    std::remove(job.spool_path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Construction: stale-tmp sweep, journal replay, compaction
+// Construction: stale staging-file sweep, journal replay, compaction
 // ---------------------------------------------------------------------------
 
 SimulationFleet::SimulationFleet(FleetOptions options)
@@ -214,7 +422,12 @@ SimulationFleet::SimulationFleet(FleetOptions options)
   if (!options_.spool_dir.empty()) {
     std::filesystem::create_directories(options_.spool_dir);
     impl_->journal_path = options_.spool_dir + "/fleet.journal";
-    sweep_stale_tmp_files();
+    // A process that crashed mid-write left its staging files behind.
+    if (const std::uint64_t removed =
+            util::remove_dead_staging_files(options_.spool_dir);
+        removed > 0) {
+      telemetry::counter_add("fleet.stale_tmp_removed", removed);
+    }
     recover();
   }
   impl_->driver = std::thread([this] { driver_loop(); });
@@ -224,53 +437,12 @@ SimulationFleet::SimulationFleet(FleetOptions options)
   }
 }
 
-void SimulationFleet::sweep_stale_tmp_files() {
-  // checked-file writes stage to `<path>.tmp.<pid>.<seq>`; a process that
-  // crashed mid-write leaves the stage file behind forever. Remove stages
-  // whose pid is verifiably dead (bounded, best-effort: an unparseable
-  // name or a live/foreign pid is left alone).
-  namespace fs = std::filesystem;
-  constexpr std::size_t kSweepCap = 1024;
-  std::error_code ec;
-  std::uint64_t removed = 0;
-  std::size_t scanned = 0;
-  for (const auto& entry : fs::directory_iterator(options_.spool_dir, ec)) {
-    if (++scanned > kSweepCap) break;
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    const auto tag = name.find(".tmp.");
-    if (tag == std::string::npos) continue;
-    // pid = digits between ".tmp." and the next '.' (or end of name).
-    std::string pid_str = name.substr(tag + 5);
-    if (const auto dot = pid_str.find('.'); dot != std::string::npos) {
-      pid_str = pid_str.substr(0, dot);
-    }
-    if (pid_str.empty() ||
-        pid_str.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    const long pid = std::strtol(pid_str.c_str(), nullptr, 10);
-    if (pid <= 0 || pid == static_cast<long>(::getpid())) continue;
-    errno = 0;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) {
-      continue;  // alive (or not ours to judge) — keep the stage file
-    }
-    fs::remove(entry.path(), ec);
-    if (!ec) ++removed;
-  }
-  if (removed > 0) {
-    telemetry::counter_add("fleet.stale_tmp_removed", removed);
-  }
-}
-
 void SimulationFleet::recover() {
   const util::JournalReadResult replay =
       util::read_journal_records(impl_->journal_path);
   if (replay.records.empty() && !std::filesystem::exists(impl_->journal_path)) {
     // Fresh spool: start the journal with its header record.
-    impl_->journal_append(RecordKind::kHeader, [](util::BinaryWriter& out) {
-      out.write_u32(kJournalVersion);
-    });
+    impl_->journal_append(header_record());
     return;
   }
 
@@ -379,15 +551,9 @@ void SimulationFleet::recover() {
         job->spec.factory = [factory = options_.recovery_factory, name] {
           return factory(name);
         };
-        job->spool_path = options_.spool_dir + "/" + name + ".ckpt";
-        job->checkpoint_digests = entry.checkpoints;
-        if (!entry.checkpoints.empty()) {
-          job->last_ckpt_step = entry.checkpoints.rbegin()->first;
-          job->last_ckpt_digest = entry.checkpoints.rbegin()->second;
-        }
-        job->attempts.store(entry.attempts, std::memory_order_relaxed);
+        job->spool_path = spool_file(options_.spool_dir, name);
+        job->adopt(entry);
         job->error = entry.error;
-        job->started_journaled = true;  // submit/start already on disk
         job->id = impl_->jobs.size();
         impl_->ready.push_back(job->id);
         impl_->jobs.push_back(std::move(job));
@@ -397,13 +563,9 @@ void SimulationFleet::recover() {
         impl_->pending_recovery[name] = entry;
       }
     } else if (entry.terminal == FleetJobState::kQuarantined) {
-      FleetQuarantineEntry q;
-      q.name = name;
-      q.attempts = entry.attempts;
-      q.error = entry.error;
-      const std::string ckpt = options_.spool_dir + "/" + name + ".ckpt";
-      if (std::filesystem::exists(ckpt)) q.checkpoint_path = ckpt;
-      impl_->quarantine.push_back(std::move(q));
+      impl_->quarantine.push_back(
+          quarantine_entry(name, entry.attempts, entry.error,
+                           spool_file(options_.spool_dir, name)));
     }
     impl_->recovered_report.push_back(std::move(report));
   }
@@ -412,46 +574,21 @@ void SimulationFleet::recover() {
   // needs — incomplete jobs' submit/retry-state/checkpoint records.
   // Finished entries live on in recovered() but leave the disk file, so
   // the journal stays proportional to the open work, not fleet lifetime.
-  const std::string tmp = impl_->journal_path + ".compact.tmp." +
-                          std::to_string(static_cast<long>(::getpid()));
-  std::remove(tmp.c_str());
-  {
-    util::BinaryWriter header;
-    header.write_u8(static_cast<std::uint8_t>(RecordKind::kHeader));
-    header.write_u32(kJournalVersion);
-    util::append_journal_record(tmp, header.payload());
-  }
+  std::vector<util::BinaryWriter> kept;
+  kept.push_back(header_record());
   for (const std::string& name : order) {
     const JournalEntry& entry = entries[name];
     if (entry.terminal != FleetJobState::kQueued) continue;
-    util::BinaryWriter submit;
-    submit.write_u8(static_cast<std::uint8_t>(RecordKind::kSubmit));
-    submit.write_string(name);
-    submit.write_u64(entry.target_steps);
-    submit.write_string(entry.fault_spec);
-    submit.write_u32(entry.retry.max_attempts);
-    submit.write_u32(entry.retry.backoff_rounds);
-    util::append_journal_record(tmp, submit.payload());
+    kept.push_back(submit_record(name, entry.target_steps, entry.fault_spec,
+                                 entry.retry));
     if (entry.attempts > 0) {
-      util::BinaryWriter retry;
-      retry.write_u8(static_cast<std::uint8_t>(RecordKind::kRetryState));
-      retry.write_string(name);
-      retry.write_u32(entry.attempts);
-      retry.write_string(entry.error);
-      util::append_journal_record(tmp, retry.payload());
+      kept.push_back(retry_state_record(name, entry.attempts, entry.error));
     }
     for (const auto& [step, digest] : entry.checkpoints) {
-      util::BinaryWriter ckpt;
-      ckpt.write_u8(static_cast<std::uint8_t>(RecordKind::kCheckpoint));
-      ckpt.write_string(name);
-      ckpt.write_u64(step);
-      ckpt.write_u32(digest);
-      util::append_journal_record(tmp, ckpt.payload());
+      kept.push_back(checkpoint_record(name, step, digest));
     }
   }
-  BD_CHECK_MSG(std::rename(tmp.c_str(), impl_->journal_path.c_str()) == 0,
-               "cannot rename compacted journal " << tmp << " over "
-                                                  << impl_->journal_path);
+  util::rewrite_journal(impl_->journal_path, kept);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,15 +609,11 @@ SimulationFleet::~SimulationFleet() {
     impl_->backoff.clear();
     for (auto& job : impl_->jobs) {
       job->cancel_requested.store(true, std::memory_order_relaxed);
-      // Queued/evicted jobs are finalized here; running quanta observe
-      // cancel_requested and finalize themselves before the driver's
-      // round — and therefore this join — completes.
+      // Running quanta observe cancel_requested and retire their job
+      // before the driver's round — and therefore this join — completes.
       if (!fleet_job_terminal(job->state) &&
           job->state != FleetJobState::kRunning) {
-        job->running_sim.store(nullptr, std::memory_order_relaxed);
-        job->sim_live.store(false, std::memory_order_relaxed);
-        job->sim.reset();
-        job->state = FleetJobState::kCancelled;
+        impl_->retire(*job, FleetJobState::kCancelled);
       }
     }
   }
@@ -506,7 +639,7 @@ SimulationFleet::JobId SimulationFleet::submit(FleetJobSpec spec) {
 
   auto job = std::make_unique<Job>();
   if (!options_.spool_dir.empty()) {
-    job->spool_path = options_.spool_dir + "/" + spec.name + ".ckpt";
+    job->spool_path = spool_file(options_.spool_dir, spec.name);
   }
   job->spec = std::move(spec);
 
@@ -520,32 +653,15 @@ SimulationFleet::JobId SimulationFleet::submit(FleetJobSpec spec) {
                    "duplicate fleet job name: " << job->spec.name);
     }
     // A journaled incomplete job with this name (recovered without a
-    // recovery_factory) is adopted: its checkpoint digests and consumed
-    // attempts carry over, and its submit record is already on disk.
-    bool adopted = false;
+    // recovery_factory) is adopted instead of journaled afresh.
     if (auto it = impl_->pending_recovery.find(job->spec.name);
         it != impl_->pending_recovery.end()) {
-      const JournalEntry& entry = it->second;
-      job->checkpoint_digests = entry.checkpoints;
-      if (!entry.checkpoints.empty()) {
-        job->last_ckpt_step = entry.checkpoints.rbegin()->first;
-        job->last_ckpt_digest = entry.checkpoints.rbegin()->second;
-      }
-      job->attempts.store(entry.attempts, std::memory_order_relaxed);
-      job->started_journaled = true;
-      adopted = true;
+      job->adopt(it->second);
       impl_->pending_recovery.erase(it);
-    }
-    if (!adopted) {
+    } else {
       const FleetJobSpec& s = job->spec;
       impl_->journal_append(
-          RecordKind::kSubmit, [&s](util::BinaryWriter& out) {
-            out.write_string(s.name);
-            out.write_u64(static_cast<std::uint64_t>(s.target_steps));
-            out.write_string(s.fault_spec);
-            out.write_u32(s.retry.max_attempts);
-            out.write_u32(s.retry.backoff_rounds);
-          });
+          submit_record(s.name, s.target_steps, s.fault_spec, s.retry));
     }
     id = impl_->jobs.size();
     job->id = id;
@@ -560,60 +676,24 @@ SimulationFleet::JobId SimulationFleet::submit(FleetJobSpec spec) {
 FleetJobStatus SimulationFleet::poll(JobId id) const {
   std::lock_guard<std::mutex> lk(impl_->mu);
   BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
-  const Job& job = *impl_->jobs[id];
-  FleetJobStatus status;
-  status.state = job.state;
-  status.steps_done = job.steps_done.load(std::memory_order_relaxed);
-  status.target_steps = job.spec.target_steps;
-  status.digest = job.digest.load(std::memory_order_relaxed);
-  status.attempts = job.attempts.load(std::memory_order_relaxed);
-  if (fleet_job_terminal(job.state)) status.error = job.error;
-  return status;
+  return impl_->jobs[id]->status();
 }
 
 bool SimulationFleet::cancel(JobId id) {
-  bool removed_spool = false;
-  std::string spool;
-  std::string name;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
     Job& job = *impl_->jobs[id];
     if (fleet_job_terminal(job.state)) return false;
     job.cancel_requested.store(true, std::memory_order_relaxed);
-    if (job.state == FleetJobState::kRunning) {
-      // The owning lane finalizes (and journals) at the next step boundary.
-      return true;
-    }
-    // Queued/evicted/backoff: finalize immediately and drop it.
-    for (auto it = impl_->ready.begin(); it != impl_->ready.end(); ++it) {
-      if (*it == id) {
-        impl_->ready.erase(it);
-        break;
-      }
-    }
-    for (auto it = impl_->backoff.begin(); it != impl_->backoff.end(); ++it) {
-      if (it->second == id) {
-        impl_->backoff.erase(it);
-        break;
-      }
-    }
-    job.running_sim.store(nullptr, std::memory_order_relaxed);
-    job.sim_live.store(false, std::memory_order_relaxed);
-    job.sim.reset();
-    job.state = FleetJobState::kCancelled;
-    name = job.spec.name;
-    impl_->journal_append(RecordKind::kCancel,
-                          [&name](util::BinaryWriter& out) {
-                            out.write_string(name);
-                          });
-    if (!job.spool_path.empty()) {
-      spool = job.spool_path;
-      removed_spool = true;
-    }
+    // A running job is retired by its lane at the next step boundary.
+    if (job.state == FleetJobState::kRunning) return true;
+    // Queued/evicted/backoff: retire it now.
+    std::erase(impl_->ready, id);
+    std::erase_if(impl_->backoff,
+                  [id](const auto& entry) { return entry.second == id; });
+    impl_->retire(job, FleetJobState::kCancelled);
   }
-  if (removed_spool) std::remove(spool.c_str());
-  telemetry::counter_add("fleet.cancelled");
   impl_->done_cv.notify_all();
   return true;
 }
@@ -621,16 +701,9 @@ bool SimulationFleet::cancel(JobId id) {
 FleetJobStatus SimulationFleet::wait(JobId id) {
   std::unique_lock<std::mutex> lk(impl_->mu);
   BD_CHECK_MSG(id < impl_->jobs.size(), "unknown fleet job id " << id);
-  Job& job = *impl_->jobs[id];
+  const Job& job = *impl_->jobs[id];
   impl_->done_cv.wait(lk, [&] { return fleet_job_terminal(job.state); });
-  FleetJobStatus status;
-  status.state = job.state;
-  status.steps_done = job.steps_done.load(std::memory_order_relaxed);
-  status.target_steps = job.spec.target_steps;
-  status.digest = job.digest.load(std::memory_order_relaxed);
-  status.attempts = job.attempts.load(std::memory_order_relaxed);
-  status.error = job.error;
-  return status;
+  return job.status();
 }
 
 void SimulationFleet::wait_all() {
@@ -670,27 +743,12 @@ void SimulationFleet::drain() {
   }
   lk.unlock();
   for (Job* job : residents) {
-    if (job->spool_path.empty()) continue;
-    const std::uint64_t step = job->steps_done.load(std::memory_order_relaxed);
-    const std::uint32_t digest = job->digest.load(std::memory_order_relaxed);
-    const std::string& name = job->spec.name;
-    impl_->journal_append(RecordKind::kCheckpoint,
-                          [&](util::BinaryWriter& out) {
-                            out.write_string(name);
-                            out.write_u64(step);
-                            out.write_u32(digest);
-                          });
-    save_checkpoint(*job->sim, job->spool_path);
-    job->checkpoint_digests[step] = digest;
-    job->last_ckpt_step = step;
-    job->last_ckpt_digest = digest;
+    if (!job->spool_path.empty()) impl_->persist(*job);
   }
-  impl_->journal_append(RecordKind::kShutdown, nullptr);
+  impl_->journal_append(shutdown_record());
   lk.lock();
   for (Job* job : residents) {
-    job->running_sim.store(nullptr, std::memory_order_relaxed);
-    job->sim_live.store(false, std::memory_order_relaxed);
-    job->sim.reset();
+    impl_->release_sim(*job);
     if (!job->spool_path.empty()) job->state = FleetJobState::kEvicted;
   }
   impl_->stop = true;
@@ -897,11 +955,7 @@ void SimulationFleet::run_quantum(Job& job) {
         setup_failed = false;
         if (!job.started_journaled) {
           job.started_journaled = true;
-          const std::string& name = job.spec.name;
-          impl_->journal_append(RecordKind::kStart,
-                                [&name](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                });
+          impl_->journal_append(start_record(job.spec.name));
         }
       }
       ++job.quanta_run;
@@ -962,166 +1016,99 @@ void SimulationFleet::run_quantum(Job& job) {
   }
 
   // ------------------------------------------------------------------
-  // Fate. File I/O (journal appends, checkpoints) happens outside the
-  // lock; until the final state is published under Impl::mu the job
-  // stays kRunning and no other lane can claim it. Once a non-terminal
-  // job is requeued another lane may claim it immediately, so everything
-  // after each critical section works from locally captured values.
+  // Fate, decided once under Impl::mu. Checkpoints and non-terminal
+  // journal records are written outside the lock; retire() writes a
+  // terminal record under it, together with the state change. Until the
+  // new state is published under Impl::mu the job stays kRunning and no
+  // other lane can claim it; once a non-terminal job is requeued another
+  // lane may claim it at once, so nothing touches the job after that.
   // ------------------------------------------------------------------
   enum class Fate {
-    kFailTerminal,   // setup failure: never retried
-    kRetry,          // step failure / ladder exhaustion / watchdog trip
-    kQuarantine,     // retry budget exhausted
-    kCancelled,
+    kFail,      // setup failure: never retried
+    kRetry,     // step failure, ladder exhaustion or watchdog trip
+    kCancel,
     kComplete,
-    kWatchdog,       // resolved into kRetry/kQuarantine below
-    kDrainStop,      // draining: checkpoint + park
-    kEvict,
+    kPark,      // draining: checkpoint and stop
+    kEvict,     // over max_resident: checkpoint, destroy, requeue
     kRequeue,
   };
-
-  const std::string& name = job.spec.name;
-  const bool tripped = job.watchdog_flagged.load(std::memory_order_relaxed);
-  bool keep_spool_on_cancel = false;
-  bool periodic_ckpt = false;
   Fate fate = Fate::kRequeue;
-  std::size_t resident = 0;
-  const auto count_resident = [this] {
-    std::size_t n = 0;
-    for (const auto& j : impl_->jobs)
-      n += j->sim_live.load(std::memory_order_relaxed);
-    return n;
-  };
+  bool watchdog_trip = false;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
-    keep_spool_on_cancel = impl_->stopping;
+    // The steps are over: the watchdog has nothing left to stop.
+    job.running_sim.store(nullptr, std::memory_order_relaxed);
     if (failed || ladder_exhausted) {
-      fate = setup_failed ? Fate::kFailTerminal : Fate::kRetry;
+      fate = setup_failed ? Fate::kFail : Fate::kRetry;
     } else if (job.cancel_requested.load(std::memory_order_relaxed)) {
-      fate = Fate::kCancelled;
+      fate = Fate::kCancel;
     } else if (job.steps_done.load(std::memory_order_relaxed) >=
                job.spec.target_steps) {
       fate = Fate::kComplete;
-    } else if (tripped) {
-      fate = Fate::kWatchdog;
+    } else if (job.watchdog_flagged.load(std::memory_order_relaxed)) {
+      fate = Fate::kRetry;
+      watchdog_trip = true;
     } else if (impl_->draining) {
-      fate = Fate::kDrainStop;
+      fate = Fate::kPark;
     } else if (options_.max_resident > 0 &&
-               count_resident() > options_.max_resident) {
+               impl_->count_resident() > options_.max_resident) {
       fate = Fate::kEvict;
-    } else {
-      fate = Fate::kRequeue;
-      periodic_ckpt = options_.checkpoint_every_quanta > 0 &&
-                      !job.spool_path.empty() &&
-                      job.quanta_run % options_.checkpoint_every_quanta == 0;
-    }
-  }
-
-  // Retry accounting (shared by step failures, ladder exhaustion and
-  // watchdog trips): one attempt gone; out of budget => quarantine.
-  if (fate == Fate::kRetry || fate == Fate::kWatchdog) {
-    const std::uint32_t attempts =
-        job.attempts.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (fate == Fate::kWatchdog) {
-      telemetry::counter_add("fleet.watchdog_trips");
-      job.error = "watchdog: step/quantum deadline exceeded at step " +
-                  std::to_string(
-                      job.steps_done.load(std::memory_order_relaxed));
-      // The rung that overran is suspect — demote before checkpointing
-      // so the retried job resumes one tier down.
-      job.sim->demote_tier();
-      try {
-        if (!job.spool_path.empty()) {
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
-        }
-      } catch (const std::exception& e) {
-        job.error = std::string("watchdog checkpoint failed: ") + e.what();
-      }
-    }
-    fate = attempts >= job.spec.retry.max_attempts ? Fate::kQuarantine
-                                                   : Fate::kRetry;
-    if (fate == Fate::kRetry) {
-      const std::uint32_t attempt = attempts;
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kFailAttempt,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u32(attempt);
-                              out.write_string(error);
-                            });
     }
   }
 
   switch (fate) {
-    case Fate::kFailTerminal: {
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kFailTerminal,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_string(error);
-                            });
+    case Fate::kFail: {
       std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kFailed;
-      resident = count_resident();
+      impl_->retire(job, FleetJobState::kFailed);
       break;
     }
 
-    case Fate::kQuarantine: {
-      const std::uint32_t attempts =
-          job.attempts.load(std::memory_order_relaxed);
-      const std::string& error = job.error;
-      impl_->journal_append(RecordKind::kQuarantine,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u32(attempts);
-                              out.write_string(error);
-                            });
-      telemetry::counter_add("fleet.quarantined");
+    case Fate::kCancel: {
       std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kQuarantined;
-      FleetQuarantineEntry q;
-      q.name = name;
-      q.attempts = attempts;
-      q.error = job.error;
-      // The last good checkpoint stays on disk for postmortem.
-      if (!job.spool_path.empty() &&
-          std::filesystem::exists(job.spool_path)) {
-        q.checkpoint_path = job.spool_path;
-      }
-      impl_->quarantine.push_back(std::move(q));
-      resident = count_resident();
+      impl_->retire(job, FleetJobState::kCancelled);
+      break;
+    }
+
+    case Fate::kComplete: {
+      std::lock_guard<std::mutex> lk(impl_->mu);
+      impl_->retire(job, FleetJobState::kDone);
       break;
     }
 
     case Fate::kRetry: {
+      if (watchdog_trip) {
+        telemetry::counter_add("fleet.watchdog_trips");
+        job.error = "watchdog: step/quantum deadline exceeded at step " +
+                    std::to_string(
+                        job.steps_done.load(std::memory_order_relaxed));
+        // The rung that overran is suspect — demote before checkpointing
+        // so the retried job resumes one tier down.
+        job.sim->demote_tier();
+        if (!job.spool_path.empty()) {
+          try {
+            impl_->persist(job);
+          } catch (const std::exception& e) {
+            job.error = std::string("watchdog checkpoint failed: ") + e.what();
+          }
+        }
+      }
+      // One attempt gone; out of budget => quarantine.
+      const std::uint32_t attempts =
+          job.attempts.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (attempts >= job.spec.retry.max_attempts) {
+        std::lock_guard<std::mutex> lk(impl_->mu);
+        impl_->retire(job, FleetJobState::kQuarantined);
+        break;
+      }
+      impl_->journal_append(
+          fail_attempt_record(job.spec.name, attempts, job.error));
       telemetry::counter_add("fleet.retries");
       std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
       // Restart from the last good spool checkpoint, or from scratch:
       // the resident sim's state is suspect (it threw mid-step, ran out
       // of ladder, or overran a deadline and got demoted+checkpointed —
       // in every case the next attempt rebuilds from durable state).
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
+      impl_->release_sim(job);
       job.exhausted_streak = 0;
       job.watchdog_flagged.store(false, std::memory_order_relaxed);
       const bool have_ckpt = !job.spool_path.empty() &&
@@ -1134,114 +1121,41 @@ void SimulationFleet::run_quantum(Job& job) {
       job.state = FleetJobState::kQueued;
       impl_->backoff.emplace_back(
           impl_->round_counter + job.spec.retry.backoff_rounds, job.id);
-      resident = count_resident();
       break;
     }
 
-    case Fate::kCancelled: {
-      if (!keep_spool_on_cancel) {
-        // Not the dtor path: journal the cancellation (the dtor keeps the
-        // journal untouched so a restart can still recover the job).
-        impl_->journal_append(RecordKind::kCancel,
-                              [&name](util::BinaryWriter& out) {
-                                out.write_string(name);
-                              });
-      }
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.state = FleetJobState::kCancelled;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kComplete: {
-      const std::uint64_t steps =
-          job.steps_done.load(std::memory_order_relaxed);
-      const std::uint32_t digest = job.digest.load(std::memory_order_relaxed);
-      impl_->journal_append(RecordKind::kComplete,
-                            [&](util::BinaryWriter& out) {
-                              out.write_string(name);
-                              out.write_u64(steps);
-                              out.write_u32(digest);
-                            });
-      std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
-      job.sim_live.store(false, std::memory_order_relaxed);
-      job.sim.reset();
-      job.error.clear();  // a retried-then-successful job reports no error
-      job.state = FleetJobState::kDone;
-      resident = count_resident();
-      break;
-    }
-
-    case Fate::kDrainStop:
+    case Fate::kPark:
     case Fate::kEvict: {
-      FleetJobState decided = FleetJobState::kEvicted;
-      if (!job.spool_path.empty()) {
-        try {
-          BD_TRACE_SPAN("fleet.evict", "fleet");
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          // Journal first: if the crash lands between the journal append
-          // and the spool write, recovery restores the *previous* spool
-          // file and finds its digest among the journaled checkpoints.
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
-          telemetry::counter_add("fleet.evictions");
-        } catch (const std::exception& e) {
-          job.error = e.what();
-          decided = FleetJobState::kFailed;
-        }
-      } else {
-        // No spool: nothing durable to write. An evicting fleet cannot
-        // get here (max_resident requires a spool dir); a draining one
-        // just parks the job resident-in-memory.
-        decided = FleetJobState::kQueued;
+      if (job.spool_path.empty()) {
+        // Nothing durable to write. An evicting fleet cannot get here
+        // (max_resident requires a spool dir); a draining one parks the
+        // job resident in memory for drain() to release.
+        std::lock_guard<std::mutex> lk(impl_->mu);
+        job.state = FleetJobState::kQueued;
+        break;
+      }
+      try {
+        BD_TRACE_SPAN("fleet.evict", "fleet");
+        impl_->persist(job);
+        telemetry::counter_add("fleet.evictions");
+      } catch (const std::exception& e) {
+        job.error = e.what();
+        std::lock_guard<std::mutex> lk(impl_->mu);
+        impl_->retire(job, FleetJobState::kFailed);
+        break;
       }
       std::lock_guard<std::mutex> lk(impl_->mu);
-      if (decided != FleetJobState::kQueued) {
-        job.running_sim.store(nullptr, std::memory_order_relaxed);
-        job.sim_live.store(false, std::memory_order_relaxed);
-        job.sim.reset();
-      }
-      job.state = decided;
-      if (fate == Fate::kEvict && decided == FleetJobState::kEvicted) {
-        impl_->ready.push_back(job.id);
-      }
-      fate = decided == FleetJobState::kFailed ? Fate::kFailTerminal : fate;
-      resident = count_resident();
+      impl_->release_sim(job);
+      job.state = FleetJobState::kEvicted;
+      if (fate == Fate::kEvict) impl_->ready.push_back(job.id);
       break;
     }
 
     case Fate::kRequeue: {
-      if (periodic_ckpt) {
+      if (options_.checkpoint_every_quanta > 0 && !job.spool_path.empty() &&
+          job.quanta_run % options_.checkpoint_every_quanta == 0) {
         try {
-          const std::uint64_t step =
-              job.steps_done.load(std::memory_order_relaxed);
-          const std::uint32_t digest =
-              job.digest.load(std::memory_order_relaxed);
-          impl_->journal_append(RecordKind::kCheckpoint,
-                                [&](util::BinaryWriter& out) {
-                                  out.write_string(name);
-                                  out.write_u64(step);
-                                  out.write_u32(digest);
-                                });
-          save_checkpoint(*job.sim, job.spool_path);
-          job.checkpoint_digests[step] = digest;
-          job.last_ckpt_step = step;
-          job.last_ckpt_digest = digest;
+          impl_->persist(job);
         } catch (const std::exception& e) {
           // A failed periodic checkpoint is not fatal to the job — the
           // previous checkpoint (or none) still bounds the replay.
@@ -1249,43 +1163,21 @@ void SimulationFleet::run_quantum(Job& job) {
         }
       }
       std::lock_guard<std::mutex> lk(impl_->mu);
-      job.running_sim.store(nullptr, std::memory_order_relaxed);
       job.state = FleetJobState::kQueued;
       impl_->ready.push_back(job.id);
-      resident = count_resident();
       break;
     }
-
-    case Fate::kWatchdog:
-      break;  // unreachable: resolved into kRetry/kQuarantine above
   }
 
+  std::size_t resident = 0;
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    resident = impl_->count_resident();
+  }
   telemetry::gauge_set("fleet.resident", static_cast<double>(resident));
-  switch (fate) {
-    case Fate::kComplete:
-      telemetry::counter_add("fleet.completed");
-      if (!job.spool_path.empty()) std::remove(job.spool_path.c_str());
-      break;
-    case Fate::kCancelled:
-      telemetry::counter_add("fleet.cancelled");
-      // Keep the spool file while the dtor is tearing the fleet down so a
-      // restarted process can resubmit and resume the job.
-      if (!job.spool_path.empty() && !keep_spool_on_cancel) {
-        std::remove(job.spool_path.c_str());
-      }
-      break;
-    case Fate::kFailTerminal:
-      telemetry::counter_add("fleet.failed");
-      break;
-    case Fate::kQuarantine:
-      telemetry::counter_add("fleet.failed");
-      break;
-    default:
-      impl_->work_cv.notify_one();
-      break;
-  }
   // Every quantum end is an observable event: terminal states unblock
   // wait()/wait_all(), and drain() waits for running quanta to settle.
+  impl_->work_cv.notify_one();
   impl_->done_cv.notify_all();
 }
 

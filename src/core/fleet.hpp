@@ -2,8 +2,8 @@
 /// \file fleet.hpp
 /// SimulationFleet: a job queue that runs N independent Simulations —
 /// parameter sweeps, ensemble runs, per-user configs — over the existing
-/// fork-join thread pool (ROADMAP item 1; the aggregation-of-independent-
-/// work shape PyHEADTAIL-style parallelization argues for).
+/// fork-join thread pool (the aggregation-of-independent-work shape
+/// PyHEADTAIL-style parallelization argues for).
 ///
 /// ## Execution model
 ///
@@ -261,7 +261,6 @@ class SimulationFleet {
   struct Impl;
 
   void recover();
-  void sweep_stale_tmp_files();
   void driver_loop();
   void run_round(std::size_t lanes);
   void run_lane();

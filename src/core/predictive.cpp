@@ -416,6 +416,10 @@ void PredictiveSolver::load_state(util::BinaryReader& in) {
   quad::read_partition_set_nested(in, previous_partitions_);
   const std::uint64_t points = in.read_u64();
   const std::uint64_t subregions = in.read_u64();
+  BD_CHECK_MSG(subregions == 0 ||
+                   points <= in.remaining() / sizeof(double) / subregions,
+               "truncated payload: pattern field of " << points << " x "
+                                                      << subregions);
   smoothed_ = PatternField(points, subregions);
   in.read_f64_into(smoothed_.flat());
   cluster_cache_.dim = in.read_u64();

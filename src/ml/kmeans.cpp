@@ -15,15 +15,15 @@ namespace bd::ml {
 
 namespace {
 
-/// Fixed parallel grain for the pruned engine: chunk boundaries must not
-/// depend on the thread count (determinism), and the per-chunk prune
-/// counters are flushed once per chunk.
+/// Fixed parallel grain for the Lloyd assignment pass: chunk boundaries
+/// must not depend on the thread count (determinism), and the per-chunk
+/// prune counters are flushed once per chunk.
 constexpr std::size_t kGrain = 1024;
 
 /// Multiplicative guards that round the Hamerly bounds conservatively
 /// outward. sqrt() is correctly rounded, which can still land *below* the
 /// true root; a 1e-12 relative margin dwarfs that half-ulp so a strict
-/// upper < lower comparison never claims a prune the exact engine would
+/// upper < lower comparison never claims a prune a full scan would
 /// contradict.
 constexpr double kUpperGuard = 1.0 + 1e-12;
 constexpr double kLowerGuard = 1.0 - 1e-12;
@@ -81,8 +81,8 @@ std::vector<double> kmeanspp_init(std::span<const double> points,
   return centroids;
 }
 
-/// Lloyd update step shared by the exact and pruned engines: centroids
-/// move to the (weighted) mean of their members, summed in point order.
+/// Lloyd update step: centroids move to the (weighted) mean of their
+/// members, summed in point order.
 /// Empty clusters re-seed from the farthest points — ascending cluster
 /// order, reusing the assignment pass's best distances, one *distinct*
 /// point per empty cluster (first-max tie-break).
@@ -132,69 +132,20 @@ void update_centroids(std::span<const double> points, std::size_t count,
   }
 }
 
-/// Exact Lloyd engine (the bitwise reference): every point scans all k
-/// centroids per iteration.
-void lloyd_exact(std::span<const double> points, std::size_t count,
-                 std::size_t dim, std::span<const double> weights,
-                 const KMeansConfig& config, KMeansResult& result) {
-  const std::size_t k = config.clusters;
-  const bool has_weights = !weights.empty();
-  std::vector<double> best_d(count);
-
-  double prev_inertia = std::numeric_limits<double>::max();
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    std::fill(result.sizes.begin(), result.sizes.end(), 0u);
-    result.inertia = 0.0;
-
-    // Assignment: each point's nearest centroid is independent, so it runs
-    // on the thread pool; sizes and inertia are reduced serially in point
-    // order afterwards (deterministic for any thread count).
-    util::parallel_for(0, count, [&](std::size_t i) {
-      auto p = point_at(points, dim, i);
-      double best = std::numeric_limits<double>::max();
-      std::uint32_t best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        auto centroid =
-            std::span<const double>(result.centroids).subspan(c * dim, dim);
-        const double d = squared_distance(p, centroid);
-        if (d < best) {
-          best = d;
-          best_c = static_cast<std::uint32_t>(c);
-        }
-      }
-      result.assignment[i] = best_c;
-      best_d[i] = best;
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      ++result.sizes[result.assignment[i]];
-      result.inertia += has_weights ? weights[i] * best_d[i] : best_d[i];
-    }
-
-    update_centroids(points, count, dim, k, weights, best_d, result);
-
-    if (prev_inertia < std::numeric_limits<double>::max()) {
-      const double rel =
-          std::abs(prev_inertia - result.inertia) /
-          std::max(1e-30, prev_inertia);
-      if (rel < config.tolerance) break;
-    }
-    prev_inertia = result.inertia;
-  }
-}
-
-/// Hamerly-pruned Lloyd engine. Per point it keeps an upper bound on the
-/// distance to its assigned centroid and a lower bound on the distance to
-/// every *other* centroid; after each centroid move the bounds widen by
-/// the per-centroid drift (upper) and the max drift (lower). When
-/// upper < lower strictly, the assigned centroid is provably the unique
-/// nearest, so the k-centroid scan is skipped — only the exact d² to the
-/// assigned centroid is recomputed (the same expression the exact engine
-/// feeds into the inertia sum, so inertia, centroids, iteration count and
-/// assignment all stay bit-identical to lloyd_exact).
-void lloyd_pruned(std::span<const double> points, std::size_t count,
-                  std::size_t dim, std::span<const double> weights,
-                  const KMeansConfig& config, KMeansResult& result) {
+/// Hamerly-pruned Lloyd iterations. Per point it keeps an upper bound on
+/// the distance to its assigned centroid and a lower bound on the
+/// distance to every *other* centroid; after each centroid move the
+/// bounds widen by the per-centroid drift (upper) and the max drift
+/// (lower). When upper < lower strictly, the assigned centroid is
+/// provably the unique nearest, so the k-centroid scan is skipped — only
+/// the exact d² to the assigned centroid is recomputed (the same
+/// expression a full scan feeds into the inertia sum, so inertia,
+/// centroids, iteration count and assignment all stay bit-identical to
+/// exact Lloyd; tests/test_kmeans.cpp holds that oracle). The first
+/// iteration scans every centroid for every point.
+void lloyd(std::span<const double> points, std::size_t count,
+           std::size_t dim, std::span<const double> weights,
+           const KMeansConfig& config, KMeansResult& result) {
   const std::size_t k = config.clusters;
   const bool has_weights = !weights.empty();
 
@@ -334,11 +285,7 @@ KMeansResult kmeans_weighted(std::span<const double> points,
   result.assignment.assign(count, 0);
   result.sizes.assign(k, 0);
 
-  if (config.pruned) {
-    lloyd_pruned(points, count, dim, weights, config, result);
-  } else {
-    lloyd_exact(points, count, dim, weights, config, result);
-  }
+  lloyd(points, count, dim, weights, config, result);
   return result;
 }
 

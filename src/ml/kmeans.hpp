@@ -6,17 +6,15 @@
 /// assign_balanced enforces a hard per-cluster capacity so clusters map
 /// cleanly onto fixed-size thread blocks.
 ///
-/// Two Lloyd engines sit behind the same entry points:
-///  * the **exact** engine (default) scans all k centroids per point per
-///    iteration — the bitwise reference;
-///  * the **pruned** engine (`KMeansConfig::pruned`) keeps Hamerly-style
-///    upper/lower distance bounds per point, updated by per-iteration
-///    centroid drift, and skips the k-centroid scan whenever the bounds
-///    prove the nearest centroid cannot have changed. Bounds are rounded
-///    conservatively outward, so the pruned engine produces bit-identical
-///    assignments, centroids, inertia and iteration counts to the exact
-///    engine (tests/test_kmeans.cpp locks this in across seeds and dims) —
-///    it only skips arithmetic whose outcome is already decided.
+/// Lloyd iterations are Hamerly-pruned: each point keeps upper/lower
+/// distance bounds, updated by per-iteration centroid drift, and skips
+/// the k-centroid scan whenever the bounds prove its nearest centroid
+/// cannot have changed. Bounds are rounded conservatively outward, so the
+/// result is bit-identical to exact Lloyd, which scans every centroid for
+/// every point — assignments, centroids, inertia and iteration counts
+/// (tests/test_kmeans.cpp holds the exact oracle and locks this in across
+/// seeds and dims). Pruning only skips arithmetic whose outcome is
+/// already decided.
 ///
 /// `kmeans_weighted` additionally accepts per-point weights (so a D²
 /// coreset optimizes the same objective as the full set — see
@@ -36,7 +34,6 @@ struct KMeansConfig {
   std::size_t clusters = 8;
   std::size_t max_iterations = 25;
   double tolerance = 1e-6;       ///< relative inertia improvement to stop
-  bool pruned = false;           ///< triangle-inequality-pruned Lloyd engine
   std::uint64_t seed = 1234;
 };
 

@@ -125,6 +125,9 @@ void write_partition_set_nested(util::BinaryWriter& out,
 
 void read_partition_set_nested(util::BinaryReader& in, PartitionSet& set) {
   const std::uint64_t entries = in.read_u64();
+  // Every entry carries at least its u64 length prefix.
+  BD_CHECK_MSG(entries <= in.remaining() / sizeof(std::uint64_t),
+               "truncated payload: " << entries << " partition entries");
   set.reset(entries);
   std::vector<double> row;
   for (std::uint64_t e = 0; e < entries; ++e) {

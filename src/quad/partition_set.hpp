@@ -107,10 +107,10 @@ class PartitionSet {
   std::uint64_t reuse_events_ = 0;
 };
 
-/// Serialize with the exact wire format of util::write_nested_f64 applied
-/// to the per-entry partitions (one f64 span per entry — row aliasing is
-/// not preserved, values are). Keeps PartitionSet-backed solver state
-/// byte-compatible with the previous vector<vector<double>> checkpoints.
+/// Serialize the per-entry partitions as a u64 entry count followed by
+/// one length-prefixed f64 span per entry (row aliasing is not preserved,
+/// values are). Keeps PartitionSet-backed solver state byte-compatible
+/// with the previous vector<vector<double>> checkpoints.
 void write_partition_set_nested(util::BinaryWriter& out,
                                 const PartitionSet& set);
 void read_partition_set_nested(util::BinaryReader& in, PartitionSet& set);

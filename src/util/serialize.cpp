@@ -3,8 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "util/check.hpp"
@@ -146,7 +150,8 @@ std::string BinaryReader::read_string() {
 
 std::vector<double> BinaryReader::read_f64_vector() {
   const std::uint64_t n = read_u64();
-  BD_CHECK_MSG(n * sizeof(double) <= remaining(),
+  // Divide rather than multiply: a corrupt n * 8 can wrap past the check.
+  BD_CHECK_MSG(n <= remaining() / sizeof(double),
                "truncated payload: f64 array of " << n << " elements");
   std::vector<double> out(static_cast<std::size_t>(n));
   for (double& v : out) v = read_f64();
@@ -168,20 +173,6 @@ std::vector<std::byte> BinaryReader::read_bytes() {
   return std::vector<std::byte>(p, p + n);
 }
 
-void write_nested_f64(BinaryWriter& out,
-                      const std::vector<std::vector<double>>& values) {
-  out.write_u64(values.size());
-  for (const auto& v : values) out.write_f64_span(v);
-}
-
-std::vector<std::vector<double>> read_nested_f64(BinaryReader& in) {
-  const std::uint64_t n = in.read_u64();
-  std::vector<std::vector<double>> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(in.read_f64_vector());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Checked files
 // ---------------------------------------------------------------------------
@@ -195,6 +186,11 @@ struct FileCloser {
 };
 using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
 
+void append_bytes(std::vector<std::byte>& out, const BinaryWriter& in) {
+  const auto bytes = in.payload();
+  out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
 void append_header(std::vector<std::byte>& out, std::uint32_t magic,
                    std::uint32_t version, std::uint64_t payload_size,
                    std::uint32_t crc) {
@@ -203,8 +199,71 @@ void append_header(std::vector<std::byte>& out, std::uint32_t magic,
   header.write_u32(version);
   header.write_u64(payload_size);
   header.write_u32(crc);
-  const auto bytes = header.payload();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  append_bytes(out, header);
+}
+
+/// Journal frame header: marker, payload size, payload CRC.
+BinaryWriter journal_frame(std::span<const std::byte> payload) {
+  BinaryWriter frame;
+  frame.write_u32(kJournalMarker);
+  frame.write_u32(static_cast<std::uint32_t>(payload.size()));
+  frame.write_u32(crc32(payload));
+  return frame;
+}
+
+constexpr std::string_view kStageTag = ".tmp.";
+
+/// Write `bytes` to a fresh staging sibling of `path` and return its
+/// name. The name must be unique per process *and* per writer: two sims
+/// checkpointing into the same directory (or two processes sharing a
+/// spool) must never write the same staging file, or one rename
+/// publishes the other's half-written bytes. Staging in the destination
+/// directory keeps the final rename atomic. On a short write the stage is
+/// removed and bd::CheckError thrown.
+std::string write_stage(const std::string& path,
+                        std::span<const std::byte> bytes) {
+  static std::atomic<std::uint64_t> g_stage_seq{0};
+  const std::uint64_t seq =
+      g_stage_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::string tmp = path + std::string(kStageTag) +
+                          std::to_string(static_cast<long>(::getpid())) + "." +
+                          std::to_string(seq);
+  FileHandle f(std::fopen(tmp.c_str(), "wb"));
+  BD_CHECK_MSG(f != nullptr, "cannot open " << tmp << " for writing");
+  const std::size_t written =
+      std::fwrite(bytes.data(), 1, bytes.size(), f.get());
+  if (written != bytes.size() || std::fflush(f.get()) != 0) {
+    f.reset();
+    std::remove(tmp.c_str());
+    BD_CHECK_MSG(false, "short write to " << tmp);
+  }
+  return tmp;
+}
+
+/// Stage `bytes` and rename the stage over `path`.
+void replace_file(const std::string& path, std::span<const std::byte> bytes) {
+  const std::string tmp = write_stage(path, bytes);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    BD_CHECK_MSG(false, "cannot rename " << tmp << " over " << path);
+  }
+}
+
+/// The pid of a staging file name (`….tmp.<pid>` or `….tmp.<pid>.<seq>`),
+/// or 0 when `name` is not one.
+long staging_pid(const std::string& name) {
+  const auto tag = name.rfind(kStageTag);
+  if (tag == std::string::npos) return 0;
+  const std::string rest = name.substr(tag + kStageTag.size());
+  const auto dot = rest.find('.');
+  const std::string pid = rest.substr(0, dot);
+  const std::string seq = dot == std::string::npos ? "" : rest.substr(dot + 1);
+  const auto digits = [](const std::string& s) {
+    return s.find_first_not_of("0123456789") == std::string::npos;
+  };
+  if (pid.empty() || pid.size() > 9 || !digits(pid)) return 0;
+  if (dot != std::string::npos && (seq.empty() || !digits(seq))) return 0;
+  return std::strtol(pid.c_str(), nullptr, 10);
 }
 
 }  // namespace
@@ -217,46 +276,18 @@ void write_checked_file(const std::string& path, std::uint32_t magic,
   append_header(file, magic, version, payload.size(), crc32(payload));
   file.insert(file.end(), payload.begin(), payload.end());
 
-  // Deterministic crash-mid-write fault: flush only a prefix of the temp
-  // file and bail before the rename — the previous snapshot must survive.
-  std::size_t write_size = file.size();
-  const bool truncate_fault =
-      faultinject::enabled() &&
+  // Deterministic crash-mid-write fault: flush only a prefix of the stage
+  // and bail before the rename — the previous snapshot must survive.
+  if (faultinject::enabled() &&
       faultinject::fire(faultinject::FaultClass::kCheckpointTruncate, -1)
-          .has_value();
-  if (truncate_fault) write_size = file.size() / 2;
-
-  // The temp name must be unique per process *and* per writer: two sims
-  // checkpointing into the same directory (or two processes sharing a
-  // spool) must never write the same tmp file, or one rename publishes
-  // the other's half-written bytes. The final rename stays atomic because
-  // the tmp lives in the destination directory.
-  static std::atomic<std::uint64_t> g_tmp_seq{0};
-  const std::uint64_t seq =
-      g_tmp_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long>(::getpid())) + "." +
-                          std::to_string(seq);
-  {
-    FileHandle f(std::fopen(tmp.c_str(), "wb"));
-    BD_CHECK_MSG(f != nullptr, "cannot open " << tmp << " for writing");
-    const std::size_t written =
-        std::fwrite(file.data(), 1, write_size, f.get());
-    if (written != write_size || std::fflush(f.get()) != 0) {
-      f.reset();
-      std::remove(tmp.c_str());
-      BD_CHECK_MSG(false, "short write to " << tmp);
-    }
-  }
-  if (truncate_fault) {
+          .has_value()) {
+    const std::string tmp =
+        write_stage(path, std::span(file).first(file.size() / 2));
     std::remove(tmp.c_str());
     BD_CHECK_MSG(false, "fault injected: checkpoint write to "
                             << path << " truncated mid-file");
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    BD_CHECK_MSG(false, "cannot rename " << tmp << " over " << path);
-  }
+  replace_file(path, file);
 }
 
 std::vector<std::byte> read_checked_file(const std::string& path,
@@ -302,10 +333,7 @@ std::vector<std::byte> read_checked_file(const std::string& path,
 
 void append_journal_record(const std::string& path,
                            std::span<const std::byte> payload) {
-  BinaryWriter frame;
-  frame.write_u32(kJournalMarker);
-  frame.write_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.write_u32(crc32(payload));
+  const BinaryWriter frame = journal_frame(payload);
   FileHandle f(std::fopen(path.c_str(), "ab"));
   BD_CHECK_MSG(f != nullptr, "cannot open journal " << path << " for append");
   const auto header = frame.payload();
@@ -371,6 +399,38 @@ JournalReadResult read_journal_records(const std::string& path) {
     offset += kFrameHeader + size;
   }
   return result;
+}
+
+void rewrite_journal(const std::string& path,
+                     std::span<const BinaryWriter> records) {
+  std::vector<std::byte> file;
+  for (const BinaryWriter& record : records) {
+    append_bytes(file, journal_frame(record.payload()));
+    append_bytes(file, record);
+  }
+  replace_file(path, file);
+}
+
+std::uint64_t remove_dead_staging_files(const std::string& dir) {
+  namespace fs = std::filesystem;
+  constexpr std::size_t kScanCap = 1024;
+  std::uint64_t removed = 0;
+  std::size_t scanned = 0;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (++scanned > kScanCap) break;
+    std::error_code entry_ec;
+    if (!it->is_regular_file(entry_ec)) continue;
+    const long pid = staging_pid(it->path().filename().string());
+    if (pid <= 0 || pid == static_cast<long>(::getpid())) continue;
+    errno = 0;
+    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) {
+      continue;  // alive, or not ours to judge: keep the stage
+    }
+    if (fs::remove(it->path(), entry_ec)) ++removed;
+  }
+  return removed;
 }
 
 }  // namespace bd::util

@@ -84,11 +84,6 @@ class BinaryReader {
   std::size_t offset_ = 0;
 };
 
-/// Nested vector-of-vectors of doubles (per-point quadrature partitions).
-void write_nested_f64(BinaryWriter& out,
-                      const std::vector<std::vector<double>>& values);
-std::vector<std::vector<double>> read_nested_f64(BinaryReader& in);
-
 /// Atomically write a checked file: the header+payload go to a unique
 /// `path + ".tmp.<pid>.<seq>"` sibling first and are renamed over `path`
 /// only once fully flushed, so `path` always holds either the previous
@@ -145,5 +140,20 @@ struct JournalReadResult {
 /// torn tail frame sets `truncated_tail`; a damaged frame with more data
 /// after it throws bd::CheckError naming the byte offset.
 JournalReadResult read_journal_records(const std::string& path);
+
+/// Atomically replace the journal at `path` with exactly `records` (one
+/// frame per payload, in order), staged and renamed like
+/// write_checked_file: a crash mid-rewrite leaves the old journal intact.
+/// Throws bd::CheckError on I/O failure.
+void rewrite_journal(const std::string& path,
+                     std::span<const BinaryWriter> records);
+
+/// Remove the staging files that crashed writers left in `dir`: names
+/// ending in `.tmp.<pid>` or `.tmp.<pid>.<seq>` whose pid is verifiably
+/// dead (`kill(pid, 0)` fails with ESRCH). Files of live or foreign
+/// owners and other names are kept. Best effort: scans at most 1024
+/// directory entries and skips any it cannot stat or remove. Returns the
+/// number removed.
+std::uint64_t remove_dead_staging_files(const std::string& dir);
 
 }  // namespace bd::util

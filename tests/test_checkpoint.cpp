@@ -1,6 +1,7 @@
 /// Checkpoint/restart: serialization primitives, the checked-file
-/// container (CRC, truncation, atomic rename), and full Simulation
-/// save/restore including solver learned state.
+/// container (CRC, truncation, atomic rename), full Simulation
+/// save/restore including solver learned state, and seeded byte mutation
+/// of the checkpoint and fleet-journal readers.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +13,14 @@
 #include "baselines/heuristic.hpp"
 #include "baselines/two_phase.hpp"
 #include "core/checkpoint.hpp"
+#include "core/fleet.hpp"
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace bd {
@@ -69,15 +72,6 @@ TEST(Serialize, ReadIntoRequiresExactLength) {
   util::BinaryReader in(out.payload());
   std::vector<double> wrong(4);
   EXPECT_THROW(in.read_f64_into(wrong), bd::CheckError);
-}
-
-TEST(Serialize, NestedF64RoundTrip) {
-  const std::vector<std::vector<double>> partitions{
-      {0.0, 1.0, 2.0}, {}, {5.5}};
-  util::BinaryWriter out;
-  util::write_nested_f64(out, partitions);
-  util::BinaryReader in(out.payload());
-  EXPECT_EQ(util::read_nested_f64(in), partitions);
 }
 
 TEST(Serialize, Crc32MatchesKnownVector) {
@@ -472,6 +466,182 @@ TEST_F(CheckpointTest, PeriodicOverwriteKeepsLatestSnapshot) {
   auto restored = make_sim();
   core::restore_checkpoint(*restored, path_);
   EXPECT_EQ(restored->current_step(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded byte mutation of the input readers
+// ---------------------------------------------------------------------------
+//
+// Corrupt bytes re-framed with a valid CRC get past the frame checks, so
+// these loops drive restore_checkpoint's payload parsing and the fleet
+// journal's record decoder on hostile input. Every input must either load
+// or throw bd::CheckError — any other exception fails the test, and the
+// asan preset turns memory errors into failures too.
+
+/// Mutate `bytes` with 1–3 seeded operations: overwrite a random byte,
+/// truncate, or set a likely length/count field — a little-endian u64 in
+/// [1, 2^24) that fits the bytes after it — to a boundary value, where
+/// size and overflow bugs hide.
+std::vector<std::byte> mutate(std::vector<std::byte> bytes, util::Rng& rng) {
+  const auto read_u64 = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int b = 7; b >= 0; --b) {
+      v = (v << 8) | static_cast<std::uint8_t>(bytes[at + b]);
+    }
+    return v;
+  };
+  const std::uint64_t ops = 1 + rng.uniform_index(3);
+  for (std::uint64_t op = 0; op < ops && !bytes.empty(); ++op) {
+    const std::uint64_t choice = rng.uniform_index(8);
+    if (choice == 0) {
+      bytes.resize(rng.uniform_index(bytes.size()));
+    } else if (choice < 4) {
+      bytes[rng.uniform_index(bytes.size())] =
+          static_cast<std::byte>(rng.uniform_index(256));
+    } else {
+      std::vector<std::size_t> counts;
+      for (std::size_t at = 0; at + 8 <= bytes.size(); ++at) {
+        const std::uint64_t v = read_u64(at);
+        if (v >= 1 && v < (1u << 24) && v <= bytes.size() - at - 8) {
+          counts.push_back(at);
+        }
+      }
+      if (counts.empty()) continue;
+      const std::size_t at = counts[rng.uniform_index(counts.size())];
+      const std::uint64_t v = read_u64(at);
+      const std::uint64_t values[] = {v + 1,          v - 1,
+                                      0,              v << 32,
+                                      (1ull << 61) + v, ~0ull,
+                                      rng.bits()};
+      std::uint64_t w = values[rng.uniform_index(std::size(values))];
+      for (int b = 0; b < 8; ++b, w >>= 8) {
+        bytes[at + b] = static_cast<std::byte>(w & 0xFFu);
+      }
+    }
+  }
+  return bytes;
+}
+
+TEST(ReaderFuzz, MutatedCheckpointsLoadOrThrowCheckError) {
+  const std::string path = test_temp_path("bd_reader_fuzz", ".ckpt");
+  // A small grid and bunch keep the float blocks short, so most count
+  // mutations land in structure rather than in particle data.
+  const auto make_small_sim = [] {
+    core::SimConfig config = sim_config();
+    config.particles = 256;
+    config.nx = 8;
+    config.ny = 8;
+    auto sim = std::make_unique<core::Simulation>(
+        config, std::make_unique<core::PredictiveSolver>(simt::tesla_k40()));
+    sim->add_fallback_solver(
+        std::make_unique<baselines::HeuristicSolver>(simt::tesla_k40()));
+    return sim;
+  };
+  {
+    util::faultinject::FaultHarness inert;  // immune to an ambient BD_FAULT
+    auto sim = make_small_sim();
+    sim->set_fault_harness(&inert);
+    sim->initialize();
+    sim->run(3);  // a trained predictor: restore refits it
+    core::save_checkpoint(*sim, path);
+  }
+  std::uint32_t version = 0;
+  const std::vector<std::byte> payload =
+      util::read_checked_file(path, core::kCheckpointMagic, version);
+
+  util::Rng rng(20261017);
+  std::size_t loaded = 0;
+  for (int i = 0; i < 400; ++i) {
+    util::write_checked_file(path, core::kCheckpointMagic, version,
+                             mutate(payload, rng));
+    auto sim = make_small_sim();
+    try {
+      core::restore_checkpoint(*sim, path);
+      ++loaded;
+    } catch (const bd::CheckError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+  // Most mutations land in float data and still load; the loop must
+  // exercise both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, 400u);
+}
+
+TEST(ReaderFuzz, MutatedJournalsLoadOrThrowCheckError) {
+  const std::string dir = test_temp_path("bd_reader_fuzz", "_spool");
+  const std::string journal = dir + "/fleet.journal";
+  // One record of every kind, laid out as docs/ROBUSTNESS.md documents.
+  std::vector<std::vector<std::byte>> records;
+  const auto add = [&](std::uint8_t kind, const std::string& name,
+                       const auto& fill) {
+    util::BinaryWriter out;
+    out.write_u8(kind);
+    if (kind != 0 && kind != 9) out.write_string(name);
+    fill(out);
+    records.emplace_back(out.payload().begin(), out.payload().end());
+  };
+  const auto none = [](util::BinaryWriter&) {};
+  add(0, "", [](util::BinaryWriter& o) { o.write_u32(1); });  // header
+  for (const std::string name : {"a", "b", "c", "d", "e"}) {
+    add(1, name, [](util::BinaryWriter& o) {  // submit
+      o.write_u64(8);
+      o.write_string("none");
+      o.write_u32(3);
+      o.write_u32(1);
+    });
+    add(2, name, none);  // start
+  }
+  const auto step_digest = [](std::uint64_t step) {
+    return [step](util::BinaryWriter& o) {
+      o.write_u64(step);
+      o.write_u32(0xC0FFEEu);
+    };
+  };
+  const auto attempts_error = [](util::BinaryWriter& o) {
+    o.write_u32(1);
+    o.write_string("boom");
+  };
+  add(3, "a", step_digest(2));  // checkpoint
+  add(5, "a", attempts_error);  // fail_attempt
+  add(10, "a", attempts_error); // retry_state
+  add(3, "a", step_digest(4));
+  add(4, "b", step_digest(8));  // complete
+  add(6, "c", [](util::BinaryWriter& o) { o.write_string("setup"); });
+  add(7, "d", attempts_error);  // quarantine
+  add(8, "e", none);            // cancel
+  add(9, "", none);             // shutdown
+
+  util::Rng rng(1017);
+  std::size_t loaded = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::vector<std::byte>> mutated = records;
+    auto& victim = mutated[rng.uniform_index(mutated.size())];
+    if (rng.uniform_index(4) == 0) {
+      victim[0] = static_cast<std::byte>(rng.uniform_index(12));  // kind
+    } else {
+      victim = mutate(victim, rng);
+    }
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const auto& record : mutated) {
+      util::append_journal_record(journal, record);
+    }
+    core::FleetOptions options;
+    options.spool_dir = dir;
+    try {
+      core::SimulationFleet fleet(options);
+      ++loaded;
+    } catch (const bd::CheckError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " escaped as " << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, 400u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -398,16 +400,27 @@ std::vector<core::StepStats> run_solo(std::uint64_t seed, std::size_t steps) {
   return sim.run(steps);
 }
 
+std::uint64_t global_counter(const std::string& name) {
+  const auto snap = util::telemetry::MetricsRegistry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0u : it->second;
+}
+
 TEST(Determinism, FleetMatchesSoloBitwise) {
   // The concurrency-corruption regression, end to end: N simulations
   // interleaved through the fleet (job-private telemetry/fault scopes,
   // lanes hopping threads between quanta) must reproduce each solo run
   // bit-for-bit — physics AND SIMT cache metrics — at any thread count.
   // Each quantum runs nested-serially on one pool thread, so PR 2's
-  // thread-count determinism carries over to fleet scheduling.
+  // thread-count determinism carries over to fleet scheduling. The
+  // evicting leg (max_resident = 1) checkpoints sims to a spool at
+  // quantum ends and restores them into fresh objects, so the identity
+  // must also hold across eviction and resume.
   constexpr std::size_t kSims = 3;
   constexpr std::size_t kSteps = 4;
   const std::uint64_t seeds[kSims] = {1, 2, 3};
+  const std::string spool =
+      ::testing::TempDir() + "bd_determinism_fleet_spool";
 
   util::ThreadPool::set_global_threads(1);
   std::vector<core::StepStats> solo[kSims];
@@ -415,12 +428,23 @@ TEST(Determinism, FleetMatchesSoloBitwise) {
     solo[i] = run_solo(seeds[i], kSteps);
   }
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    util::ThreadPool::set_global_threads(threads);
+  struct Leg {
+    std::size_t threads;
+    bool evict;
+  };
+  for (const Leg leg :
+       {Leg{1, false}, Leg{1, true}, Leg{8, false}, Leg{8, true}}) {
+    util::ThreadPool::set_global_threads(leg.threads);
+    std::filesystem::remove_all(spool);
+    const std::uint64_t resumes_before = global_counter("fleet.resumes");
     std::vector<core::StepStats> fleet_stats[kSims];
     {
       core::FleetOptions options;
       options.quantum_steps = 2;  // interleave: two scheduling rounds/job
+      if (leg.evict) {
+        options.spool_dir = spool;
+        options.max_resident = 1;
+      }
       core::SimulationFleet fleet(options);
       for (std::size_t i = 0; i < kSims; ++i) {
         core::FleetJobSpec spec;
@@ -449,11 +473,20 @@ TEST(Determinism, FleetMatchesSoloBitwise) {
       }
       fleet.wait_all();
     }
+    if (leg.evict) {
+      EXPECT_GT(global_counter("fleet.resumes"), resumes_before)
+          << leg.threads << " threads";
+    }
 
     for (std::size_t i = 0; i < kSims; ++i) {
-      ASSERT_EQ(fleet_stats[i].size(), kSteps)
-          << "sim " << i << " at " << threads << " threads";
+      const auto where = [&] {
+        return ::testing::Message()
+               << "sim " << i << " at " << leg.threads << " threads"
+               << (leg.evict ? ", evicting" : "");
+      };
+      ASSERT_EQ(fleet_stats[i].size(), kSteps) << where();
       for (std::size_t k = 0; k < kSteps; ++k) {
+        SCOPED_TRACE(where() << " step " << k);
         const core::SolveResult& a = solo[i][k].longitudinal;
         const core::SolveResult& b = fleet_stats[i][k].longitudinal;
         expect_identical(a.metrics, b.metrics);
@@ -461,17 +494,15 @@ TEST(Determinism, FleetMatchesSoloBitwise) {
         EXPECT_EQ(a.kernel_intervals, b.kernel_intervals);
         ASSERT_EQ(a.values.data().size(), b.values.data().size());
         for (std::size_t n = 0; n < a.values.data().size(); ++n) {
-          ASSERT_EQ(a.values.data()[n], b.values.data()[n])
-              << "sim " << i << " step " << k << " node " << n << " at "
-              << threads << " threads";
-          ASSERT_EQ(a.errors.data()[n], b.errors.data()[n])
-              << "sim " << i << " step " << k << " node " << n;
+          ASSERT_EQ(a.values.data()[n], b.values.data()[n]) << "node " << n;
+          ASSERT_EQ(a.errors.data()[n], b.errors.data()[n]) << "node " << n;
         }
         EXPECT_EQ(core::fleet_digest_step(solo[i][k], 0u),
                   core::fleet_digest_step(fleet_stats[i][k], 0u));
       }
     }
   }
+  std::filesystem::remove_all(spool);
   util::ThreadPool::set_global_threads(0);
 }
 

@@ -735,6 +735,61 @@ TEST_F(FleetSpoolTest, DuplicateCompleteRecordsAndResubmitOfDoneName) {
   EXPECT_EQ(status.steps_done, 3u);
 }
 
+TEST_F(FleetSpoolTest, CompactionIsAFixedPoint) {
+  // Fleet A runs a job until it has spent one retry attempt and holds
+  // periodic checkpoints, then is destroyed mid-run (crash-like: nothing
+  // journaled at teardown).
+  {
+    core::FleetOptions options;
+    options.spool_dir = dir_;
+    options.quantum_steps = 2;
+    options.checkpoint_every_quanta = 1;
+    core::SimulationFleet fleet(options);
+    core::FleetJobSpec spec = job_spec("compact", 91, 1000);
+    spec.fault_spec = "pool_throw@3";  // one failed attempt, then clean
+    spec.retry.max_attempts = 3;
+    const auto id = fleet.submit(std::move(spec));
+    for (;;) {
+      const core::FleetJobStatus status = fleet.poll(id);
+      if (status.attempts == 1 && status.steps_done >= 6) break;
+      ASSERT_FALSE(core::fleet_job_terminal(status.state)) << status.error;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  const std::string journal = dir_ + "/fleet.journal";
+  const auto read_bytes = [&] {
+    std::ifstream in(journal, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  // Fleet B (no recovery_factory) replays A's journal and compacts it;
+  // fleet C replays B's compacted journal, whose attempts and error now
+  // live in a retry_state record. Replaying and compacting again must
+  // change nothing: same report, same bytes on disk.
+  core::FleetOptions options;
+  options.spool_dir = dir_;
+  const auto b = core::SimulationFleet(options).recovered();
+  const std::string compacted = read_bytes();
+  const auto c = core::SimulationFleet(options).recovered();
+  EXPECT_EQ(read_bytes(), compacted);
+
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0].state, core::FleetJobState::kQueued);
+  EXPECT_EQ(b[0].target_steps, 1000u);
+  EXPECT_GE(b[0].checkpoint_step, 2u);
+  EXPECT_EQ(b[0].attempts, 1u);
+  EXPECT_FALSE(b[0].error.empty());
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].name, b[0].name);
+  EXPECT_EQ(c[0].state, b[0].state);
+  EXPECT_EQ(c[0].target_steps, b[0].target_steps);
+  EXPECT_EQ(c[0].checkpoint_step, b[0].checkpoint_step);
+  EXPECT_EQ(c[0].digest, b[0].digest);
+  EXPECT_EQ(c[0].attempts, b[0].attempts);
+  EXPECT_EQ(c[0].error, b[0].error);
+  EXPECT_EQ(c[0].resubmitted, b[0].resubmitted);
+}
+
 TEST_F(FleetSpoolTest, MidJournalCorruptionFailsLoudly) {
   const std::string journal = dir_ + "/fleet.journal";
   {
@@ -887,6 +942,45 @@ TEST_F(FleetSpoolTest, CancelRacingEvictionCleansUp) {
   }
 }
 
+TEST_F(FleetSpoolTest, FailedEvictionCheckpointIsJournaledTerminal) {
+  // One lane makes the schedule deterministic: "a" stays resident, so
+  // every quantum of "b" ends over max_resident and evicts it — and b's
+  // first spool write is cut short by its own fault plan.
+  util::ThreadPool::set_global_threads(1);
+  {
+    core::FleetOptions options;
+    options.spool_dir = dir_;
+    options.max_resident = 1;
+    options.quantum_steps = 1;
+    core::SimulationFleet fleet(options);
+    core::FleetJobSpec a = job_spec("a", 501, 3);
+    a.fault_spec = "none";
+    core::FleetJobSpec b = job_spec("b", 502, 3);
+    b.fault_spec = "checkpoint_truncate";
+    const auto ia = fleet.submit(std::move(a));
+    const auto ib = fleet.submit(std::move(b));
+    fleet.wait_all();
+    EXPECT_EQ(fleet.poll(ia).state, core::FleetJobState::kDone);
+    const core::FleetJobStatus sb = fleet.poll(ib);
+    EXPECT_EQ(sb.state, core::FleetJobState::kFailed);
+    EXPECT_NE(sb.error.find("truncated"), std::string::npos) << sb.error;
+  }
+  util::ThreadPool::set_global_threads(0);
+
+  // The journal agrees with what poll() reported: a restart finds b
+  // failed and does not resurrect it.
+  core::FleetOptions options;
+  options.spool_dir = dir_;
+  options.recovery_factory = [](const std::string&) { return build_sim(1); };
+  core::SimulationFleet fleet(options);
+  const auto recovered = fleet.recovered();
+  ASSERT_EQ(recovered.size(), 2u);
+  EXPECT_EQ(recovered[1].name, "b");
+  EXPECT_EQ(recovered[1].state, core::FleetJobState::kFailed);
+  EXPECT_FALSE(recovered[1].resubmitted);
+  EXPECT_EQ(fleet.job_count(), 0u);
+}
+
 TEST_F(FleetSpoolTest, StaleTmpSweepRemovesOnlyDeadPidStages) {
   using util::telemetry::MetricsRegistry;
   // A verifiably dead pid: fork a child that exits immediately.
@@ -901,9 +995,13 @@ TEST_F(FleetSpoolTest, StaleTmpSweepRemovesOnlyDeadPidStages) {
   const std::string live =
       dir_ + "/y.ckpt.tmp." + std::to_string(::getpid()) + ".2";
   const std::string plain = dir_ + "/z.ckpt";
+  // The spool file of a job named "w.tmp.<dead pid>" only looks staged.
+  const std::string lookalike =
+      dir_ + "/w.tmp." + std::to_string(dead) + ".ckpt";
   std::ofstream(stale) << "stale";
   std::ofstream(live) << "live";
   std::ofstream(plain) << "ckpt";
+  std::ofstream(lookalike) << "ckpt";
 
   MetricsRegistry::global().reset();
   core::FleetOptions options;
@@ -912,6 +1010,7 @@ TEST_F(FleetSpoolTest, StaleTmpSweepRemovesOnlyDeadPidStages) {
   EXPECT_FALSE(fs::exists(stale));  // dead owner: removed
   EXPECT_TRUE(fs::exists(live));    // live owner (us): kept
   EXPECT_TRUE(fs::exists(plain));   // not a stage file: kept
+  EXPECT_TRUE(fs::exists(lookalike));
   EXPECT_EQ(global_counter("fleet.stale_tmp_removed"), 1u);
   MetricsRegistry::global().reset();
 }

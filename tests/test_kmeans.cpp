@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <span>
 
 #include "ml/kmeans.hpp"
 #include "util/check.hpp"
@@ -150,9 +152,36 @@ std::vector<double> mixed_points(std::size_t n, std::size_t dim,
   return pts;
 }
 
+/// Exact Lloyd, the oracle for the pruned engine. Each iteration is a
+/// one-iteration kmeans_weighted run from the previous centroids, and a
+/// run's first iteration scans every centroid for every point; the seeds
+/// come from a zero-iteration run (k-means++ only). The stopping rule is
+/// the engine's: relative inertia improvement below the tolerance.
+KMeansResult exact_lloyd(std::span<const double> pts, std::size_t n,
+                         std::size_t dim, const KMeansConfig& config) {
+  KMeansConfig one = config;
+  one.max_iterations = 0;
+  KMeansResult result = kmeans(pts, n, dim, one);
+  one.max_iterations = 1;
+  double prev_inertia = std::numeric_limits<double>::max();
+  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+    const std::vector<double> centroids = result.centroids;
+    result = kmeans_weighted(pts, n, dim, {}, centroids, one);
+    result.iterations = iter + 1;
+    if (prev_inertia < std::numeric_limits<double>::max() &&
+        std::abs(prev_inertia - result.inertia) /
+                std::max(1e-30, prev_inertia) <
+            config.tolerance) {
+      break;
+    }
+    prev_inertia = result.inertia;
+  }
+  return result;
+}
+
 TEST(KMeansPruned, BitwiseIdenticalToExact) {
-  // The pruned engine must be indistinguishable from the exact engine —
-  // not approximately: bit-for-bit, across seeds, dimensions and cluster
+  // The pruned engine must be indistinguishable from exact Lloyd — not
+  // approximately: bit-for-bit, across seeds, dimensions and cluster
   // counts, including iteration counts (same convergence decisions).
   for (std::uint64_t seed : {1u, 7u, 42u, 1234u}) {
     for (std::size_t dim : {1u, 2u, 5u}) {
@@ -160,14 +189,12 @@ TEST(KMeansPruned, BitwiseIdenticalToExact) {
         util::Rng rng(seed * 131 + dim);
         const std::size_t n = 300;
         const std::vector<double> pts = mixed_points(n, dim, rng);
-        KMeansConfig exact;
-        exact.clusters = k;
-        exact.seed = seed;
-        exact.max_iterations = 20;
-        KMeansConfig pruned = exact;
-        pruned.pruned = true;
-        const KMeansResult a = kmeans(pts, n, dim, exact);
-        const KMeansResult b = kmeans(pts, n, dim, pruned);
+        KMeansConfig config;
+        config.clusters = k;
+        config.seed = seed;
+        config.max_iterations = 20;
+        const KMeansResult a = exact_lloyd(pts, n, dim, config);
+        const KMeansResult b = kmeans(pts, n, dim, config);
         const auto ctx = [&] {
           return ::testing::Message()
                  << "seed=" << seed << " dim=" << dim << " k=" << k;
@@ -193,7 +220,6 @@ TEST(KMeansPruned, ActuallyPrunesAndCountsDistances) {
     util::telemetry::TelemetryScope scope(&local, nullptr);
     KMeansConfig config;
     config.clusters = 6;
-    config.pruned = true;
     config.max_iterations = 25;
     kmeans(pts, n, 2, config);
     const auto snap = local.snapshot();

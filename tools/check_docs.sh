@@ -3,7 +3,10 @@
 #   1. every telemetry metric / span name used in src/ must be documented
 #      in docs/METRICS.md, and every name a docs/METRICS.md table lists
 #      must still be used in src/;
-#   2. no markdown file may contain a dead relative link.
+#   2. every BENCH_*.json at the repo root must be documented;
+#   3. no markdown file may contain a dead relative link;
+#   4. the fleet journal's record kinds in src/core/fleet.cpp and the
+#      record-kind table in docs/ROBUSTNESS.md must list the same kinds.
 # Pure grep/sed — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -81,8 +84,37 @@ while IFS= read -r md; do
 done < <(find . -name '*.md' -not -path './build*' -not -path './.git/*' \
            -not -path './related/*' -not -name 'PAPERS.md' -not -name 'SNIPPETS.md')
 
+# --- 4. fleet journal record kinds -----------------------------------------
+# Each `kFailAttempt = 5,` enumerator of RecordKind needs a
+# "| `fail_attempt` | 5 |" row in docs/ROBUSTNESS.md, and each such row an
+# enumerator.
+kinds=$(sed -n '/^enum class RecordKind/,/^};/p' src/core/fleet.cpp |
+  sed -nE 's/^ *k([A-Za-z]+) = ([0-9]+),.*/\1 \2/p' |
+  while read -r camel value; do
+    echo "$(sed -E 's/([a-z0-9])([A-Z])/\1_\2/g' <<< "$camel" | tr 'A-Z' 'a-z') $value"
+  done)
+if [ -z "$kinds" ]; then
+  echo "check_docs: no RecordKind enumerators found in src/core/fleet.cpp — extraction broken?" >&2
+  fail=1
+fi
+documented_kinds=$(sed -nE 's/^\| `([a-z_]+)` \| ([0-9]+) \|.*/\1 \2/p' docs/ROBUSTNESS.md)
+while read -r kind; do
+  [ -z "$kind" ] && continue
+  if ! grep -qxF "$kind" <<< "$documented_kinds"; then
+    echo "check_docs: fleet journal record kind '$kind' (src/core/fleet.cpp) has no row in docs/ROBUSTNESS.md's record-kind table" >&2
+    fail=1
+  fi
+done <<< "$kinds"
+while read -r kind; do
+  [ -z "$kind" ] && continue
+  if ! grep -qxF "$kind" <<< "$kinds"; then
+    echo "check_docs: record kind '$kind' in docs/ROBUSTNESS.md is not a RecordKind in src/core/fleet.cpp" >&2
+    fail=1
+  fi
+done <<< "$documented_kinds"
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names documented, links clean)"
+echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names and $(echo "$kinds" | wc -l) journal record kinds documented, links clean)"

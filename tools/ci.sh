@@ -18,7 +18,8 @@
 #
 # A docs stage checks docs consistency (tools/check_docs.sh): every
 # telemetry name documented in docs/METRICS.md and every documented name
-# still used, no dead markdown links.
+# still used, no dead markdown links, and the fleet journal's record
+# kinds matching docs/ROBUSTNESS.md's record-kind table.
 #
 # A perf-smoke stage runs bench_rp_eval against the checked-in baseline
 # (tools/perf_baseline_rp_eval.json). Eval counts are deterministic, so
