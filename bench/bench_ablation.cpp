@@ -4,7 +4,8 @@
 ///   * kNN neighbor count k
 ///   * number of clusters m (paper: m = max(N_X, N_Y))
 ///   * training window size
-///   * clustering granularity: warp-tiles vs per-point k-means
+///   * clustering granularity: 8×4 warp tiles vs per-point k-means (1×1
+///     tiles)
 ///   * inner quadrature rule: Gauss–Legendre vs Newton–Cotes (the paper's
 ///     choice; see DESIGN.md for why GL is the default here)
 
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
 
   std::vector<Variant> variants;
   {
-    Variant base{"baseline", "default (kNN k=4, uniform, tiled)", {}, {}};
+    Variant base{"baseline", "default (kNN k=4, uniform, 8x4 tiles)", {}, {}};
     variants.push_back(base);
 
     Variant adaptive = base;
@@ -81,8 +82,9 @@ int main(int argc, char** argv) {
 
     Variant flat = base;
     flat.group = "clustering";
-    flat.name = "per-point k-means (no tiles)";
-    flat.options.tiled = false;
+    flat.name = "per-point k-means (1x1 tiles)";
+    flat.options.tile_w = 1;
+    flat.options.tile_h = 1;
     variants.push_back(flat);
 
     Variant nc = base;

@@ -90,7 +90,6 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   core::RpKernelInput input;
   input.problem = &problem;
   input.clusters = &blocks;
-  input.source = core::PartitionSource::kPerPoint;
   input.partitions = &previous_partitions_;
 
   core::RpKernelOutput kernel1 =

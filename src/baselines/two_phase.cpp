@@ -30,7 +30,6 @@ core::SolveResult TwoPhaseSolver::solve(const core::RpProblem& problem) {
   core::RpKernelInput input;
   input.problem = &problem;
   input.clusters = &blocks;
-  input.source = core::PartitionSource::kPerPoint;
   input.partitions = &parts;
 
   core::RpKernelOutput phase1 =

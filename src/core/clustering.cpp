@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "ml/coreset.hpp"
 #include "ml/kmeans.hpp"
@@ -41,7 +42,13 @@ double assignment_inertia(std::span<const double> features, std::size_t n,
   return total;
 }
 
-/// Centroid training shared by rp_clustering and rp_clustering_tiled.
+/// A warm start whose training inertia exceeds the cached inertia by this
+/// factor re-seeds with k-means++ (the patterns drifted too far for the
+/// old centroids to be useful seeds).
+constexpr double kWarmInertiaGrowth = 1.5;
+
+/// Centroids trained on a D² coreset of the features, warm-started from
+/// accel.cache when its shape fits.
 struct TrainedCentroids {
   ml::KMeansResult result;
   std::size_t coreset_size = 0;
@@ -75,9 +82,7 @@ TrainedCentroids train_centroids(std::span<const double> features,
                                      coreset.weights, cache->centroids,
                                      config);
     out.warm_started = true;
-    if (out.result.inertia > cache->inertia * accel.warm_inertia_growth) {
-      // The patterns drifted too far for the cached centroids to be
-      // useful seeds — fall back to k-means++ on the same coreset.
+    if (out.result.inertia > cache->inertia * kWarmInertiaGrowth) {
       out.result = ml::kmeans_weighted(rows, coreset.size(), dim,
                                        coreset.weights, {}, config);
       out.warm_started = false;
@@ -94,60 +99,86 @@ TrainedCentroids train_centroids(std::span<const double> features,
   return out;
 }
 
-/// Build the (pattern ⊕ weighted coordinates) feature matrix.
+/// Row-major tiling of the grid into tile_w × tile_h tiles (ragged at the
+/// high edges).
+struct Tiling {
+  const beam::GridSpec& grid;
+  std::uint32_t tile_w;
+  std::uint32_t tile_h;
+  std::uint32_t tiles_x = (grid.nx + tile_w - 1) / tile_w;
+  std::uint32_t tiles_y = (grid.ny + tile_h - 1) / tile_h;
+
+  std::size_t count() const {
+    return static_cast<std::size_t>(tiles_x) * tiles_y;
+  }
+
+  /// Call fn(point) for every grid point of tile t, row-major.
+  template <typename Fn>
+  void for_each_point(std::size_t t, Fn&& fn) const {
+    const auto tx = static_cast<std::uint32_t>(t % tiles_x);
+    const auto ty = static_cast<std::uint32_t>(t / tiles_x);
+    const std::uint32_t x_end = std::min(grid.nx, (tx + 1) * tile_w);
+    const std::uint32_t y_end = std::min(grid.ny, (ty + 1) * tile_h);
+    for (std::uint32_t iy = ty * tile_h; iy < y_end; ++iy) {
+      for (std::uint32_t ix = tx * tile_w; ix < x_end; ++ix) {
+        fn(iy * grid.nx + ix);
+      }
+    }
+  }
+};
+
+/// Build the tile feature matrix: mean pattern ⊕ (spatial_weight > 0)
+/// the two weighted tile-center coordinates.
 std::vector<double> build_features(const PatternField& patterns,
-                                   std::span<const double> xs,
-                                   std::span<const double> ys,
+                                   const Tiling& tiling,
                                    double spatial_weight, std::size_t& dim) {
-  const std::size_t n = patterns.points();
+  const std::size_t num_tiles = tiling.count();
   const std::size_t pdim = patterns.subregions();
-  const bool with_coords =
-      spatial_weight > 0.0 && xs.size() == n && ys.size() == n;
+  const bool with_coords = spatial_weight > 0.0;
   dim = pdim + (with_coords ? 2 : 0);
 
-  std::vector<double> features(n * dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = patterns.at(i);
-    std::copy(p.begin(), p.end(), features.begin() + static_cast<std::ptrdiff_t>(i * dim));
+  std::vector<double> features(num_tiles * dim, 0.0);
+  for (std::size_t t = 0; t < num_tiles; ++t) {
+    double* mean = features.data() + t * dim;
+    std::size_t points = 0;
+    tiling.for_each_point(t, [&](std::uint32_t point) {
+      const auto p = patterns.at(point);
+      for (std::size_t d = 0; d < pdim; ++d) mean[d] += p[d];
+      ++points;
+    });
+    for (std::size_t d = 0; d < pdim; ++d) {
+      mean[d] /= static_cast<double>(points);
+    }
   }
   if (!with_coords) return features;
 
-  // Total pattern variance (summed over dimensions).
+  // Total pattern variance over tiles (for scaling the coordinates).
   std::vector<double> means(pdim, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = patterns.at(i);
-    for (std::size_t d = 0; d < pdim; ++d) means[d] += p[d];
+  for (std::size_t t = 0; t < num_tiles; ++t) {
+    for (std::size_t d = 0; d < pdim; ++d) means[d] += features[t * dim + d];
   }
-  for (double& m : means) m /= static_cast<double>(n);
+  for (double& m : means) m /= static_cast<double>(num_tiles);
   double total_var = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto p = patterns.at(i);
+  for (std::size_t t = 0; t < num_tiles; ++t) {
     for (std::size_t d = 0; d < pdim; ++d) {
-      total_var += (p[d] - means[d]) * (p[d] - means[d]);
+      const double dv = features[t * dim + d] - means[d];
+      total_var += dv * dv;
     }
   }
-  total_var /= static_cast<double>(n);
+  total_var /= static_cast<double>(num_tiles);
   if (total_var <= 0.0) total_var = 1.0;
-
-  // Each coordinate feature gets spatial_weight² × half the pattern
-  // variance, after normalizing the coordinate to unit variance.
-  auto coord_stats = [&](std::span<const double> v, double& mean,
-                         double& std) {
-    mean = 0.0;
-    for (double x : v) mean += x;
-    mean /= static_cast<double>(n);
-    std = 0.0;
-    for (double x : v) std += (x - mean) * (x - mean);
-    std = std::sqrt(std / static_cast<double>(n));
-    if (std < 1e-12) std = 1.0;
-  };
-  double mx, sx, my, sy;
-  coord_stats(xs, mx, sx);
-  coord_stats(ys, my, sy);
+  // Unit-variance tile coordinates, scaled so the two coordinate
+  // features carry spatial_weight² × the total pattern variance.
+  const std::uint32_t tiles_x = tiling.tiles_x;
+  const std::uint32_t tiles_y = tiling.tiles_y;
   const double scale = spatial_weight * std::sqrt(0.5 * total_var);
-  for (std::size_t i = 0; i < n; ++i) {
-    features[i * dim + pdim] = (xs[i] - mx) / sx * scale;
-    features[i * dim + pdim + 1] = (ys[i] - my) / sy * scale;
+  const double sx = std::max(1.0, (tiles_x - 1) / std::sqrt(12.0));
+  const double sy = std::max(1.0, (tiles_y - 1) / std::sqrt(12.0));
+  for (std::size_t t = 0; t < num_tiles; ++t) {
+    const double tx = static_cast<double>(t % tiles_x);
+    const double ty = static_cast<double>(t / tiles_x);
+    features[t * dim + pdim] = (tx - 0.5 * (tiles_x - 1)) / sx * scale;
+    features[t * dim + pdim + 1] = (ty - 0.5 * (tiles_y - 1)) / sy * scale;
   }
   return features;
 }
@@ -155,135 +186,37 @@ std::vector<double> build_features(const PatternField& patterns,
 }  // namespace
 
 ClusterAssignment rp_clustering(const PatternField& patterns,
-                                std::span<const double> xs,
-                                std::span<const double> ys,
+                                const beam::GridSpec& grid,
                                 const RpClusteringOptions& options) {
   BD_CHECK(!patterns.empty());
-  const std::size_t n = patterns.points();
-  const std::size_t k = options.clusters;
-  BD_CHECK(k >= 1 && k <= n);
+  BD_CHECK(patterns.points() == grid.nodes());
+  BD_CHECK(options.tile_w >= 1 && options.tile_h >= 1);
+  const Tiling tiling{grid, options.tile_w, options.tile_h};
+  const std::size_t num_tiles = tiling.count();
+  const std::size_t k = std::min(options.clusters, num_tiles);
+  BD_CHECK(k >= 1);
 
   std::size_t dim = 0;
   const std::vector<double> features =
-      build_features(patterns, xs, ys, options.spatial_weight, dim);
+      build_features(patterns, tiling, options.spatial_weight, dim);
 
-  const TrainedCentroids trained =
-      train_centroids(features, n, dim, k, options.seed, options.accel);
-
-  // Balance-assign the full point set to the trained centroids.
-  const std::size_t capacity =
-      options.balanced ? (n + k - 1) / k : 0;
-  const std::vector<std::uint32_t> assignment = ml::assign_balanced(
-      features, n, dim, trained.result.centroids, k, capacity);
+  // Train centroids on the tiles, then balance-assign all tiles.
+  const TrainedCentroids trained = train_centroids(
+      features, num_tiles, dim, k, options.seed, options.accel);
+  const std::vector<std::uint32_t> assignment =
+      ml::assign_balanced(features, num_tiles, dim, trained.result.centroids,
+                          k, (num_tiles + k - 1) / k);
 
   ClusterAssignment result;
   result.members.resize(k);
-  result.inertia = assignment_inertia(features, n, dim,
+  result.inertia = assignment_inertia(features, num_tiles, dim,
                                       trained.result.centroids, assignment);
   result.kmeans_iterations = trained.result.iterations;
   result.coreset_size = trained.coreset_size;
   result.warm_started = trained.warm_started;
-  for (std::size_t i = 0; i < n; ++i) {
-    result.members[assignment[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-  for (const auto& m : result.members) {
-    result.max_cluster_size = std::max(result.max_cluster_size, m.size());
-  }
-  return result;
-}
-
-ClusterAssignment rp_clustering_tiled(const PatternField& patterns,
-                                      const beam::GridSpec& spec,
-                                      const TiledClusteringOptions& options) {
-  BD_CHECK(!patterns.empty());
-  BD_CHECK(patterns.points() == spec.nodes());
-  BD_CHECK(options.tile_w >= 1 && options.tile_h >= 1);
-  const std::size_t pdim = patterns.subregions();
-
-  // Build tiles and their mean patterns.
-  const std::uint32_t tiles_x = (spec.nx + options.tile_w - 1) / options.tile_w;
-  const std::uint32_t tiles_y = (spec.ny + options.tile_h - 1) / options.tile_h;
-  const std::size_t num_tiles = static_cast<std::size_t>(tiles_x) * tiles_y;
-  const bool with_coords = options.spatial_weight > 0.0;
-  const std::size_t fdim = pdim + (with_coords ? 2 : 0);
-  std::vector<std::vector<std::uint32_t>> tile_points(num_tiles);
-  std::vector<double> tile_features(num_tiles * fdim, 0.0);
-  for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
-    for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
-      const std::size_t tile =
-          static_cast<std::size_t>(iy / options.tile_h) * tiles_x +
-          ix / options.tile_w;
-      const std::uint32_t point = iy * spec.nx + ix;
-      tile_points[tile].push_back(point);
-      const auto p = patterns.at(point);
-      for (std::size_t d = 0; d < pdim; ++d) {
-        tile_features[tile * fdim + d] += p[d];
-      }
-    }
-  }
   for (std::size_t t = 0; t < num_tiles; ++t) {
-    const auto n = static_cast<double>(tile_points[t].size());
-    for (std::size_t d = 0; d < pdim; ++d) tile_features[t * fdim + d] /= n;
-  }
-  if (with_coords) {
-    // Total pattern variance over tiles (for scaling the coordinates).
-    std::vector<double> means(pdim, 0.0);
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      for (std::size_t d = 0; d < pdim; ++d) {
-        means[d] += tile_features[t * fdim + d];
-      }
-    }
-    for (double& m2 : means) m2 /= static_cast<double>(num_tiles);
-    double total_var = 0.0;
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      for (std::size_t d = 0; d < pdim; ++d) {
-        const double dv = tile_features[t * fdim + d] - means[d];
-        total_var += dv * dv;
-      }
-    }
-    total_var /= static_cast<double>(num_tiles);
-    if (total_var <= 0.0) total_var = 1.0;
-    // Unit-variance tile coordinates, scaled so the two coordinate
-    // features carry spatial_weight² × the total pattern variance.
-    const double scale =
-        options.spatial_weight * std::sqrt(0.5 * total_var);
-    const double sx = std::max(1.0, (tiles_x - 1) / std::sqrt(12.0));
-    const double sy = std::max(1.0, (tiles_y - 1) / std::sqrt(12.0));
-    for (std::size_t t = 0; t < num_tiles; ++t) {
-      const double tx = static_cast<double>(t % tiles_x);
-      const double ty = static_cast<double>(t / tiles_x);
-      tile_features[t * fdim + pdim] =
-          (tx - 0.5 * (tiles_x - 1)) / sx * scale;
-      tile_features[t * fdim + pdim + 1] =
-          (ty - 0.5 * (tiles_y - 1)) / sy * scale;
-    }
-  }
-
-  const std::size_t k = std::min(options.clusters, num_tiles);
-  BD_CHECK(k >= 1);
-  const std::size_t capacity =
-      std::min(options.max_tiles_per_cluster, (num_tiles + k - 1) / k);
-  BD_CHECK_MSG(capacity * k >= num_tiles,
-               "tile capacity insufficient: increase clusters");
-
-  // Train centroids on the tiles, then balance-assign all tiles.
-  const TrainedCentroids trained = train_centroids(
-      tile_features, num_tiles, fdim, k, options.seed, options.accel);
-  const std::vector<std::uint32_t> tile_assignment = ml::assign_balanced(
-      tile_features, num_tiles, fdim, trained.result.centroids, k, capacity);
-
-  ClusterAssignment result;
-  result.members.resize(k);
-  result.inertia =
-      assignment_inertia(tile_features, num_tiles, fdim,
-                         trained.result.centroids, tile_assignment);
-  result.kmeans_iterations = trained.result.iterations;
-  result.coreset_size = trained.coreset_size;
-  result.warm_started = trained.warm_started;
-  for (std::size_t t = 0; t < num_tiles; ++t) {
-    auto& members = result.members[tile_assignment[t]];
-    members.insert(members.end(), tile_points[t].begin(),
-                   tile_points[t].end());
+    auto& members = result.members[assignment[t]];
+    tiling.for_each_point(t, [&](std::uint32_t p) { members.push_back(p); });
   }
   for (const auto& m : result.members) {
     result.max_cluster_size = std::max(result.max_cluster_size, m.size());

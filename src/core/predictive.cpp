@@ -21,6 +21,17 @@ namespace telemetry = util::telemetry;
 
 namespace {
 constexpr std::size_t kFeatureDim = 3;  // (x, y, t)
+constexpr std::uint64_t kClusterSeed = 42;  ///< k-means++ / coreset seed
+/// Sample stride for training examples: every 4th grid point cuts host
+/// training cost at negligible forecast-quality loss.
+constexpr std::size_t kTrainingStride = 4;
+/// EMA factor blending new observations into the training targets (damps
+/// refine/coarsen oscillation; 1 would use raw observations).
+constexpr double kObservationEma = 0.5;
+/// D² coreset draws for centroid training. The per-step host clustering
+/// cost is the fixed overhead the paper's Table II prices at 2.9 ms/step;
+/// the coreset makes it sublinear in grid area.
+constexpr std::size_t kCoresetSize = 512;
 
 /// Mean absolute error between the forecast and observed pattern fields.
 double pattern_mae(const PatternField& predicted,
@@ -37,9 +48,6 @@ double pattern_mae(const PatternField& predicted,
 PredictiveSolver::PredictiveSolver(simt::DeviceSpec device,
                                    PredictiveOptions options)
     : device_(std::move(device)), options_(options) {
-  BD_CHECK_MSG(options_.training_stride >= 1,
-               "PredictiveOptions.training_stride must be >= 1, got "
-                   << options_.training_stride);
   BD_CHECK_MSG(options_.training_window >= 1,
                "PredictiveOptions.training_window must be >= 1, got "
                    << options_.training_window);
@@ -49,13 +57,6 @@ PredictiveSolver::PredictiveSolver(simt::DeviceSpec device,
   BD_CHECK_MSG(options_.tile_h >= 1,
                "PredictiveOptions.tile_h must be >= 1, got "
                    << options_.tile_h);
-  BD_CHECK_MSG(options_.observation_ema > 0.0 &&
-                   options_.observation_ema <= 1.0,
-               "PredictiveOptions.observation_ema must be in (0, 1], got "
-                   << options_.observation_ema);
-  BD_CHECK_MSG(options_.warm_inertia_growth >= 1.0,
-               "PredictiveOptions.warm_inertia_growth must be >= 1, got "
-                   << options_.warm_inertia_growth);
 }
 
 void PredictiveSolver::reset() {
@@ -116,7 +117,6 @@ SolveResult PredictiveSolver::solve_bootstrap(const RpProblem& problem) {
   RpKernelInput input;
   input.problem = &problem;
   input.clusters = &blocks;
-  input.source = PartitionSource::kPerPoint;
   input.partitions = &parts;
 
   RpKernelOutput kernel1 = run_compute_rp_integral(device_, input, scratch);
@@ -250,67 +250,37 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   // bench_ablation).
   util::WallTimer cluster_timer;
   const double cluster_start = session.enabled() ? session.now_us() : 0.0;
-  const beam::GridSpec& spec = problem.grid();
   const std::size_t auto_m = std::clamp<std::size_t>(
       num_points / (device_.resident_warps_per_sm * device_.warp_size), 4,
       1024);
-  const std::size_t m = options_.clusters ? options_.clusters : auto_m;
-  ClusteringAccel accel;
-  accel.coreset_size = options_.coreset_size;
-  accel.warm_inertia_growth = options_.warm_inertia_growth;
-  accel.cache = &cluster_cache_;
-  ClusterAssignment clusters;
-  if (options_.tiled) {
-    TiledClusteringOptions tiled_options;
-    tiled_options.clusters = std::min(m, num_points);
-    tiled_options.tile_w = options_.tile_w;
-    tiled_options.tile_h = options_.tile_h;
-    tiled_options.seed = options_.cluster_seed;
-    tiled_options.accel = accel;
-    clusters = rp_clustering_tiled(predicted, spec, tiled_options);
-  } else {
-    std::vector<double> coord_x(num_points), coord_y(num_points);
-    for (std::size_t p = 0; p < num_points; ++p) {
-      problem.point_coords(p, coord_x[p], coord_y[p]);
-    }
-    RpClusteringOptions cluster_options;
-    cluster_options.clusters = std::min(m, num_points);
-    cluster_options.balanced = options_.balanced_clusters;
-    cluster_options.seed = options_.cluster_seed;
-    cluster_options.spatial_weight = options_.spatial_weight;
-    cluster_options.accel = accel;
-    clusters = rp_clustering(predicted, coord_x, coord_y, cluster_options);
-  }
+  RpClusteringOptions cluster_options;
+  cluster_options.clusters = options_.clusters ? options_.clusters : auto_m;
+  cluster_options.tile_w = options_.tile_w;
+  cluster_options.tile_h = options_.tile_h;
+  cluster_options.seed = kClusterSeed;
+  cluster_options.accel.coreset_size = kCoresetSize;
+  cluster_options.accel.cache = &cluster_cache_;
+  const ClusterAssignment clusters =
+      rp_clustering(predicted, problem.grid(), cluster_options);
   if (clusters.warm_started) ++warm_start_hits_;
 
-  // MERGE-LISTS: a shared partition per warp (default) or per cluster.
-  // Warp granularity keeps control flow lockstep exactly where SIMD
+  // MERGE-LISTS per warp: keeps control flow lockstep exactly where SIMD
   // hardware needs it while evaluating barely more intervals than the
   // members individually require. Each merged list is stored once as a
-  // PartitionSet row and aliased by every member entry.
+  // PartitionSet row and bound to every member's entry.
   quad::PartitionSet& merged = scratch.merged;
   const std::size_t warp = device_.warp_size;
-  if (options_.merge_per_warp) {
-    merged.reset(num_points);
-    // A merged row never exceeds the Σ of its inputs: one reserve bounds
-    // the whole fold (no add_row growth cascade on record-sized steps).
-    merged.reserve_breaks(parts.used());
-    for (std::size_t c = 0; c < clusters.members.size(); ++c) {
-      const auto& members = clusters.members[c];
-      for (std::size_t lo = 0; lo < members.size(); lo += warp) {
-        const std::size_t hi = std::min(members.size(), lo + warp);
-        const std::span<const std::uint32_t> group(members.data() + lo,
-                                                   hi - lo);
-        const std::size_t row = fold_merge_row(parts, group, scratch, merged);
-        for (std::uint32_t p : group) merged.bind(p, row);
-      }
-    }
-  } else {
-    merged.reset(clusters.members.size());
-    merged.reserve_breaks(parts.used());
-    for (std::size_t c = 0; c < clusters.members.size(); ++c) {
-      merged.bind(c, fold_merge_row(parts, clusters.members[c], scratch,
-                                    merged));
+  merged.reset(num_points);
+  // A merged row never exceeds the Σ of its inputs: one reserve bounds
+  // the whole fold (no add_row growth cascade on record-sized steps).
+  merged.reserve_breaks(parts.used());
+  for (const auto& members : clusters.members) {
+    for (std::size_t lo = 0; lo < members.size(); lo += warp) {
+      const std::size_t hi = std::min(members.size(), lo + warp);
+      const std::span<const std::uint32_t> group(members.data() + lo,
+                                                 hi - lo);
+      const std::size_t row = fold_merge_row(parts, group, scratch, merged);
+      for (std::uint32_t p : group) merged.bind(p, row);
     }
   }
   const double clustering_seconds = cluster_timer.seconds();
@@ -333,8 +303,6 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   RpKernelInput input;
   input.problem = &problem;
   input.clusters = &clusters;
-  input.source = options_.merge_per_warp ? PartitionSource::kPerPoint
-                                         : PartitionSource::kSharedPerCluster;
   input.partitions = &merged;
   RpKernelOutput kernel1 = run_compute_rp_integral(device_, input, scratch);
 
@@ -352,13 +320,9 @@ SolveResult PredictiveSolver::solve_predictive(const RpProblem& problem) {
   telemetry::gauge_set("predictive.forecast_mae", forecast_mae);
 
   // Remember per-point partitions for the adaptive transform: the
-  // warp-merged lists each member actually walked (per-warp mode), or the
-  // unmerged per-point partitions (per-cluster mode) — exactly what the
-  // vector-based path stored.
+  // warp-merged lists each member actually walked.
   if (options_.transform == PartitionTransform::kAdaptive) {
-    previous_partitions_.copy_from(options_.merge_per_warp
-                                       ? scratch.merged
-                                       : scratch.point_partitions);
+    previous_partitions_.copy_from(merged);
     scratch.absorb(previous_partitions_);
   }
 
@@ -408,7 +372,7 @@ void PredictiveSolver::load_state(util::BinaryReader& in) {
     BD_CHECK_MSG(target_dim > 0, "corrupt predictor target dim");
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, target_dim, options_.training_window,
-        options_.knn, options_.ridge);
+        options_.knn);
     predictor_->load(in);
   } else {
     predictor_.reset();
@@ -436,11 +400,10 @@ void PredictiveSolver::learn(const RpProblem& problem,
                              const PatternField& observed,
                              double& train_seconds) {
   const std::size_t num_points = problem.num_points();
-  const std::size_t stride = options_.training_stride;
-  const std::size_t examples = (num_points + stride - 1) / stride;
+  const std::size_t examples =
+      (num_points + kTrainingStride - 1) / kTrainingStride;
 
   // EMA-smooth the observations (damps refine/coarsen oscillation).
-  const double alpha = std::clamp(options_.observation_ema, 0.0, 1.0);
   if (smoothed_.points() != num_points ||
       smoothed_.subregions() != problem.num_subregions) {
     smoothed_ = observed;
@@ -448,21 +411,21 @@ void PredictiveSolver::learn(const RpProblem& problem,
     auto s = smoothed_.flat();
     const auto o = observed.flat();
     for (std::size_t i = 0; i < s.size(); ++i) {
-      s[i] = alpha * o[i] + (1.0 - alpha) * s[i];
+      s[i] = kObservationEma * o[i] + (1.0 - kObservationEma) * s[i];
     }
   }
 
   if (!predictor_ || predictor_->target_dim() != problem.num_subregions) {
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, problem.num_subregions,
-        options_.training_window, options_.knn, options_.ridge);
+        options_.training_window, options_.knn);
   }
 
   std::vector<double> features;
   std::vector<double> targets;
   features.reserve(examples * kFeatureDim);
   targets.reserve(examples * problem.num_subregions);
-  for (std::size_t p = 0; p < num_points; p += stride) {
+  for (std::size_t p = 0; p < num_points; p += kTrainingStride) {
     double x = 0.0, y = 0.0;
     problem.point_coords(p, x, y);
     features.push_back(x);

@@ -7,10 +7,12 @@
 ///      default, ridge regression as the alternative);
 ///   2. COMPUTE-PARTITION: transform forecasts into quadrature partitions
 ///      (§III-C2, uniform or adaptive transform);
-///   3. RP-CLUSTERING: k-means over the forecast patterns groups points of
-///      similar access behaviour; every cluster becomes one thread block
-///      and its members' partitions are merged (MERGE-LISTS) into a single
-///      shared partition — uniform control flow, maximal data reuse;
+///   3. RP-CLUSTERING: k-means over tiles of the forecast patterns groups
+///      points of similar access behaviour; every cluster becomes one
+///      thread block (one warp per tile with the default 8×4 tiles), and
+///      each warp's member partitions are merged (MERGE-LISTS) into one
+///      shared partition — lockstep control flow inside the warp, data
+///      reuse across the block;
 ///   4. COMPUTE-RP-INTEGRAL kernel over the shared partitions;
 ///   5. RP-ADAPTIVEQUADRATURE fallback on intervals that missed τ
 ///      (prediction is a performance hint, never a correctness dependency);
@@ -35,37 +37,15 @@ namespace bd::core {
 struct PredictiveOptions {
   ml::PredictorKind predictor = ml::PredictorKind::kKnn;
   ml::KnnConfig knn;                 ///< kNN hyperparameters
-  ml::LinRegConfig ridge;            ///< ridge hyperparameters
   std::size_t training_window = 1;   ///< steps of history kept for training
   PartitionTransform transform = PartitionTransform::kUniform;
-  std::size_t clusters = 0;          ///< 0 = paper's m = max(N_X, N_Y)
-  bool balanced_clusters = true;     ///< equal-size clusters (block-shaped)
-  std::uint64_t cluster_seed = 42;
-  /// Weight of grid coordinates in the clustering features (see
-  /// RpClusteringOptions::spatial_weight). Only used when tiled = false.
-  double spatial_weight = 0.75;
-  /// Use warp-tile-granular clustering (rp_clustering_tiled) — the
-  /// production mapping. false = plain per-point k-means (ablation).
-  bool tiled = true;
+  /// m, the number of clusters (thread blocks). 0 sizes one cluster per
+  /// SM's worth of resident threads: clamp(N / (resident_warps_per_sm ×
+  /// warp_size), 4, 1024), i.e. N/512 on the K40. The paper's choice is
+  /// m = max(N_X, N_Y).
+  std::size_t clusters = 0;
   std::uint32_t tile_w = 8;   ///< tile width (points along s)
   std::uint32_t tile_h = 4;   ///< tile height (points along y)
-  /// MERGE-LISTS granularity: true merges member partitions per *warp*
-  /// (lockstep where it matters, minimal over-evaluation); false merges
-  /// over the whole cluster/block as in the paper's Algorithm 1.
-  bool merge_per_warp = true;
-  /// Sample stride for training examples (1 = every grid point; larger
-  /// strides cut host training cost at negligible forecast-quality loss).
-  std::size_t training_stride = 4;
-  /// EMA factor blending new observations into the training targets
-  /// (damps refine/coarsen oscillation; 1 = use raw observations).
-  double observation_ema = 0.5;
-  /// Coreset/pruned-Lloyd/warm-start clustering (see ClusteringAccel).
-  /// The per-step host clustering cost is the fixed overhead the paper's
-  /// Table II prices at 2.9 ms/step; the coreset makes it sublinear in
-  /// grid area.
-  std::size_t coreset_size = 512;   ///< D² coreset draws (0 = full set)
-  /// Re-seed threshold for warm starts (see ClusteringAccel).
-  double warm_inertia_growth = 1.5;
 };
 
 class PredictiveSolver final : public RpSolver {

@@ -52,11 +52,7 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
   BD_CHECK(input.problem && input.clusters && input.partitions);
   const RpProblem& problem = *input.problem;
   const ClusterAssignment& clusters = *input.clusters;
-  if (input.source == PartitionSource::kSharedPerCluster) {
-    BD_CHECK(input.partitions->entries() == clusters.members.size());
-  } else {
-    BD_CHECK(input.partitions->entries() == problem.num_points());
-  }
+  BD_CHECK(input.partitions->entries() == problem.num_points());
 
   const std::size_t num_points = problem.num_points();
   const std::size_t num_blocks = clusters.members.size();
@@ -127,10 +123,7 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
                                           x, y, problem.step,
                                           problem.sub_width);
 
-      const std::span<const double> partition =
-          input.source == PartitionSource::kSharedPerCluster
-              ? input.partitions->at(ctx.block_id)
-              : input.partitions->at(point);
+      const std::span<const double> partition = input.partitions->at(point);
       BD_DCHECK(quad::is_valid_partition(partition));
 
       const std::size_t intervals = partition.size() - 1;

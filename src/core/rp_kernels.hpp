@@ -3,12 +3,13 @@
 /// The two modeled-GPU kernels every rp-solver is built from:
 ///
 ///  * COMPUTE-RP-INTEGRAL (paper Listing 1): one thread per grid point of
-///    its block's cluster; evaluates Simpson estimates over a prescribed
-///    partition (per-cluster merged — uniform control flow — or per-point),
-///    accumulates passing intervals and emits failing ones. Intervals are
-///    walked with the shared-sample sweep (4·n+1 evaluations per partition
-///    instead of 5·n), and a failing interval carries its five samples out
-///    so the fallback can refine it without re-evaluating them.
+///    its block's cluster; evaluates Simpson estimates over the partition
+///    bound to its point (a merged list shared by its warp, or one row
+///    bound to every point), accumulates passing intervals and emits
+///    failing ones. Intervals are walked with the shared-sample sweep
+///    (4·n+1 evaluations per partition instead of 5·n), and a failing
+///    interval carries its five samples out so the fallback can refine it
+///    without re-evaluating them.
 ///
 ///  * RP-ADAPTIVEQUADRATURE (paper Algorithm 1, lines 18–24): one thread
 ///    per point-contiguous *group* of failed intervals running memoized
@@ -45,18 +46,11 @@ struct FailedInterval {
   quad::SimpsonSamples samples;
 };
 
-/// Where threads get their partitions from.
-enum class PartitionSource {
-  kSharedPerCluster,  ///< all lanes of a block walk the same merged list
-  kPerPoint,          ///< each lane walks its own point's partition
-};
-
-/// Inputs of COMPUTE-RP-INTEGRAL. `partitions` is indexed by cluster
-/// (kSharedPerCluster) or by grid point (kPerPoint), selected by `source`.
+/// Inputs of COMPUTE-RP-INTEGRAL. `partitions` is indexed by grid point;
+/// points that share a partition are bound to the same row.
 struct RpKernelInput {
   const RpProblem* problem = nullptr;
   const ClusterAssignment* clusters = nullptr;
-  PartitionSource source = PartitionSource::kPerPoint;
   const quad::PartitionSet* partitions = nullptr;
 };
 

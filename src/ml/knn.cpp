@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/linalg.hpp"
 #include "util/check.hpp"
 
 namespace bd::ml {
@@ -14,17 +13,15 @@ void KNNRegressor::fit(const Dataset& data) {
   if (config_.standardize) {
     scaler_.fit(train_);
   }
-  if (config_.use_kdtree) {
-    scaled_features_.clear();
-    scaled_features_.reserve(train_.size() * train_.feature_dim());
-    for (std::size_t i = 0; i < train_.size(); ++i) {
-      auto row = train_.features(i);
-      std::vector<double> f(row.begin(), row.end());
-      if (config_.standardize) scaler_.transform(f);
-      scaled_features_.insert(scaled_features_.end(), f.begin(), f.end());
-    }
-    tree_.build(scaled_features_, train_.size(), train_.feature_dim());
+  scaled_features_.clear();
+  scaled_features_.reserve(train_.size() * train_.feature_dim());
+  for (std::size_t i = 0; i < train_.size(); ++i) {
+    auto row = train_.features(i);
+    std::vector<double> f(row.begin(), row.end());
+    if (config_.standardize) scaler_.transform(f);
+    scaled_features_.insert(scaled_features_.end(), f.begin(), f.end());
   }
+  tree_.build(scaled_features_, train_.size(), train_.feature_dim());
 }
 
 void KNNRegressor::predict_into(std::span<const double> features,
@@ -36,27 +33,7 @@ void KNNRegressor::predict_into(std::span<const double> features,
   std::vector<double> query(features.begin(), features.end());
   if (config_.standardize) scaler_.transform(query);
 
-  std::vector<Neighbor> neighbors;
-  if (config_.use_kdtree) {
-    neighbors = tree_.query(query, config_.k);
-  } else {
-    neighbors.reserve(train_.size());
-    for (std::size_t i = 0; i < train_.size(); ++i) {
-      auto row = train_.features(i);
-      std::vector<double> f(row.begin(), row.end());
-      if (config_.standardize) scaler_.transform(f);
-      neighbors.push_back(Neighbor{i, squared_distance(f, query)});
-    }
-    const std::size_t k = std::min(config_.k, neighbors.size());
-    std::partial_sort(neighbors.begin(), neighbors.begin() + static_cast<std::ptrdiff_t>(k),
-                      neighbors.end(), [](const Neighbor& a, const Neighbor& b) {
-                        if (a.squared_dist != b.squared_dist) {
-                          return a.squared_dist < b.squared_dist;
-                        }
-                        return a.index < b.index;
-                      });
-    neighbors.resize(k);
-  }
+  const std::vector<Neighbor> neighbors = tree_.query(query, config_.k);
 
   std::fill(out.begin(), out.end(), 0.0);
   double weight_sum = 0.0;

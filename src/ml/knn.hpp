@@ -2,7 +2,7 @@
 /// \file knn.hpp
 /// k-nearest-neighbor regression (multi-output) — the paper's choice for
 /// the online access-pattern predictor (§III-B1). Supports uniform and
-/// inverse-distance weighting and brute-force or kd-tree backends.
+/// inverse-distance weighting; neighbours come from a kd-tree.
 
 #include <cstdint>
 #include <span>
@@ -18,7 +18,6 @@ namespace bd::ml {
 struct KnnConfig {
   std::size_t k = 4;
   bool distance_weighted = true;  ///< 1/d weights (uniform otherwise)
-  bool use_kdtree = true;         ///< brute force when false (for testing)
   bool standardize = true;        ///< scale features before distances
 };
 

@@ -151,6 +151,15 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   telemetry::histogram_record("simt.replay_shards",
                               static_cast<double>(num_shards));
 
+  // Counter identities: every L1 transaction hits or misses, an L1 miss
+  // fetches its line as L2 sectors, and each L2 miss moves one sector
+  // from DRAM.
+  BD_DCHECK(metrics.active_lane_slots <= metrics.lane_slots);
+  BD_DCHECK(metrics.l1.accesses() == metrics.l1_transactions);
+  BD_DCHECK(metrics.l2.accesses() ==
+            metrics.l1.misses * (spec.l1_line_bytes / spec.l2_line_bytes));
+  BD_DCHECK(metrics.dram_bytes == metrics.l2.misses * spec.l2_line_bytes);
+
   apply_time_model(metrics, spec);
 
   // KernelMetrics ride along as span args / registry metrics so the trace

@@ -1,4 +1,5 @@
-/// Tests for RP-CLUSTERING (flat, tiled, chunked and ordered variants).
+/// Tests for RP-CLUSTERING (per-point = 1×1 tiles, warp tiles) and the
+/// chunked and ordered mappings.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,16 @@ PatternField bimodal_patterns(std::size_t nx, std::size_t ny) {
   return field;
 }
 
+/// Per-point k-means: 1×1 tiles, no coordinate features.
+RpClusteringOptions per_point_options(std::size_t clusters) {
+  RpClusteringOptions options;
+  options.clusters = clusters;
+  options.tile_w = 1;
+  options.tile_h = 1;
+  options.spatial_weight = 0.0;
+  return options;
+}
+
 std::size_t total_members(const ClusterAssignment& a) {
   std::size_t total = 0;
   for (const auto& m : a.members) total += m.size();
@@ -40,10 +51,8 @@ std::size_t total_members(const ClusterAssignment& a) {
 
 TEST(RpClustering, EveryPointAssignedOnce) {
   const PatternField patterns = bimodal_patterns(8, 8);
-  RpClusteringOptions options;
-  options.clusters = 4;
-  options.spatial_weight = 0.0;
-  const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment a = rp_clustering(
+      patterns, beam::make_centered_grid(8, 8, 1.0, 1.0), per_point_options(4));
   EXPECT_EQ(total_members(a), 64u);
   std::set<std::uint32_t> seen;
   for (const auto& m : a.members) seen.insert(m.begin(), m.end());
@@ -52,21 +61,15 @@ TEST(RpClustering, EveryPointAssignedOnce) {
 
 TEST(RpClustering, BalancedCapsClusterSize) {
   const PatternField patterns = bimodal_patterns(8, 8);
-  RpClusteringOptions options;
-  options.clusters = 4;
-  options.balanced = true;
-  options.spatial_weight = 0.0;
-  const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment a = rp_clustering(
+      patterns, beam::make_centered_grid(8, 8, 1.0, 1.0), per_point_options(4));
   EXPECT_LE(a.max_cluster_size, 16u);
 }
 
 TEST(RpClustering, SeparatesDistinctPatternPopulations) {
   const PatternField patterns = bimodal_patterns(8, 8);
-  RpClusteringOptions options;
-  options.clusters = 2;
-  options.balanced = true;
-  options.spatial_weight = 0.0;
-  const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment a = rp_clustering(
+      patterns, beam::make_centered_grid(8, 8, 1.0, 1.0), per_point_options(2));
   // Points 0..3 of a row (left half) should share a cluster distinct from
   // points 4..7 (right half).
   for (const auto& members : a.members) {
@@ -81,10 +84,8 @@ TEST(RpClustering, SeparatesDistinctPatternPopulations) {
 
 TEST(RpClustering, MembersAscendWithinCluster) {
   const PatternField patterns = bimodal_patterns(8, 8);
-  RpClusteringOptions options;
-  options.clusters = 4;
-  options.spatial_weight = 0.0;
-  const ClusterAssignment a = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment a = rp_clustering(
+      patterns, beam::make_centered_grid(8, 8, 1.0, 1.0), per_point_options(4));
   for (const auto& m : a.members) {
     for (std::size_t i = 1; i < m.size(); ++i) EXPECT_GT(m[i], m[i - 1]);
   }
@@ -93,11 +94,11 @@ TEST(RpClustering, MembersAscendWithinCluster) {
 TEST(RpClusteringTiled, WarpsAreSpatialTiles) {
   const beam::GridSpec spec = beam::make_centered_grid(16, 16, 1.0, 1.0);
   PatternField patterns(spec.nodes(), 2);
-  TiledClusteringOptions options;
+  RpClusteringOptions options;
   options.clusters = 8;
   options.tile_w = 8;
   options.tile_h = 4;
-  const ClusterAssignment a = rp_clustering_tiled(patterns, spec, options);
+  const ClusterAssignment a = rp_clustering(patterns, spec, options);
   EXPECT_EQ(total_members(a), 256u);
   // Each run of 32 consecutive members is one 8×4 spatial tile.
   for (const auto& members : a.members) {
@@ -127,12 +128,12 @@ TEST(RpClusteringTiled, GroupsTilesByPatternSimilarity) {
       patterns.at(iy * 16 + ix)[0] = ix < 8 ? 1.0 : 32.0;
     }
   }
-  TiledClusteringOptions options;
+  RpClusteringOptions options;
   options.clusters = 2;
   options.tile_w = 8;
   options.tile_h = 4;
   options.spatial_weight = 0.0;  // isolate the pattern-similarity grouping
-  const ClusterAssignment a = rp_clustering_tiled(patterns, spec, options);
+  const ClusterAssignment a = rp_clustering(patterns, spec, options);
   for (const auto& members : a.members) {
     if (members.empty()) continue;
     const bool left = (members[0] % 16) < 8;
@@ -143,11 +144,11 @@ TEST(RpClusteringTiled, GroupsTilesByPatternSimilarity) {
 TEST(RpClusteringTiled, RaggedGridsHandled) {
   const beam::GridSpec spec = beam::make_centered_grid(10, 6, 1.0, 1.0);
   PatternField patterns(spec.nodes(), 1);
-  TiledClusteringOptions options;
+  RpClusteringOptions options;
   options.clusters = 3;
   options.tile_w = 8;
   options.tile_h = 4;
-  const ClusterAssignment a = rp_clustering_tiled(patterns, spec, options);
+  const ClusterAssignment a = rp_clustering(patterns, spec, options);
   EXPECT_EQ(total_members(a), 60u);
 }
 
@@ -172,8 +173,9 @@ TEST(Clustering, ValidatesArguments) {
   EXPECT_THROW(chunk_clustering(4, 0), bd::CheckError);
   EXPECT_THROW(ordered_clustering({}, 3), bd::CheckError);
   PatternField empty;
-  RpClusteringOptions options;
-  EXPECT_THROW(rp_clustering(empty, {}, {}, options), bd::CheckError);
+  EXPECT_THROW(rp_clustering(empty, beam::make_centered_grid(8, 8, 1.0, 1.0),
+                             per_point_options(8)),
+               bd::CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,16 +289,15 @@ TEST(ClusteringAccel, InertiaWithinBoundOfFullTraining) {
   // point set; the full-set inertia of its final assignment must stay
   // within a modest factor of the full-set reference's.
   const PatternField patterns = radial_patterns(96, 96, 11);
-  RpClusteringOptions reference;
-  reference.clusters = 16;
-  reference.spatial_weight = 0.0;
+  const beam::GridSpec spec = beam::make_centered_grid(96, 96, 1.0, 1.0);
+  RpClusteringOptions reference = per_point_options(16);
   reference.accel.coreset_size = 0;  // full-set Lloyd reference
-  const ClusterAssignment base = rp_clustering(patterns, {}, {}, reference);
+  const ClusterAssignment base = rp_clustering(patterns, spec, reference);
   EXPECT_EQ(base.coreset_size, 96u * 96u);
 
   RpClusteringOptions accel = reference;
   accel.accel.coreset_size = 512;
-  const ClusterAssignment fast = rp_clustering(patterns, {}, {}, accel);
+  const ClusterAssignment fast = rp_clustering(patterns, spec, accel);
   EXPECT_GT(fast.coreset_size, 0u);
   EXPECT_LE(fast.coreset_size, 512u);
   EXPECT_GT(base.inertia, 0.0);
@@ -307,38 +308,37 @@ TEST(ClusteringAccel, InertiaWithinBoundOfFullTraining) {
 TEST(ClusteringAccel, WarmStartReusesCachedCentroids) {
   const beam::GridSpec spec = beam::make_centered_grid(64, 64, 1.0, 1.0);
   ClusteringCache cache;
-  TiledClusteringOptions options;
+  RpClusteringOptions options;
   options.clusters = 8;
   options.accel.coreset_size = 256;
   options.accel.cache = &cache;
 
   const PatternField step0 = radial_patterns(64, 64, 21);
-  const ClusterAssignment first = rp_clustering_tiled(step0, spec, options);
+  const ClusterAssignment first = rp_clustering(step0, spec, options);
   EXPECT_FALSE(first.warm_started);  // cold cache
   EXPECT_TRUE(cache.valid());
 
   // Slightly drifted patterns: the cached centroids are good seeds.
   const PatternField step1 = radial_patterns(64, 64, 21, 0.01);
-  const ClusterAssignment second = rp_clustering_tiled(step1, spec, options);
+  const ClusterAssignment second = rp_clustering(step1, spec, options);
   EXPECT_TRUE(second.warm_started);
 
   // A cache of the wrong shape is ignored, not misused.
   cache.dim = cache.dim + 1;
-  const ClusterAssignment third = rp_clustering_tiled(step1, spec, options);
+  const ClusterAssignment third = rp_clustering(step1, spec, options);
   EXPECT_FALSE(third.warm_started);
 }
 
 TEST(ClusteringAccel, DeterministicAcrossThreadCounts) {
   const PatternField patterns = radial_patterns(64, 64, 31);
-  RpClusteringOptions options;
-  options.clusters = 8;
-  options.spatial_weight = 0.0;
+  const beam::GridSpec spec = beam::make_centered_grid(64, 64, 1.0, 1.0);
+  RpClusteringOptions options = per_point_options(8);
   options.accel.coreset_size = 256;
 
   util::ThreadPool::set_global_threads(1);
-  const ClusterAssignment serial = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment serial = rp_clustering(patterns, spec, options);
   util::ThreadPool::set_global_threads(8);
-  const ClusterAssignment parallel = rp_clustering(patterns, {}, {}, options);
+  const ClusterAssignment parallel = rp_clustering(patterns, spec, options);
   util::ThreadPool::set_global_threads(0);
 
   EXPECT_EQ(serial.members, parallel.members);

@@ -23,16 +23,10 @@ TEST(PredictiveOptionsValidation, RejectsBadFieldsByName) {
           << "message should name '" << field << "': " << e.what();
     }
   };
-  expect_rejected([](PredictiveOptions& o) { o.training_stride = 0; },
-                  "training_stride");
   expect_rejected([](PredictiveOptions& o) { o.training_window = 0; },
                   "training_window");
   expect_rejected([](PredictiveOptions& o) { o.tile_w = 0; }, "tile_w");
   expect_rejected([](PredictiveOptions& o) { o.tile_h = 0; }, "tile_h");
-  expect_rejected([](PredictiveOptions& o) { o.observation_ema = 0.0; },
-                  "observation_ema");
-  expect_rejected([](PredictiveOptions& o) { o.observation_ema = 1.5; },
-                  "observation_ema");
 }
 
 TEST(PredictiveOptionsValidation, DefaultsConstruct) {

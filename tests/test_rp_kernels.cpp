@@ -38,7 +38,6 @@ RpKernelOutput run_with_uniform_counts(const ProblemFixture& fixture,
   RpKernelInput input;
   input.problem = &problem;
   input.clusters = &clusters;
-  input.source = PartitionSource::kPerPoint;
   input.partitions = &parts;
   return run_compute_rp_integral(simt::tesla_k40(), input, test_scratch());
 }
@@ -102,14 +101,14 @@ TEST(RpKernel, SharedPartitionUniformControlFlowWhenLanesAligned) {
   const ClusterAssignment row_major =
       chunk_clustering(problem.num_points(), 64);
 
+  // One partition row bound to every point.
+  quad::PartitionSet shared;
+  shared.reset(problem.num_points());
+  shared.bind_all(shared.add_row(shared_partition));
   auto run = [&](const ClusterAssignment& clusters) {
-    quad::PartitionSet shared;
-    shared.reset(clusters.members.size());
-    shared.bind_all(shared.add_row(shared_partition));
     RpKernelInput input;
     input.problem = &problem;
     input.clusters = &clusters;
-    input.source = PartitionSource::kSharedPerCluster;
     input.partitions = &shared;
     return run_compute_rp_integral(simt::tesla_k40(), input, test_scratch());
   };
@@ -138,7 +137,6 @@ TEST(RpKernel, PerPointDivergenceLowersWarpEfficiency) {
   RpKernelInput input;
   input.problem = &problem;
   input.clusters = &clusters;
-  input.source = PartitionSource::kPerPoint;
   input.partitions = &per_point;
   const RpKernelOutput out =
       run_compute_rp_integral(simt::tesla_k40(), input, test_scratch());

@@ -111,6 +111,25 @@ TEST_P(SolverKind, ResetClearsState) {
   (void)before;
 }
 
+TEST_P(SolverKind, KernelMetricsIdentitiesHold) {
+  // simt::launch BD_DCHECKs these on every launch; release builds compile
+  // the checks out, so assert them exactly on each step's metrics (kernel
+  // plus fallback launches).
+  const simt::DeviceSpec device = simt::tesla_k40();
+  ProblemFixture fixture(24, 1e-6);
+  auto solver = make();
+  for (int k = 0; k < 4; ++k) {
+    if (k > 0) fixture.advance();
+    const simt::KernelMetrics m = solver->solve(fixture.problem).metrics;
+    EXPECT_GT(m.l1_transactions, 0u);
+    EXPECT_LE(m.active_lane_slots, m.lane_slots);
+    EXPECT_EQ(m.l1.hits + m.l1.misses, m.l1_transactions);
+    EXPECT_EQ(m.l2.hits + m.l2.misses,
+              m.l1.misses * (device.l1_line_bytes / device.l2_line_bytes));
+    EXPECT_EQ(m.dram_bytes, m.l2.misses * device.l2_line_bytes);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(All, SolverKind,
                          ::testing::Values("two-phase", "heuristic",
                                            "predictive"));

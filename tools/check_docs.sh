@@ -6,7 +6,10 @@
 #   2. every BENCH_*.json at the repo root must be documented;
 #   3. no markdown file may contain a dead relative link;
 #   4. the fleet journal's record kinds in src/core/fleet.cpp and the
-#      record-kind table in docs/ROBUSTNESS.md must list the same kinds.
+#      record-kind table in docs/ROBUSTNESS.md must list the same kinds;
+#   5. every backticked `PredictiveOptions::x`, `ClusteringAccel::x`,
+#      `RpClusteringOptions::x` or `KnnConfig::x` in README.md, DESIGN.md,
+#      EXPERIMENTS.md or docs/*.md must name a member its header declares.
 # Pure grep/sed — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -113,8 +116,33 @@ while read -r kind; do
   fi
 done <<< "$documented_kinds"
 
+# --- 5. documented option members -------------------------------------------
+# The member list of a struct is the declarations between its
+# `struct Name {` line and the closing `};`, comments stripped.
+option_docs=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
+check_members() {
+  local struct="$1" header="$2" body member
+  body=$(sed -n "/^struct $struct {/,/^};/p" "$header" | sed 's://.*$::')
+  if [ -z "$body" ]; then
+    echo "check_docs: no 'struct $struct {' in $header — extraction broken?" >&2
+    fail=1
+    return
+  fi
+  for member in $(grep -ohE "\`$struct::[A-Za-z_][A-Za-z0-9_]*" "${option_docs[@]}" |
+                  sed -E 's/.*:://' | sort -u); do
+    if ! grep -qE "[[:space:]*&]$member[[:space:]]*(=[^;]*)?;" <<< "$body"; then
+      echo "check_docs: \`$struct::$member\` is documented but $header does not declare it" >&2
+      fail=1
+    fi
+  done
+}
+check_members PredictiveOptions src/core/predictive.hpp
+check_members ClusteringAccel src/core/clustering.hpp
+check_members RpClusteringOptions src/core/clustering.hpp
+check_members KnnConfig src/ml/knn.hpp
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names and $(echo "$kinds" | wc -l) journal record kinds documented, links clean)"
+echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names and $(echo "$kinds" | wc -l) journal record kinds documented, option members declared, links clean)"
