@@ -1,5 +1,5 @@
 /// Google-benchmark micro-benchmarks for the library's primitives:
-/// quadrature rules, kd-tree / kNN / k-means, the SIMT cache + coalescer,
+/// quadrature rules, kd-tree / kNN / k-means, the SIMT cache + warp analyzer,
 /// the space–time stencil and PIC deposition.
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,8 @@
 #include "quad/adaptive.hpp"
 #include "quad/simpson.hpp"
 #include "simt/cache.hpp"
-#include "simt/coalescer.hpp"
+#include "simt/trace.hpp"
+#include "simt/warp.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -105,16 +106,25 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
-void BM_Coalesce(benchmark::State& state) {
-  std::vector<simt::LaneAccess> accesses;
-  for (int i = 0; i < 32; ++i) {
-    accesses.push_back({static_cast<std::uint64_t>(i) * 24, 24});
+void BM_AnalyzeWarp(benchmark::State& state) {
+  // 32 lanes x 64 loads of 24-byte stencil rows: the shape of a kernel warp.
+  const simt::DeviceSpec spec = simt::tesla_k40();
+  constexpr std::uint32_t kSite = simt::site_id("bench/analyze-warp");
+  std::vector<simt::LaneTrace> lanes(32);
+  std::vector<const simt::LaneTrace*> warp;
+  for (std::uint64_t lane = 0; lane < lanes.size(); ++lane) {
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      const std::uint64_t addr = k * 4096 + lane * 24;
+      lanes[lane].load(kSite, reinterpret_cast<const void*>(addr), 24);
+    }
+    warp.push_back(&lanes[lane]);
   }
+  simt::KernelMetrics metrics;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simt::coalesce(accesses, 128));
+    benchmark::DoNotOptimize(simt::analyze_warp_groups(warp, spec, metrics));
   }
 }
-BENCHMARK(BM_Coalesce);
+BENCHMARK(BM_AnalyzeWarp);
 
 void BM_StencilSample(benchmark::State& state) {
   const beam::GridSpec spec = beam::make_centered_grid(128, 128, 6.0, 6.0);

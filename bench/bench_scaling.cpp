@@ -8,12 +8,12 @@
 ///     bit-for-bit identical across thread counts (see
 ///     tests/test_determinism.cpp); only the host wall clock moves.
 ///
-///  2. **Sharded cache replay** — executor pass 2 in isolation: a
-///     deterministic synthetic warp workload (per-SM replay streams) is
-///     replayed through per-SM L1s on the pool, then merged SM-major
-///     through the shared L2, at the same thread counts. Every cache
-///     counter is checked bitwise against the 1-thread replay; any drift
-///     fails the run regardless of flags.
+///  2. **Sharded cache replay** — executor pass 2 (simt::replay_caches)
+///     in isolation: a deterministic synthetic warp workload (per-SM
+///     replay streams) is replayed through per-SM L1s on the pool, then
+///     through the shared L2 sharded by set partition, at the same thread
+///     counts. Every cache counter is checked bitwise against the 1-thread
+///     replay; any drift fails the run regardless of flags.
 ///
 /// Emits BENCH_scaling.json: per thread count, host seconds per phase and
 /// the speedups over the 1-thread run. With
@@ -35,7 +35,6 @@
 #include "beam/units.hpp"
 #include "bench_common.hpp"
 #include "core/predictive.hpp"
-#include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
 #include "simt/warp.hpp"
@@ -123,34 +122,35 @@ PhaseSeconds run_at(unsigned threads, std::size_t steps) {
 /// LCG-scattered lines (thrashy), so both L1 and L2 do real work.
 struct ReplayWorkload {
   simt::DeviceSpec spec;
+  std::size_t warps_per_sm;
   /// streams[sm] — the warps resident on that SM, replay order.
   std::vector<std::vector<simt::WarpReplay>> streams;
 
-  explicit ReplayWorkload(std::size_t warps_per_sm,
+  explicit ReplayWorkload(std::size_t warps,
                           std::size_t instructions_per_warp)
-      : spec(simt::tesla_k40()), streams(spec.num_sms) {
+      : spec(simt::tesla_k40()), warps_per_sm(warps), streams(spec.num_sms) {
     std::uint64_t lcg = 0x243f6a8885a308d3ull;  // fixed seed: deterministic
     const std::uint64_t line = spec.l1_line_bytes;
     for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
       streams[sm].reserve(warps_per_sm);
       for (std::size_t w = 0; w < warps_per_sm; ++w) {
         simt::WarpReplay replay;
-        replay.instructions.reserve(instructions_per_warp);
+        replay.offsets.push_back(0);
         // Each warp sweeps its own window; every 4th instruction scatters.
         const std::uint64_t base = (sm * warps_per_sm + w) * 512 * line;
         for (std::size_t i = 0; i < instructions_per_warp; ++i) {
-          std::vector<std::uint64_t> lines;
           if (i % 4 == 3) {
             for (int k = 0; k < 8; ++k) {
               lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-              lines.push_back(((lcg >> 20) % (1u << 16)) * line);
+              replay.lines.push_back(((lcg >> 20) % (1u << 16)) * line);
             }
           } else {
             for (int k = 0; k < 4; ++k) {
-              lines.push_back(base + (i * 4 + k) * line);
+              replay.lines.push_back(base + (i * 4 + k) * line);
             }
           }
-          replay.instructions.push_back(std::move(lines));
+          replay.offsets.push_back(
+              static_cast<std::uint32_t>(replay.lines.size()));
         }
         streams[sm].push_back(std::move(replay));
       }
@@ -158,33 +158,10 @@ struct ReplayWorkload {
   }
 };
 
-/// Executor pass 2 on the workload at the current pool width: per-SM L1
-/// replay in parallel (recording miss lines), then the serial SM-major L2
-/// merge. Mirrors simt::launch exactly (src/simt/executor.cpp).
+/// Executor pass 2 on the workload at the current pool width, through the
+/// function simt::launch uses, with every warp of an SM co-resident.
 simt::KernelMetrics replay_once(const ReplayWorkload& work) {
-  struct SmShard {
-    simt::KernelMetrics partial;
-    std::vector<std::uint64_t> l2_misses;
-  };
-  const simt::DeviceSpec& spec = work.spec;
-  std::vector<SmShard> shards(spec.num_sms);
-  util::parallel_for(0, spec.num_sms, [&](std::size_t sm) {
-    SmShard& shard = shards[sm];
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    // replay_interleaved_l1 only reads the streams; reuse across runs.
-    auto& replays =
-        const_cast<std::vector<simt::WarpReplay>&>(work.streams[sm]);
-    simt::replay_interleaved_l1(replays, spec, l1, shard.partial,
-                                shard.l2_misses);
-  });
-  simt::KernelMetrics metrics;
-  metrics.warp_size = spec.warp_size;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    metrics += shards[sm].partial;
-    simt::replay_l2_lines(shards[sm].l2_misses, spec, l2, metrics);
-  }
-  return metrics;
+  return simt::replay_caches(work.spec, work.streams, work.warps_per_sm);
 }
 
 /// Cache counters that must be bitwise identical across thread counts.

@@ -13,13 +13,18 @@ SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
                "line size must be a power of two");
   BD_CHECK_MSG(ways > 0, "associativity must be positive");
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+  num_sets_ = sets_for(capacity_bytes, line_bytes, ways);
+  ways_storage_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{});
+}
+
+std::uint32_t SetAssocCache::sets_for(std::uint32_t capacity_bytes,
+                                      std::uint32_t line_bytes,
+                                      std::uint32_t ways) {
+  BD_CHECK_MSG(line_bytes > 0 && ways > 0, "empty cache geometry");
   const std::uint32_t lines = capacity_bytes / line_bytes;
   BD_CHECK_MSG(lines >= ways, "capacity too small for associativity");
-  num_sets_ = lines / ways;
   // Round sets down to a power of two for cheap indexing.
-  num_sets_ = std::bit_floor(num_sets_);
-  BD_CHECK(num_sets_ >= 1);
-  ways_storage_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{});
+  return std::bit_floor(lines / ways);
 }
 
 bool SetAssocCache::access(std::uint64_t addr) {

@@ -35,6 +35,11 @@ class SetAssocCache {
   SetAssocCache(std::uint32_t capacity_bytes, std::uint32_t line_bytes,
                 std::uint32_t ways);
 
+  /// Number of sets of a cache of this geometry: capacity / (line * ways)
+  /// rounded down to a power of two, the count the constructor builds.
+  static std::uint32_t sets_for(std::uint32_t capacity_bytes,
+                                std::uint32_t line_bytes, std::uint32_t ways);
+
   /// Probe and fill: returns true on hit; on miss the line is installed
   /// with LRU eviction.
   bool access(std::uint64_t addr);

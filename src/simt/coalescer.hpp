@@ -1,31 +1,30 @@
 #pragma once
 /// \file coalescer.hpp
-/// Warp memory coalescer: converts the per-lane addresses of one warp-level
-/// load instruction into the set of cache-line transactions the hardware
-/// would issue, exactly as the CUDA profiler's gld_efficiency metric models.
+/// Warp memory coalescing rule: which cache lines one lane access touches.
+/// A warp-level load issues one transaction per distinct line its active
+/// lanes touch, exactly as the CUDA profiler's gld_efficiency metric
+/// models; the warp analyzer (warp.cpp) collects those distinct lines per
+/// instruction with this rule.
 
+#include <bit>
 #include <cstdint>
-#include <vector>
 
 namespace bd::simt {
 
-/// One lane's contribution to a warp load.
-struct LaneAccess {
-  std::uint64_t addr;
-  std::uint32_t bytes;
-};
-
-/// Result of coalescing one warp-level load.
-struct CoalesceResult {
-  std::vector<std::uint64_t> line_addrs;  ///< unique line base addresses
-  std::uint64_t bytes_requested = 0;      ///< sum of lane request widths
-  std::uint64_t bytes_transferred = 0;    ///< lines * line_bytes
-};
-
-/// Coalesce the accesses of the active lanes of one warp instruction into
-/// unique `line_bytes`-sized transactions. Accesses that straddle a line
-/// boundary touch multiple lines (each counted once per warp instruction).
-CoalesceResult coalesce(const std::vector<LaneAccess>& accesses,
-                        std::uint32_t line_bytes);
+/// Call `fn(line)` for the base address of every `line_bytes`-sized line
+/// that an access of `bytes` at `addr` touches, in ascending order. An
+/// access that straddles a line boundary touches several lines; a
+/// zero-byte access touches none. `line_bytes` must be a power of two.
+template <typename Fn>
+void for_each_line(std::uint64_t addr, std::uint32_t bytes,
+                   std::uint32_t line_bytes, Fn&& fn) {
+  if (bytes == 0) return;
+  const std::uint64_t mask = ~static_cast<std::uint64_t>(line_bytes - 1);
+  const std::uint64_t first = addr & mask;
+  const std::uint64_t count =
+      ((((addr + bytes - 1) & mask) - first) >> std::countr_zero(line_bytes)) +
+      1;
+  for (std::uint64_t i = 0; i < count; ++i) fn(first + i * line_bytes);
+}
 
 }  // namespace bd::simt

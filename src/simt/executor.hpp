@@ -13,13 +13,14 @@
 ///     analyzed for divergence/coalescing block by block on the process
 ///     thread pool (util/parallel.hpp, BD_NUM_THREADS). This is where all
 ///     the quadrature time goes.
-///  2. *Cache replay* (sharded): per-SM L1 state is independent, so each
-///     SM's warps replay through its private L1 in parallel on the pool,
-///     recording L1-miss lines in replay order; a serial SM-major merge
-///     then feeds each SM's miss stream through the shared L2 — the exact
-///     access order of the old serial replay — so cache state and every
-///     KernelMetrics counter are independent of scheduling and of
-///     BD_NUM_THREADS.
+///  2. *Cache replay* (sharded, simt::replay_caches): per-SM L1 state is
+///     independent, so each SM's warps replay through its private L1 in
+///     parallel on the pool, bucketing L1-miss lines by L2 set partition
+///     in replay order; the L2 partitions then replay in parallel, each
+///     taking its buckets SM-major. L2 sets are independent, so every set
+///     sees the access order of one serial SM-major L2 replay, and cache
+///     state and every KernelMetrics counter are independent of
+///     scheduling and of BD_NUM_THREADS.
 ///
 /// Lane-concurrency contract (what kernel bodies must obey, mirroring a
 /// real GPU): lanes from *different blocks* may execute concurrently; lanes
@@ -62,8 +63,8 @@ using KernelFn = std::function<void(const ThreadCtx&, LaneProbe&)>;
 /// Deterministic: identical inputs produce identical metrics — bit for bit,
 /// for any BD_NUM_THREADS — because divergence/coalescing counters are
 /// integer sums over warps, per-SM L1 replay is self-contained per shard,
-/// and the shared-L2 merge always runs serially in the fixed SM-major
-/// block order.
+/// and each L2 set partition replays its share of the misses in the fixed
+/// SM-major block order.
 ///
 /// Observability: every launch emits a `simt.launch` trace span (geometry
 /// plus the headline KernelMetrics as span args) with `simt.lane_pass` /

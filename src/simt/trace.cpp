@@ -9,10 +9,4 @@ void LaneTrace::reset() {
   branches_.clear();
 }
 
-std::size_t LaneTrace::footprint_bytes() const {
-  return loads_.capacity() * sizeof(LoadEvent) +
-         loops_.capacity() * sizeof(LoopEvent) +
-         branches_.capacity() * sizeof(BranchEvent);
-}
-
 }  // namespace bd::simt

@@ -65,9 +65,6 @@ class LaneTrace final : public LaneProbe {
   /// Clear all recorded events so the trace can be reused for the next lane.
   void reset();
 
-  /// Approximate memory footprint of the recorded trace (for budget checks).
-  std::size_t footprint_bytes() const;
-
  private:
   std::uint64_t flops_ = 0;
   std::vector<LoadEvent> loads_;

@@ -4,10 +4,12 @@
 /// per-lane traces. Events are aligned by (site, occurrence-within-site):
 /// lanes that recorded the n-th event at a static site are the lanes that
 /// were active when the warp issued that instruction. The analyzer derives
-/// divergence statistics and replays coalesced memory traffic through the
-/// SM's L1 and the shared L2.
+/// divergence statistics and each warp's coalesced memory stream;
+/// replay_caches runs those streams through the per-SM L1s and the shared
+/// L2.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simt/cache.hpp"
@@ -17,16 +19,27 @@
 
 namespace bd::simt {
 
-/// The coalesced memory stream of one warp: line addresses per warp-level
-/// load instruction, in program order — ready for cache replay.
+/// The coalesced memory stream of one warp, ready for cache replay: one
+/// CSR stream of the distinct line addresses of every warp-level load, in
+/// program order, each load's lines ascending.
 struct WarpReplay {
-  std::vector<std::vector<std::uint64_t>> instructions;
+  std::vector<std::uint64_t> lines;
+  /// Load i reads lines[offsets[i], offsets[i + 1]); empty when the warp
+  /// issued no loads.
+  std::vector<std::uint32_t> offsets;
+
+  std::size_t loads() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
 };
 
 /// Reconstruct warp-level execution from per-lane traces: accumulates
 /// divergence/coalescing statistics into `out` and returns the warp's
-/// transaction stream for cache replay.
-WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
+/// transaction stream for cache replay. A warp-level instruction's
+/// program position is where its first lane recorded it, so instructions
+/// are numbered in (lane, position) order. Works in per-thread scratch
+/// that is reused across calls.
+WarpReplay analyze_warp_groups(std::span<const LaneTrace* const> traces,
                                const DeviceSpec& spec, KernelMetrics& out);
 
 /// L1 stage of the cache replay: interleaves several warps' transaction
@@ -34,22 +47,29 @@ WarpReplay analyze_warp_groups(const std::vector<const LaneTrace*>& traces,
 /// time — the concurrency model of an SM's warp schedulers. Scattered
 /// per-warp streams thrash the shared L1; streams touching common lines
 /// share it. Accumulates L1 hit/miss counters into `out` and appends the
-/// line address of every L1 miss to `l2_misses` in replay order instead
-/// of touching the shared L2. Per-SM L1 state is independent, so the
-/// executor runs this stage for all SMs in parallel (sharded replay) and
-/// feeds the recorded miss streams to replay_l2_lines serially.
-void replay_interleaved_l1(std::vector<WarpReplay>& replays,
-                           const DeviceSpec& spec, SetAssocCache& l1,
-                           KernelMetrics& out,
+/// line address of every L1 miss to `l2_misses` in replay order.
+void replay_interleaved_l1(std::span<const WarpReplay> replays,
+                           SetAssocCache& l1, KernelMetrics& out,
                            std::vector<std::uint64_t>& l2_misses);
 
-/// L2 stage: replays recorded L1-miss lines through the shared L2 as
-/// sector transactions (l2_line_bytes each), accumulating L2 hit/miss
-/// counters and DRAM traffic into `out`. Feeding each SM's miss stream in
-/// SM-major order reproduces the serial executor's L2 access order
-/// exactly, which is what keeps sharded replay bitwise identical.
-void replay_l2_lines(const std::vector<std::uint64_t>& lines,
-                     const DeviceSpec& spec, SetAssocCache& l2,
-                     KernelMetrics& out);
+/// Number of set partitions replay_caches splits the shared L2 into: up
+/// to 32, and at most as many as keep every L1 line's L2 sectors inside
+/// one partition (so a 32-set L2 with four sectors per line gets 8).
+std::uint32_t l2_partitions(const DeviceSpec& spec);
+
+/// Pass 2 of simt::launch: replays per-SM warp streams through the caches
+/// and returns the cache counters (L1/L2 hits and misses, DRAM bytes).
+/// `sm_warps[s]` holds SM s's warps in block order; consecutive groups of
+/// `warps_per_chunk` warps are co-resident and interleave in the SM's L1.
+///
+/// Both stages run on the thread pool. 2a replays every SM's private L1 in
+/// parallel and buckets its L1 misses by L2 set partition. 2b replays each
+/// partition's buckets in SM order through that partition's share of the
+/// L2. L2 sets are independent and LRU compares only within a set, so the
+/// result equals one serial L2 fed every SM's misses SM-major — bit for
+/// bit, at any BD_NUM_THREADS.
+KernelMetrics replay_caches(const DeviceSpec& spec,
+                            std::span<const std::vector<WarpReplay>> sm_warps,
+                            std::size_t warps_per_chunk);
 
 }  // namespace bd::simt

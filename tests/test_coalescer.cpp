@@ -1,12 +1,17 @@
-/// Tests for the warp memory coalescer.
+/// Tests for the warp memory coalescing rule (simt/coalescer.hpp), through
+/// the per-instruction coalescer of the analyzer oracle.
 
 #include <gtest/gtest.h>
 
-#include "simt/coalescer.hpp"
+#include "simt_oracle.hpp"
 #include "util/check.hpp"
 
 namespace bd::simt {
 namespace {
+
+using bd::testing::oracle::coalesce;
+using bd::testing::oracle::CoalesceResult;
+using bd::testing::oracle::LaneAccess;
 
 TEST(Coalescer, ContiguousLanesOneTransaction) {
   std::vector<LaneAccess> accesses;

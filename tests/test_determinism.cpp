@@ -1,13 +1,14 @@
 /// The executor determinism contract: simt::launch and the solvers built
 /// on it must produce bit-for-bit identical results for any thread count
 /// (BD_NUM_THREADS=1 vs 8 here). Divergence/coalescing counters are summed
-/// per warp in the parallel pass; the cache replay is serial in fixed
-/// SM-major order; kernels accumulate per-item partials reduced serially.
+/// per warp in the parallel pass; every cache set sees one fixed SM-major
+/// access order; kernels accumulate per-item partials reduced serially.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "simt/executor.hpp"
 #include "simt/trace.hpp"
 #include "simt/warp.hpp"
+#include "simt_oracle.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 #include "util/serialize.hpp"
@@ -230,7 +232,12 @@ TEST(Determinism, WarmStartCacheSurvivesSolverStateRoundTrip) {
 std::vector<std::vector<simt::WarpReplay>> synthetic_sm_streams(
     const simt::DeviceSpec& spec, std::size_t warps_per_sm,
     simt::KernelMetrics& analysis) {
-  static std::vector<double> data(1 << 15, 1.0);
+  // Fixed device-virtual addresses of a 1<<15-double array, so the cache
+  // behaviour does not depend on where the host heap puts it.
+  constexpr std::size_t kWords = 1 << 15;
+  const auto word = [](std::size_t i) {
+    return reinterpret_cast<const void*>(0x10000000 + 8 * i);
+  };
   constexpr std::uint32_t kLoad = simt::site_id("determinism/shard-load");
   std::vector<std::vector<simt::WarpReplay>> streams(spec.num_sms);
   std::size_t seq = 0;
@@ -242,9 +249,9 @@ std::vector<std::vector<simt::WarpReplay>> synthetic_sm_streams(
         simt::LaneTrace& t = traces[lane];
         // A strided sweep plus a scattered access per lane: L1 hits within
         // a warp, misses across warps, real L2 sharing across SMs.
-        const std::size_t base = (seq * 131 + lane * 7) % (data.size() - 64);
-        t.load(kLoad, &data[base], 8);
-        t.load(kLoad, &data[(base * 13) % (data.size() - 8)], 8);
+        const std::size_t base = (seq * 131 + lane * 7) % (kWords - 64);
+        t.load(kLoad, word(base), 8);
+        t.load(kLoad, word((base * 13) % (kWords - 8)), 8);
         warp.push_back(&t);
         ++seq;
       }
@@ -255,64 +262,63 @@ std::vector<std::vector<simt::WarpReplay>> synthetic_sm_streams(
   return streams;
 }
 
-/// Cache counters of the serial reference: per-SM L1 + shared L2 replayed
-/// SM-major through replay_interleaved — the pre-sharding executor.
+/// Cache counters of the serial reference: per-SM L1 + one shared L2
+/// replayed SM-major through replay_interleaved, `warps_per_chunk`
+/// co-resident warps at a time — the pre-sharding executor.
 simt::KernelMetrics serial_replay(
     const simt::DeviceSpec& spec,
-    std::vector<std::vector<simt::WarpReplay>>& streams) {
+    const std::vector<std::vector<simt::WarpReplay>>& streams,
+    std::size_t warps_per_chunk) {
   simt::KernelMetrics out;
   simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
     simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    testing::replay_interleaved(streams[sm], spec, l1, l2, out);
-  }
-  return out;
-}
-
-/// The sharded composition simt::launch uses: parallel per-SM L1 stage
-/// recording miss lines, then the serial SM-major L2 merge.
-simt::KernelMetrics sharded_replay(
-    const simt::DeviceSpec& spec,
-    std::vector<std::vector<simt::WarpReplay>>& streams) {
-  struct Shard {
-    simt::KernelMetrics partial;
-    std::vector<std::uint64_t> l2_misses;
-  };
-  std::vector<Shard> shards(spec.num_sms);
-  util::parallel_for(0, spec.num_sms, [&](std::size_t sm) {
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    simt::replay_interleaved_l1(streams[sm], spec, l1, shards[sm].partial,
-                                shards[sm].l2_misses);
-  });
-  simt::KernelMetrics out;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    out += shards[sm].partial;
-    simt::replay_l2_lines(shards[sm].l2_misses, spec, l2, out);
+    const std::span<const simt::WarpReplay> warps = streams[sm];
+    for (std::size_t begin = 0; begin < warps.size();
+         begin += warps_per_chunk) {
+      testing::replay_interleaved(
+          warps.subspan(begin, std::min(warps_per_chunk, warps.size() - begin)),
+          spec, l1, l2, out);
+    }
   }
   return out;
 }
 
 TEST(Determinism, ShardedReplayMatchesSerialReference) {
-  // Sharding moves only *where* each L1 replay runs; the recorded miss
-  // streams fed SM-major through the L2 must reproduce the serial
-  // executor's every cache transition — at any pool width.
-  const simt::DeviceSpec spec = simt::tesla_k40();
-  simt::KernelMetrics analysis;
-  auto streams = synthetic_sm_streams(spec, 6, analysis);
-  const simt::KernelMetrics serial = serial_replay(spec, streams);
-  ASSERT_GT(serial.l1.misses, 0u);
-  ASSERT_GT(serial.l2.hits + serial.l2.misses, 0u);
-
-  for (unsigned threads : {1u, 8u}) {
-    util::ThreadPool::set_global_threads(threads);
-    const simt::KernelMetrics sharded = sharded_replay(spec, streams);
-    EXPECT_EQ(sharded.l1.hits, serial.l1.hits) << threads << " threads";
-    EXPECT_EQ(sharded.l1.misses, serial.l1.misses) << threads << " threads";
-    EXPECT_EQ(sharded.l2.hits, serial.l2.hits) << threads << " threads";
-    EXPECT_EQ(sharded.l2.misses, serial.l2.misses) << threads << " threads";
-    EXPECT_EQ(sharded.dram_bytes, serial.dram_bytes) << threads
-                                                     << " threads";
+  // Sharding moves only *where* each L1 and each L2 set replays; the
+  // per-SM L1 shards and the set-partitioned L2 must reproduce the serial
+  // executor's every cache transition — at any pool width, including an
+  // L2 whose partition count clamps to its few sets.
+  simt::DeviceSpec two_sets = simt::test_device();
+  two_sets.l2_bytes = 8192;  // 2 sets of 128 ways: one partition
+  two_sets.l2_ways = 128;
+  for (const simt::DeviceSpec& spec :
+       {simt::tesla_k40(), simt::test_device(), two_sets}) {
+    SCOPED_TRACE(::testing::Message()
+                 << spec.name << ", L2 " << spec.l2_bytes << " B, "
+                 << simt::l2_partitions(spec) << " partitions");
+    simt::KernelMetrics analysis;
+    const auto streams = synthetic_sm_streams(spec, 6, analysis);
+    // Chunks of 6: all of an SM's warps co-resident; of 4: a full chunk,
+    // then a partial one.
+    for (std::size_t chunk : {6u, 4u}) {
+      const simt::KernelMetrics serial = serial_replay(spec, streams, chunk);
+      ASSERT_GT(serial.l1.misses, 0u);
+      ASSERT_GT(serial.l2.hits, 0u);
+      ASSERT_GT(serial.l2.misses, 0u);
+      for (unsigned threads : {1u, 8u}) {
+        util::ThreadPool::set_global_threads(threads);
+        const simt::KernelMetrics sharded =
+            simt::replay_caches(spec, streams, chunk);
+        SCOPED_TRACE(::testing::Message() << "chunks of " << chunk << ", "
+                                          << threads << " threads");
+        EXPECT_EQ(sharded.l1.hits, serial.l1.hits);
+        EXPECT_EQ(sharded.l1.misses, serial.l1.misses);
+        EXPECT_EQ(sharded.l2.hits, serial.l2.hits);
+        EXPECT_EQ(sharded.l2.misses, serial.l2.misses);
+        EXPECT_EQ(sharded.dram_bytes, serial.dram_bytes);
+      }
+    }
   }
   util::ThreadPool::set_global_threads(0);
 }

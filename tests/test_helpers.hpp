@@ -1,8 +1,7 @@
 #pragma once
 /// Shared fixtures for solver-level tests: a small rp-problem over a
-/// continuum-filled (noise-free) moment history, a bitwise KernelMetrics
-/// comparison, and the serial warp replay the SIMT executor's sharded
-/// replay is checked against.
+/// continuum-filled (noise-free) moment history and a bitwise
+/// KernelMetrics comparison.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,7 @@
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
 #include "core/problem.hpp"
-#include "simt/warp.hpp"
+#include "simt/metrics.hpp"
 
 namespace bd::testing {
 
@@ -36,33 +35,12 @@ inline void expect_identical(const simt::KernelMetrics& a,
   EXPECT_EQ(a.l2.hits, b.l2.hits);
   EXPECT_EQ(a.l2.misses, b.l2.misses);
   EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.warp_size, b.warp_size);
   // Exact equality on purpose: the replay and time model must see the same
   // counters in the same order regardless of threading.
   EXPECT_EQ(a.modeled_seconds, b.modeled_seconds);
   EXPECT_EQ(a.warp_execution_efficiency(), b.warp_execution_efficiency());
   EXPECT_EQ(a.l1_hit_rate(), b.l1_hit_rate());
-}
-
-/// Serial cache replay of one SM: the warps' streams through its L1, then
-/// the L1 misses through the shared L2 — the pre-sharding executor.
-inline void replay_interleaved(std::vector<simt::WarpReplay>& replays,
-                               const simt::DeviceSpec& spec,
-                               simt::SetAssocCache& l1,
-                               simt::SetAssocCache& l2,
-                               simt::KernelMetrics& out) {
-  std::vector<std::uint64_t> l2_misses;
-  simt::replay_interleaved_l1(replays, spec, l1, out, l2_misses);
-  simt::replay_l2_lines(l2_misses, spec, l2, out);
-}
-
-/// Analyze one warp and replay it alone.
-inline void analyze_warp(const std::vector<const simt::LaneTrace*>& traces,
-                         const simt::DeviceSpec& spec,
-                         simt::SetAssocCache& l1, simt::SetAssocCache& l2,
-                         simt::KernelMetrics& out) {
-  std::vector<simt::WarpReplay> replays;
-  replays.push_back(simt::analyze_warp_groups(traces, spec, out));
-  replay_interleaved(replays, spec, l1, l2, out);
 }
 
 /// Owns everything an RpProblem points to.

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "simt/warp.hpp"
+#include "simt_oracle.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace bd::simt {
 namespace {
 
 using bd::testing::analyze_warp;
+namespace oracle = bd::testing::oracle;
 
 constexpr std::uint32_t kLoad = site_id("test/load");
 constexpr std::uint32_t kLoop = site_id("test/loop");
@@ -149,6 +154,100 @@ TEST(Warp, EmptyWarpRejected) {
   std::vector<const LaneTrace*> none;
   EXPECT_THROW(
       analyze_warp(none, h.spec, h.l1, h.l2, h.metrics), CheckError);
+}
+
+/// A random warp of 1-32 lanes covering the analyzer's grouping cases:
+/// three load, two loop and two branch sites plus one site id used by both
+/// a load and a branch; every lane picks its own site sequence, so lanes
+/// visit sites in different orders and reach different occurrences; loads
+/// are coalesced, broadcast, scattered, zero-byte, line-straddling or many
+/// lines wide.
+std::vector<LaneTrace> random_warp(util::Rng& rng) {
+  constexpr std::uint32_t kLoadSites[] = {
+      site_id("oracle/load-a"), site_id("oracle/load-b"),
+      site_id("oracle/load-c"), site_id("oracle/shared")};
+  constexpr std::uint32_t kLoopSites[] = {site_id("oracle/loop-a"),
+                                          site_id("oracle/loop-b")};
+  constexpr std::uint32_t kBranchSites[] = {
+      site_id("oracle/branch-a"), site_id("oracle/branch-b"),
+      site_id("oracle/shared")};
+  constexpr std::uint32_t kWidths[] = {0, 4, 8, 24, 200};
+
+  std::vector<LaneTrace> lanes(1 + rng.uniform_index(32));
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    LaneTrace& trace = lanes[lane];
+    const std::uint64_t loads = rng.uniform_index(40);
+    for (std::uint64_t i = 0; i < loads; ++i) {
+      const std::uint32_t site = kLoadSites[rng.uniform_index(4)];
+      std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
+      std::uint32_t bytes = kWidths[rng.uniform_index(5)];
+      switch (rng.uniform_index(4)) {
+        case 0: addr = 0x8000 + i * 8; break;  // same for every lane
+        case 1: addr = 8 * rng.uniform_index(1 << 16); break;  // scattered
+        case 2:  // wide: many lines from one lane
+          addr = 8 * rng.uniform_index(1 << 16);
+          bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
+          break;
+        default: break;
+      }
+      trace.load(site, reinterpret_cast<const void*>(addr), bytes);
+    }
+    const std::uint64_t loops = rng.uniform_index(6);
+    for (std::uint64_t i = 0; i < loops; ++i) {
+      trace.loop_trip(kLoopSites[rng.uniform_index(2)],
+                      rng.uniform_index(20));
+    }
+    const std::uint64_t branches = rng.uniform_index(8);
+    for (std::uint64_t i = 0; i < branches; ++i) {
+      trace.branch(kBranchSites[rng.uniform_index(3)],
+                   rng.uniform_index(2) == 1);
+    }
+    trace.count_flops(rng.uniform_index(1000));
+  }
+  return lanes;
+}
+
+TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
+  // The flat analyzer must reproduce the hash-map analyzer exactly: every
+  // KernelMetrics counter and the per-load line stream, load for load.
+  util::Rng rng(20170801);
+  std::size_t widest = 0;
+  for (int seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "warp " << seed);
+    DeviceSpec spec = tesla_k40();
+    if (seed % 2 == 1) spec.l1_line_bytes = 32;
+    const std::vector<LaneTrace> lanes = random_warp(rng);
+    std::vector<const LaneTrace*> ptrs;
+    for (const LaneTrace& lane : lanes) ptrs.push_back(&lane);
+
+    KernelMetrics got;
+    KernelMetrics want;
+    const WarpReplay replay = analyze_warp_groups(ptrs, spec, got);
+    const oracle::LoadStream expected =
+        oracle::analyze_warp_groups(ptrs, spec, want);
+    bd::testing::expect_identical(got, want);
+    ASSERT_EQ(replay.loads(), expected.size());
+    if (replay.loads() > 0) {
+      EXPECT_EQ(replay.offsets.front(), 0u);
+      EXPECT_EQ(replay.offsets.back(), replay.lines.size());
+    }
+    ASSERT_EQ(oracle::loads_of(replay), expected);
+    for (const auto& lines : expected) {
+      widest = std::max(widest, lines.size());
+    }
+  }
+  // Some load had far more distinct lines than a line set starts with.
+  EXPECT_GT(widest, 64u);
+}
+
+TEST(Warp, L2PartitionCountClampsToSets) {
+  // Every sector of an L1 line must land in one partition: a partition
+  // spans at least l1_line_bytes / l2_line_bytes sets.
+  EXPECT_EQ(l2_partitions(tesla_k40()), 32u);   // 2048 sets
+  EXPECT_EQ(l2_partitions(test_device()), 8u);  // 32 sets, 4 per line
+  DeviceSpec tiny = test_device();
+  tiny.l2_bytes = 256;  // 2 sets, fewer than a line's sectors
+  EXPECT_EQ(l2_partitions(tiny), 1u);
 }
 
 TEST(Warp, TraceResetClearsEvents) {

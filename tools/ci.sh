@@ -11,6 +11,11 @@
 # restore, fault injection, input parsers — handles corrupt/adversarial
 # bytes, so memory errors hide there first.
 #
+# A debug stage builds the SIMT model and solver suites without NDEBUG, so
+# every BD_DCHECK runs — among them the four per-launch KernelMetrics
+# counter identities in simt::launch, which every optimized preset
+# compiles out.
+#
 # A faults stage reruns the fleet-supervisor suite under an ambient
 # BD_FAULT sweep (grid_nan, forecast, slow_step, pool_throw): tests that
 # pin a fault spec must stay deterministic, the rest must absorb each
@@ -41,7 +46,7 @@
 # replay counters identical to serial always; the replay speedup floor
 # only on hosts with >= 4 hardware threads).
 #
-# Usage: tools/ci.sh [tier1|tsan|asan|faults|docs|perf-smoke|all]   (default: all)
+# Usage: tools/ci.sh [tier1|tsan|asan|debug|faults|docs|perf-smoke|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +68,15 @@ tsan() {
     test_checkpoint test_fleet test_eval_engine test_health test_simulation \
     test_wake
   ctest --preset tsan -j 1
+}
+
+debug() {
+  echo "=== debug: SIMT model + solver tests with BD_DCHECK live ==="
+  cmake --preset debug
+  cmake --build --preset debug -j "$(nproc)" --target \
+    test_warp test_coalescer test_cache test_executor test_rp_kernels \
+    test_solvers test_determinism
+  ctest --preset debug -j "$(nproc)"
 }
 
 faults() {
@@ -116,10 +130,11 @@ case "$stage" in
   tier1) tier1 ;;
   tsan) tsan ;;
   asan) asan ;;
+  debug) debug ;;
   faults) faults ;;
   docs) docs ;;
   perf-smoke) perf_smoke ;;
-  all) tier1; tsan; asan; faults; docs; perf_smoke ;;
-  *) echo "unknown stage: $stage (want tier1|tsan|asan|faults|docs|perf-smoke|all)" >&2; exit 2 ;;
+  all) tier1; tsan; asan; debug; faults; docs; perf_smoke ;;
+  *) echo "unknown stage: $stage (want tier1|tsan|asan|debug|faults|docs|perf-smoke|all)" >&2; exit 2 ;;
 esac
 echo "CI ($stage) OK"
