@@ -17,7 +17,6 @@
 #include "quad/adaptive.hpp"
 #include "quad/simpson.hpp"
 #include "simt/cache.hpp"
-#include "simt/trace.hpp"
 #include "simt/warp.hpp"
 #include "util/rng.hpp"
 
@@ -108,20 +107,20 @@ BENCHMARK(BM_CacheAccess);
 
 void BM_AnalyzeWarp(benchmark::State& state) {
   // 32 lanes x 64 loads of 24-byte stencil rows: the shape of a kernel warp.
+  // Times event intake plus analysis, the per-warp work of pass 1.
   const simt::DeviceSpec spec = simt::tesla_k40();
   constexpr std::uint32_t kSite = simt::site_id("bench/analyze-warp");
-  std::vector<simt::LaneTrace> lanes(32);
-  std::vector<const simt::LaneTrace*> warp;
-  for (std::uint64_t lane = 0; lane < lanes.size(); ++lane) {
-    for (std::uint64_t k = 0; k < 64; ++k) {
-      const std::uint64_t addr = k * 4096 + lane * 24;
-      lanes[lane].load(kSite, reinterpret_cast<const void*>(addr), 24);
-    }
-    warp.push_back(&lanes[lane]);
-  }
+  simt::WarpRecorder recorder(spec);
   simt::KernelMetrics metrics;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simt::analyze_warp_groups(warp, spec, metrics));
+    for (std::uint64_t lane = 0; lane < 32; ++lane) {
+      recorder.begin_lane();
+      for (std::uint64_t k = 0; k < 64; ++k) {
+        const std::uint64_t addr = k * 4096 + lane * 24;
+        recorder.load(kSite, reinterpret_cast<const void*>(addr), 24);
+      }
+    }
+    benchmark::DoNotOptimize(recorder.finish(metrics));
   }
 }
 BENCHMARK(BM_AnalyzeWarp);

@@ -8,7 +8,7 @@ namespace bd::simt {
 
 SetAssocCache::SetAssocCache(std::uint32_t capacity_bytes,
                              std::uint32_t line_bytes, std::uint32_t ways)
-    : line_bytes_(line_bytes), ways_(ways) {
+    : ways_(ways) {
   BD_CHECK_MSG(line_bytes > 0 && std::has_single_bit(line_bytes),
                "line size must be a power of two");
   BD_CHECK_MSG(ways > 0, "associativity must be positive");
@@ -38,7 +38,6 @@ bool SetAssocCache::access(std::uint64_t addr) {
     Way& way = set_begin[w];
     if (way.valid && way.tag == line) {
       way.lru = tick_;
-      ++stats_.hits;
       return true;
     }
     if (!way.valid) {
@@ -50,12 +49,7 @@ bool SetAssocCache::access(std::uint64_t addr) {
   victim->tag = line;
   victim->valid = true;
   victim->lru = tick_;
-  ++stats_.misses;
   return false;
-}
-
-void SetAssocCache::flush() {
-  for (auto& way : ways_storage_) way = Way{};
 }
 
 }  // namespace bd::simt

@@ -9,7 +9,7 @@
 
 namespace bd::simt {
 
-/// Aggregate hit/miss counters for one cache instance.
+/// Hit/miss counters of one cache level, summed from access() results.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -41,16 +41,9 @@ class SetAssocCache {
                                 std::uint32_t line_bytes, std::uint32_t ways);
 
   /// Probe and fill: returns true on hit; on miss the line is installed
-  /// with LRU eviction.
+  /// with LRU eviction. Callers count hits and misses from the result.
   bool access(std::uint64_t addr);
 
-  /// Invalidate all lines and (optionally) keep statistics.
-  void flush();
-
-  const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
-
-  std::uint32_t line_bytes() const { return line_bytes_; }
   std::uint32_t num_sets() const { return num_sets_; }
   std::uint32_t ways() const { return ways_; }
 
@@ -61,13 +54,11 @@ class SetAssocCache {
     bool valid = false;
   };
 
-  std::uint32_t line_bytes_;
   std::uint32_t line_shift_;
   std::uint32_t num_sets_;
   std::uint32_t ways_;
   std::uint64_t tick_ = 0;
   std::vector<Way> ways_storage_;  // num_sets_ * ways_
-  CacheStats stats_;
 };
 
 }  // namespace bd::simt

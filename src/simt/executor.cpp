@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "simt/trace.hpp"
 #include "simt/warp.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -38,7 +37,9 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   // --- Pass 1 (parallel): execute lanes, analyze warps -------------------
   // One task per block. Lanes within a block run serially in lane order on
   // one thread; lanes from different blocks may run concurrently (the
-  // contract kernels must obey, see executor.hpp). Blocks are dealt to SMs
+  // contract kernels must obey, see executor.hpp). Each lane reports its
+  // events straight to the task's WarpRecorder, which analyzes a warp as
+  // its lanes run and hands back its stream. Blocks are dealt to SMs
   // round-robin: block b is the (b / num_sms)-th block of SM b % num_sms,
   // so each task writes its warps' streams straight to their place in that
   // SM's warp list and its divergence/coalescing counters to a private
@@ -57,25 +58,20 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
     WarpReplay* replays =
         &sm_warps[block % num_sms][std::size_t{block / num_sms} *
                                    warps_per_block];
-    std::vector<LaneTrace> traces(spec.warp_size);
-    std::vector<const LaneTrace*> warp_traces;
-    warp_traces.reserve(spec.warp_size);
+    WarpRecorder recorder(spec);
     for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
       const std::uint32_t lane_begin = warp * spec.warp_size;
       const std::uint32_t lane_end = std::min(
           lane_begin + spec.warp_size, config.threads_per_block);
-      warp_traces.clear();
       for (std::uint32_t t = lane_begin; t < lane_end; ++t) {
-        LaneTrace& trace = traces[t - lane_begin];
-        trace.reset();
+        recorder.begin_lane();
         ThreadCtx ctx;
         ctx.block_id = block;
         ctx.thread_id = t;
         ctx.global_id = block * config.threads_per_block + t;
-        kernel(ctx, trace);
-        warp_traces.push_back(&trace);
+        kernel(ctx, recorder);
       }
-      replays[warp] = analyze_warp_groups(warp_traces, spec, analysis[b]);
+      replays[warp] = recorder.finish(analysis[b]);
     }
   });
   if (session.enabled()) {

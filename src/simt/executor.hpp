@@ -1,18 +1,20 @@
 #pragma once
 /// \file executor.hpp
 /// SIMT executor: runs a per-thread kernel function over a (blocks × threads)
-/// launch grid on the host while modeling GPU execution. Each lane records a
-/// trace; warps are analyzed for divergence and their memory traffic is
-/// replayed through per-SM L1 caches and the shared L2. Blocks are assigned
+/// launch grid on the host while modeling GPU execution. Each lane reports
+/// its events to the warp analyzer (simt::WarpRecorder) as it runs; warps
+/// are analyzed for divergence and their memory traffic is replayed
+/// through per-SM L1 caches and the shared L2. Blocks are assigned
 /// to SMs round-robin, matching the hardware's greedy block scheduler
 /// closely enough for aggregate cache statistics.
 ///
 /// Execution is a two-pass pipeline:
 ///
-///  1. *Lane execution* (parallel): kernel lambdas run and warps are
-///     analyzed for divergence/coalescing block by block on the process
-///     thread pool (util/parallel.hpp, BD_NUM_THREADS). This is where all
-///     the quadrature time goes.
+///  1. *Lane execution* (parallel): kernel lambdas run block by block on
+///     the process thread pool (util/parallel.hpp, BD_NUM_THREADS), each
+///     warp's lanes streaming into one WarpRecorder that derives its
+///     divergence/coalescing counters and transaction stream in the same
+///     pass. This is where all the quadrature time goes.
 ///  2. *Cache replay* (sharded, simt::replay_caches): per-SM L1 state is
 ///     independent, so each SM's warps replay through its private L1 in
 ///     parallel on the pool, bucketing L1-miss lines by L2 set partition

@@ -11,82 +11,47 @@ namespace bd::simt {
 
 namespace {
 
-/// Occurrence counting for one event kind: the n-th event a lane records
-/// at a site belongs to warp-level instruction (site, n). Holds one `Slot`
-/// per instruction, per site in occurrence order. A kernel has few sites,
-/// so lookup is a scan behind a last-hit check.
-template <typename Slot>
-class SiteTable {
- public:
-  /// Forget every instruction (start of a warp); keeps capacity.
-  void clear() {
-    for (std::size_t i = 0; i < used_; ++i) sites_[i].slots.clear();
-    used_ = 0;
-    last_ = 0;
-  }
-
-  /// Restart occurrence counting (start of a lane).
-  void next_lane() {
-    for (std::size_t i = 0; i < used_; ++i) sites_[i].next = 0;
-  }
-
-  /// The slot of the lane's next event at `site`. An instruction no
-  /// earlier lane reached starts as `fresh`.
-  Slot& next(std::uint32_t site, Slot fresh) {
-    Site& s = find(site);
-    const std::uint32_t occ = s.next++;
-    if (occ == s.slots.size()) s.slots.push_back(fresh);
-    return s.slots[occ];
-  }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < used_; ++i) {
-      for (const Slot& slot : sites_[i].slots) fn(slot);
-    }
-  }
-
- private:
-  struct Site {
-    std::uint32_t id = 0;
-    std::uint32_t next = 0;
-    std::vector<Slot> slots;
-  };
-
-  Site& find(std::uint32_t id) {
-    if (last_ < used_ && sites_[last_].id == id) return sites_[last_];
-    for (std::size_t i = 0; i < used_; ++i) {
-      if (sites_[i].id == id) {
-        last_ = i;
-        return sites_[i];
-      }
-    }
-    if (used_ == sites_.size()) sites_.emplace_back();
-    Site& s = sites_[used_];
-    s.id = id;
-    s.next = 0;
-    last_ = used_++;
-    return s;
-  }
-
-  std::vector<Site> sites_;  // [0, used_) are live; the rest keep capacity
-  std::size_t used_ = 0;
-  std::size_t last_ = 0;
-};
-
-/// The distinct lines of one warp-level load, ascending, in a slice of the
-/// line arena. A full slice moves to one twice its size at the arena end.
-struct LineSet {
-  std::uint32_t begin = 0;
-  std::uint32_t size = 0;
-  std::uint32_t capacity = 0;
-};
-
 constexpr std::uint32_t kInitialLines = 8;
 
-void insert_line(LineSet& set, std::vector<std::uint64_t>& arena,
-                 std::uint64_t line) {
-  std::uint64_t* first = arena.data() + set.begin;
+}  // namespace
+
+WarpRecorder::WarpRecorder(const DeviceSpec& spec)
+    : warp_size_(spec.warp_size), line_bytes_(spec.l1_line_bytes) {
+  BD_CHECK_MSG(std::has_single_bit(line_bytes_),
+               "line size must be a power of two");
+}
+
+void WarpRecorder::begin_lane() {
+  BD_CHECK_MSG(lanes_ < warp_size_, "warp must hold 1..warp_size lanes");
+  ++lanes_;
+  loads_.next_lane();
+  loops_.next_lane();
+  branches_.next_lane();
+}
+
+void WarpRecorder::load(std::uint32_t site, const void* addr,
+                        std::uint32_t bytes) {
+  const auto fresh = static_cast<std::uint32_t>(sets_.size());
+  const std::uint32_t index = loads_.next(site, fresh);
+  if (index == fresh) {
+    sets_.push_back(
+        LineSet{static_cast<std::uint32_t>(arena_.size()), 0, kInitialLines});
+    arena_.resize(arena_.size() + kInitialLines);
+  }
+  LineSet& set = sets_[index];
+  ++sums_.load_events;
+  sums_.bytes_requested += bytes;
+  for_each_line(reinterpret_cast<std::uint64_t>(addr), bytes, line_bytes_,
+                [&](std::uint64_t line) { insert_line(set, line); });
+}
+
+void WarpRecorder::load_run(std::uint32_t site, const void* const* addrs,
+                            std::uint32_t bytes, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) load(site, addrs[i], bytes);
+}
+
+void WarpRecorder::insert_line(LineSet& set, std::uint64_t line) {
+  std::uint64_t* first = arena_.data() + set.begin;
   std::uint64_t* last = first + set.size;
   std::uint64_t* pos = last;
   if (set.size > 0 && line <= last[-1]) {
@@ -96,10 +61,10 @@ void insert_line(LineSet& set, std::vector<std::uint64_t>& arena,
   }
   if (set.size == set.capacity) {
     const std::size_t at = static_cast<std::size_t>(pos - first);
-    const auto begin = static_cast<std::uint32_t>(arena.size());
-    arena.resize(arena.size() + 2 * std::size_t{set.capacity});
-    first = arena.data() + begin;
-    std::copy_n(arena.data() + set.begin, set.size, first);
+    const auto begin = static_cast<std::uint32_t>(arena_.size());
+    arena_.resize(arena_.size() + 2 * std::size_t{set.capacity});
+    first = arena_.data() + begin;
+    std::copy_n(arena_.data() + set.begin, set.size, first);
     set.begin = begin;
     set.capacity *= 2;
     pos = first + at;
@@ -110,115 +75,68 @@ void insert_line(LineSet& set, std::vector<std::uint64_t>& arena,
   ++set.size;
 }
 
-/// Per-thread analyzer state, reused across warps so a warm analyzer does
-/// not allocate.
-struct AnalyzerScratch {
-  SiteTable<std::uint32_t> loads;    // instruction -> index into `sets`
-  SiteTable<std::uint64_t> loops;    // instruction -> longest trip count
-  SiteTable<std::uint8_t> branches;  // instruction -> bit 0 taken seen,
-                                     //   bit 1 not-taken seen
-  std::vector<LineSet> sets;         // one per load, program order
-  std::vector<std::uint64_t> arena;  // storage of every LineSet
-};
+void WarpRecorder::loop_trip(std::uint32_t site, std::uint64_t trips) {
+  std::uint64_t& max_trips = loops_.next(site, 0);
+  max_trips = std::max(max_trips, trips);
+  sums_.loop_trips += trips;
+}
 
-}  // namespace
+void WarpRecorder::branch(std::uint32_t site, bool taken) {
+  branches_.next(site, 0) |= taken ? 1 : 2;
+  ++sums_.branch_events;
+}
 
-WarpReplay analyze_warp_groups(std::span<const LaneTrace* const> traces,
-                               const DeviceSpec& spec, KernelMetrics& out) {
-  BD_CHECK_MSG(!traces.empty() && traces.size() <= spec.warp_size,
-               "warp must hold 1..warp_size lanes");
-  BD_CHECK_MSG(std::has_single_bit(spec.l1_line_bytes),
-               "line size must be a power of two");
-  const std::uint32_t warp_size = spec.warp_size;
-  out.warp_size = warp_size;
-
-  thread_local AnalyzerScratch scratch;
-  scratch.loads.clear();
-  scratch.loops.clear();
-  scratch.branches.clear();
-  scratch.sets.clear();
-  scratch.arena.clear();
-
-  // One lane-major sweep. A load instruction is numbered when its first
-  // lane reaches it; (lane, position) order is program order, so the
-  // numbering needs no sort. Active lanes, requested bytes and trip/branch
-  // sums do not depend on the grouping and are summed as they stream by.
-  std::uint64_t load_events = 0;
-  std::uint64_t bytes_requested = 0;
-  std::uint64_t loop_trips = 0;
-  std::uint64_t branch_events = 0;
-  for (const LaneTrace* lane : traces) {
-    scratch.loads.next_lane();
-    scratch.loops.next_lane();
-    scratch.branches.next_lane();
-    for (const LoadEvent& ev : lane->loads()) {
-      const auto fresh = static_cast<std::uint32_t>(scratch.sets.size());
-      const std::uint32_t load = scratch.loads.next(ev.site, fresh);
-      if (load == fresh) {
-        scratch.sets.push_back(LineSet{
-            static_cast<std::uint32_t>(scratch.arena.size()), 0,
-            kInitialLines});
-        scratch.arena.resize(scratch.arena.size() + kInitialLines);
-      }
-      LineSet& set = scratch.sets[load];
-      bytes_requested += ev.bytes;
-      for_each_line(ev.addr, ev.bytes, spec.l1_line_bytes,
-                    [&](std::uint64_t line) {
-                      insert_line(set, scratch.arena, line);
-                    });
-    }
-    load_events += lane->loads().size();
-    for (const LoopEvent& ev : lane->loops()) {
-      std::uint64_t& max_trips = scratch.loops.next(ev.site, 0);
-      max_trips = std::max(max_trips, ev.trips);
-      loop_trips += ev.trips;
-    }
-    for (const BranchEvent& ev : lane->branches()) {
-      scratch.branches.next(ev.site, 0) |= ev.taken ? 1 : 2;
-    }
-    branch_events += lane->branches().size();
-    out.flops += lane->flops();
-  }
+WarpReplay WarpRecorder::finish(KernelMetrics& out) {
+  BD_CHECK_MSG(lanes_ > 0, "warp must hold 1..warp_size lanes");
+  out.warp_size = warp_size_;
 
   // ---- loads: one issue slot each, one transaction per distinct line ------
-  const std::size_t num_loads = scratch.sets.size();
+  const std::size_t num_loads = sets_.size();
   std::size_t num_lines = 0;
-  for (const LineSet& set : scratch.sets) num_lines += set.size;
+  for (const LineSet& set : sets_) num_lines += set.size;
   WarpReplay replay;
   replay.lines.reserve(num_lines);
   replay.offsets.reserve(num_loads + 1);
   replay.offsets.push_back(0);
-  for (const LineSet& set : scratch.sets) {
-    const auto first = scratch.arena.begin() + set.begin;
+  for (const LineSet& set : sets_) {
+    const auto first = arena_.begin() + set.begin;
     replay.lines.insert(replay.lines.end(), first, first + set.size);
     replay.offsets.push_back(static_cast<std::uint32_t>(replay.lines.size()));
   }
   out.load_instructions += num_loads;
   out.warp_instructions += num_loads;
-  out.lane_slots += num_loads * warp_size;
-  out.active_lane_slots += load_events;
-  out.bytes_requested += bytes_requested;
+  out.lane_slots += num_loads * warp_size_;
+  out.active_lane_slots += sums_.load_events;
+  out.bytes_requested += sums_.bytes_requested;
   out.l1_transactions += num_lines;
-  out.bytes_transferred += num_lines * spec.l1_line_bytes;
+  out.bytes_transferred += num_lines * line_bytes_;
 
   // ---- loops: divergence from trip-count spread ----------------------------
   // The warp executes the longest trip count; a lane is active only for its
   // own trips. One issue slot per iteration models the body.
-  scratch.loops.for_each([&](std::uint64_t max_trips) {
+  loops_.for_each([&](std::uint64_t max_trips) {
     out.warp_instructions += max_trips;
-    out.lane_slots += max_trips * warp_size;
+    out.lane_slots += max_trips * warp_size_;
   });
-  out.active_lane_slots += loop_trips;
+  out.active_lane_slots += sums_.loop_trips;
 
   // ---- branches ------------------------------------------------------------
-  scratch.branches.for_each([&](std::uint8_t outcomes) {
+  branches_.for_each([&](std::uint8_t outcomes) {
     out.branch_events += 1;
     out.warp_instructions += 1;
-    out.lane_slots += warp_size;
+    out.lane_slots += warp_size_;
     if (outcomes == 3) ++out.divergent_branches;
   });
-  out.active_lane_slots += branch_events;
+  out.active_lane_slots += sums_.branch_events;
+  out.flops += sums_.flops;
 
+  loads_.clear();
+  loops_.clear();
+  branches_.clear();
+  sets_.clear();
+  arena_.clear();
+  sums_ = {};
+  lanes_ = 0;
   return replay;
 }
 

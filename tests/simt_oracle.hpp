@@ -2,7 +2,8 @@
 /// Reference implementations the SIMT model's fast paths are checked
 /// against: the hash-map warp analyzer with its per-instruction coalescer,
 /// the serial single-L2 replay, and the serial per-SM cache replay built
-/// from them.
+/// from them. LaneTrace records one lane's probe events for the oracle and
+/// for tests that compare event streams.
 
 #include <algorithm>
 #include <bit>
@@ -14,11 +15,88 @@
 #include "simt/coalescer.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
-#include "simt/trace.hpp"
+#include "simt/probe.hpp"
 #include "simt/warp.hpp"
 #include "util/check.hpp"
 
 namespace bd::testing {
+
+/// One recorded global load.
+struct LoadEvent {
+  std::uint32_t site;    ///< static call-site id
+  std::uint32_t bytes;   ///< access width
+  std::uint64_t addr;    ///< virtual address
+};
+
+/// One recorded loop execution.
+struct LoopEvent {
+  std::uint32_t site;
+  std::uint64_t trips;
+};
+
+/// One recorded data-dependent branch.
+struct BranchEvent {
+  std::uint32_t site;
+  bool taken;
+};
+
+/// Records every instrumentation event of a single lane, each kind in
+/// program order.
+class LaneTrace final : public simt::LaneProbe {
+ public:
+  void count_flops(std::uint64_t n) override { flops_ += n; }
+
+  void load(std::uint32_t site, const void* addr,
+            std::uint32_t bytes) override {
+    loads_.push_back(LoadEvent{site, bytes,
+                               reinterpret_cast<std::uint64_t>(addr)});
+  }
+
+  void loop_trip(std::uint32_t site, std::uint64_t trips) override {
+    loops_.push_back(LoopEvent{site, trips});
+  }
+
+  void branch(std::uint32_t site, bool taken) override {
+    branches_.push_back(BranchEvent{site, taken});
+  }
+
+  std::uint64_t flops() const { return flops_; }
+  const std::vector<LoadEvent>& loads() const { return loads_; }
+  const std::vector<LoopEvent>& loops() const { return loops_; }
+  const std::vector<BranchEvent>& branches() const { return branches_; }
+
+ private:
+  std::uint64_t flops_ = 0;
+  std::vector<LoadEvent> loads_;
+  std::vector<LoopEvent> loops_;
+  std::vector<BranchEvent> branches_;
+};
+
+/// Report a recorded lane's events to `probe` again, kind by kind.
+inline void play(const LaneTrace& lane, simt::LaneProbe& probe) {
+  probe.count_flops(lane.flops());
+  for (const LoadEvent& ev : lane.loads()) {
+    probe.load(ev.site, reinterpret_cast<const void*>(ev.addr), ev.bytes);
+  }
+  for (const LoopEvent& ev : lane.loops()) probe.loop_trip(ev.site, ev.trips);
+  for (const BranchEvent& ev : lane.branches()) {
+    probe.branch(ev.site, ev.taken);
+  }
+}
+
+/// Run recorded lanes through a fresh simt::WarpRecorder and finish the
+/// warp.
+inline simt::WarpReplay record_warp(std::span<const LaneTrace> lanes,
+                                    const simt::DeviceSpec& spec,
+                                    simt::KernelMetrics& out) {
+  simt::WarpRecorder recorder(spec);
+  for (const LaneTrace& lane : lanes) {
+    recorder.begin_lane();
+    play(lane, recorder);
+  }
+  return recorder.finish(out);
+}
+
 namespace oracle {
 
 /// One lane's contribution to a warp load.
@@ -69,12 +147,23 @@ inline LoadStream loads_of(const simt::WarpReplay& replay) {
   return loads;
 }
 
+/// A LoadStream as the CSR stream of simt::WarpReplay.
+inline simt::WarpReplay replay_of(const LoadStream& loads) {
+  simt::WarpReplay replay;
+  replay.offsets.push_back(0);
+  for (const auto& lines : loads) {
+    replay.lines.insert(replay.lines.end(), lines.begin(), lines.end());
+    replay.offsets.push_back(static_cast<std::uint32_t>(replay.lines.size()));
+  }
+  return replay;
+}
+
 /// The hash-map warp analyzer: groups every event kind by (site,
 /// occurrence) in its own table, orders load groups by sorting their
 /// first-appearance keys, and coalesces each group's accesses.
-inline LoadStream analyze_warp_groups(
-    const std::vector<const simt::LaneTrace*>& traces,
-    const simt::DeviceSpec& spec, simt::KernelMetrics& out) {
+inline LoadStream analyze_warp_groups(std::span<const LaneTrace> traces,
+                                      const simt::DeviceSpec& spec,
+                                      simt::KernelMetrics& out) {
   struct SiteOcc {
     std::uint32_t site;
     std::uint32_t occ;
@@ -106,10 +195,10 @@ inline LoadStream analyze_warp_groups(
   std::unordered_map<SiteOcc, LoadGroup, SiteOccHash> load_groups;
   std::unordered_map<std::uint32_t, std::uint32_t> occ_counter;
   std::uint64_t order = 0;
-  for (const simt::LaneTrace* lane : traces) {
+  for (const LaneTrace& lane : traces) {
     occ_counter.clear();
     std::uint64_t lane_pos = 0;
-    for (const simt::LoadEvent& ev : lane->loads()) {
+    for (const LoadEvent& ev : lane.loads()) {
       const std::uint32_t occ = occ_counter[ev.site]++;
       LoadGroup& group = load_groups[SiteOcc{ev.site, occ}];
       if (group.accesses.empty()) group.order = (order << 32) | lane_pos;
@@ -139,9 +228,9 @@ inline LoadStream analyze_warp_groups(
   }
 
   std::unordered_map<SiteOcc, LoopGroup, SiteOccHash> loop_groups;
-  for (const simt::LaneTrace* lane : traces) {
+  for (const LaneTrace& lane : traces) {
     occ_counter.clear();
-    for (const simt::LoopEvent& ev : lane->loops()) {
+    for (const LoopEvent& ev : lane.loops()) {
       const std::uint32_t occ = occ_counter[ev.site]++;
       LoopGroup& group = loop_groups[SiteOcc{ev.site, occ}];
       group.max_trips = std::max(group.max_trips, ev.trips);
@@ -155,9 +244,9 @@ inline LoadStream analyze_warp_groups(
   }
 
   std::unordered_map<SiteOcc, BranchGroup, SiteOccHash> branch_groups;
-  for (const simt::LaneTrace* lane : traces) {
+  for (const LaneTrace& lane : traces) {
     occ_counter.clear();
-    for (const simt::BranchEvent& ev : lane->branches()) {
+    for (const BranchEvent& ev : lane.branches()) {
       const std::uint32_t occ = occ_counter[ev.site]++;
       BranchGroup& group = branch_groups[SiteOcc{ev.site, occ}];
       if (ev.taken) {
@@ -175,7 +264,7 @@ inline LoadStream analyze_warp_groups(
     if (group.taken > 0 && group.not_taken > 0) ++out.divergent_branches;
   }
 
-  for (const simt::LaneTrace* lane : traces) out.flops += lane->flops();
+  for (const LaneTrace& lane : traces) out.flops += lane.flops();
   return loads;
 }
 
@@ -212,13 +301,34 @@ inline void replay_interleaved(std::span<const simt::WarpReplay> replays,
   oracle::replay_l2_lines(l2_misses, spec, l2, out);
 }
 
+/// Cache counters of the serial reference: per-SM L1 + one shared L2
+/// replayed SM-major through replay_interleaved, `warps_per_chunk`
+/// co-resident warps at a time — the pre-sharding executor.
+inline simt::KernelMetrics serial_replay(
+    const simt::DeviceSpec& spec,
+    const std::vector<std::vector<simt::WarpReplay>>& streams,
+    std::size_t warps_per_chunk) {
+  simt::KernelMetrics out;
+  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
+    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
+    const std::span<const simt::WarpReplay> warps = streams[sm];
+    for (std::size_t begin = 0; begin < warps.size();
+         begin += warps_per_chunk) {
+      replay_interleaved(
+          warps.subspan(begin, std::min(warps_per_chunk, warps.size() - begin)),
+          spec, l1, l2, out);
+    }
+  }
+  return out;
+}
+
 /// Analyze one warp and replay it alone.
-inline void analyze_warp(const std::vector<const simt::LaneTrace*>& traces,
+inline void analyze_warp(std::span<const LaneTrace> lanes,
                          const simt::DeviceSpec& spec,
                          simt::SetAssocCache& l1, simt::SetAssocCache& l2,
                          simt::KernelMetrics& out) {
-  const simt::WarpReplay replay =
-      simt::analyze_warp_groups(traces, spec, out);
+  const simt::WarpReplay replay = record_warp(lanes, spec, out);
   replay_interleaved({&replay, 1}, spec, l1, l2, out);
 }
 

@@ -20,7 +20,6 @@
 #include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/executor.hpp"
-#include "simt/trace.hpp"
 #include "simt/warp.hpp"
 #include "simt_oracle.hpp"
 #include "test_helpers.hpp"
@@ -227,7 +226,7 @@ TEST(Determinism, WarmStartCacheSurvivesSolverStateRoundTrip) {
   }
 }
 
-/// Per-SM warp streams built from synthetic LaneTraces through the real
+/// Per-SM warp streams built from synthetic lanes through the real
 /// analyzer — the input shape of executor pass 2.
 std::vector<std::vector<simt::WarpReplay>> synthetic_sm_streams(
     const simt::DeviceSpec& spec, std::size_t warps_per_sm,
@@ -241,47 +240,22 @@ std::vector<std::vector<simt::WarpReplay>> synthetic_sm_streams(
   constexpr std::uint32_t kLoad = simt::site_id("determinism/shard-load");
   std::vector<std::vector<simt::WarpReplay>> streams(spec.num_sms);
   std::size_t seq = 0;
+  simt::WarpRecorder recorder(spec);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
     for (std::size_t w = 0; w < warps_per_sm; ++w) {
-      std::vector<simt::LaneTrace> traces(spec.warp_size);
-      std::vector<const simt::LaneTrace*> warp;
       for (std::uint32_t lane = 0; lane < spec.warp_size; ++lane) {
-        simt::LaneTrace& t = traces[lane];
+        recorder.begin_lane();
         // A strided sweep plus a scattered access per lane: L1 hits within
         // a warp, misses across warps, real L2 sharing across SMs.
         const std::size_t base = (seq * 131 + lane * 7) % (kWords - 64);
-        t.load(kLoad, word(base), 8);
-        t.load(kLoad, word((base * 13) % (kWords - 8)), 8);
-        warp.push_back(&t);
+        recorder.load(kLoad, word(base), 8);
+        recorder.load(kLoad, word((base * 13) % (kWords - 8)), 8);
         ++seq;
       }
-      streams[sm].push_back(
-          simt::analyze_warp_groups(warp, spec, analysis));
+      streams[sm].push_back(recorder.finish(analysis));
     }
   }
   return streams;
-}
-
-/// Cache counters of the serial reference: per-SM L1 + one shared L2
-/// replayed SM-major through replay_interleaved, `warps_per_chunk`
-/// co-resident warps at a time — the pre-sharding executor.
-simt::KernelMetrics serial_replay(
-    const simt::DeviceSpec& spec,
-    const std::vector<std::vector<simt::WarpReplay>>& streams,
-    std::size_t warps_per_chunk) {
-  simt::KernelMetrics out;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    const std::span<const simt::WarpReplay> warps = streams[sm];
-    for (std::size_t begin = 0; begin < warps.size();
-         begin += warps_per_chunk) {
-      testing::replay_interleaved(
-          warps.subspan(begin, std::min(warps_per_chunk, warps.size() - begin)),
-          spec, l1, l2, out);
-    }
-  }
-  return out;
 }
 
 TEST(Determinism, ShardedReplayMatchesSerialReference) {
@@ -302,7 +276,8 @@ TEST(Determinism, ShardedReplayMatchesSerialReference) {
     // Chunks of 6: all of an SM's warps co-resident; of 4: a full chunk,
     // then a partial one.
     for (std::size_t chunk : {6u, 4u}) {
-      const simt::KernelMetrics serial = serial_replay(spec, streams, chunk);
+      const simt::KernelMetrics serial =
+          testing::serial_replay(spec, streams, chunk);
       ASSERT_GT(serial.l1.misses, 0u);
       ASSERT_GT(serial.l2.hits, 0u);
       ASSERT_GT(serial.l2.misses, 0u);

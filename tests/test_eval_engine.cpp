@@ -15,7 +15,7 @@
 #include "quad/adaptive.hpp"
 #include "quad/batch_eval.hpp"
 #include "quad/simpson.hpp"
-#include "simt/trace.hpp"
+#include "simt_oracle.hpp"
 #include "test_helpers.hpp"
 
 namespace bd::quad {
@@ -356,7 +356,7 @@ TEST(SimdBatch, ProbeStreamIdenticalToSequentialEval) {
   const std::array<std::array<double, 4>, 3> batches = {
       sweep_batch(0), sweep_batch(7), {1.0, far, 0.25, far}};
   for (const auto& u : batches) {
-    simt::LaneTrace scalar_trace, batch_trace;
+    bd::testing::LaneTrace scalar_trace, batch_trace;
     double ref[4], got[4];
     for (std::size_t k = 0; k < 4; ++k) {
       ref[k] = f.eval(u[k], scalar_trace);
@@ -367,8 +367,8 @@ TEST(SimdBatch, ProbeStreamIdenticalToSequentialEval) {
     EXPECT_EQ(batch_trace.flops(), scalar_trace.flops());
     ASSERT_EQ(batch_trace.loads().size(), scalar_trace.loads().size());
     for (std::size_t i = 0; i < scalar_trace.loads().size(); ++i) {
-      const simt::LoadEvent& a = scalar_trace.loads()[i];
-      const simt::LoadEvent& b = batch_trace.loads()[i];
+      const bd::testing::LoadEvent& a = scalar_trace.loads()[i];
+      const bd::testing::LoadEvent& b = batch_trace.loads()[i];
       ASSERT_EQ(b.site, a.site) << "load " << i;
       ASSERT_EQ(b.addr, a.addr) << "load " << i;
       ASSERT_EQ(b.bytes, a.bytes) << "load " << i;

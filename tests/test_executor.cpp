@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "simt/executor.hpp"
+#include "simt_oracle.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace bd::simt {
 namespace {
+
+using bd::testing::LaneTrace;
+namespace oracle = bd::testing::oracle;
 
 constexpr std::uint32_t kLoad = site_id("exec/load");
 constexpr std::uint32_t kLoop = site_id("exec/loop");
@@ -123,6 +130,87 @@ TEST(Executor, BlocksRoundRobinOverSms) {
       });
   EXPECT_EQ(m.l1.misses, 4u);
   EXPECT_EQ(m.l1.hits, 4u);
+}
+
+/// simt::launch as the oracle computes it: every lane run again into a
+/// LaneTrace, each warp grouped by the hash-map analyzer, blocks dealt to
+/// SMs round-robin, each SM's L1 replayed serially in chunks of
+/// co-resident blocks' warps, one shared serial L2, then the time model.
+KernelMetrics oracle_launch(const DeviceSpec& spec,
+                            const LaunchConfig& config,
+                            const KernelFn& kernel) {
+  const std::uint32_t warps_per_block =
+      (config.threads_per_block + spec.warp_size - 1) / spec.warp_size;
+  KernelMetrics metrics;
+  std::vector<std::vector<WarpReplay>> sm_warps(spec.num_sms);
+  for (std::uint32_t block = 0; block < config.num_blocks; ++block) {
+    for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
+      const std::uint32_t lane_end = std::min(
+          (warp + 1) * spec.warp_size, config.threads_per_block);
+      std::vector<LaneTrace> lanes;
+      for (std::uint32_t t = warp * spec.warp_size; t < lane_end; ++t) {
+        const ThreadCtx ctx{block, t, block * config.threads_per_block + t};
+        kernel(ctx, lanes.emplace_back());
+      }
+      sm_warps[block % spec.num_sms].push_back(oracle::replay_of(
+          oracle::analyze_warp_groups(lanes, spec, metrics)));
+    }
+  }
+  const std::size_t chunk =
+      std::max<std::uint32_t>(1, spec.resident_warps_per_sm / warps_per_block) *
+      warps_per_block;
+  metrics += bd::testing::serial_replay(spec, sm_warps, chunk);
+  apply_time_model(metrics, spec);
+  return metrics;
+}
+
+TEST(Executor, LaunchMatchesTraceOracle) {
+  // Every event kind, load_run included, and a site id shared by a load
+  // and a branch. 72 threads per block leave an 8-lane last warp; 7 blocks
+  // put several blocks on each SM of test_device(), and with 4 resident
+  // warps per SM each block's 3 warps replay as their own chunk.
+  constexpr std::uint32_t kRun = site_id("exec/run");
+  constexpr std::uint32_t kShared = site_id("exec/shared");
+  // Fixed device-virtual addresses: the cache replay must not depend on
+  // where the host heap puts anything.
+  const auto word = [](std::uint64_t i) {
+    return reinterpret_cast<const void*>(0x40000000 + 8 * i);
+  };
+  const KernelFn kernel = [&](const ThreadCtx& ctx, LaneProbe& p) {
+    const std::uint32_t g = ctx.global_id;
+    const std::uint32_t trips = 1 + (g * 7) % 5;
+    p.branch(kShared, g % 3 == 0);
+    p.loop_trip(kLoop, trips);
+    for (std::uint32_t k = 0; k < trips; ++k) {
+      p.load(kLoad, word(g * 3 + k * 97), 8);
+    }
+    if (g % 3 == 0) p.load(kShared, word((g * 131) % 4096), 24);
+    const void* run[4];
+    for (std::uint32_t r = 0; r < 4; ++r) {
+      run[r] = word(ctx.block_id * 512 + ctx.thread_id * 4 + r * 64);
+    }
+    p.load_run(kRun, run, 16, 1 + g % 4);
+    p.count_flops(10 + g % 7);
+    p.branch(kShared, trips > 2);
+  };
+  DeviceSpec few_resident = test_device();
+  few_resident.resident_warps_per_sm = 4;
+  const LaunchConfig config{7, 72};
+  for (const DeviceSpec& spec : {test_device(), few_resident, tesla_k40()}) {
+    SCOPED_TRACE(::testing::Message()
+                 << spec.name << ", " << spec.resident_warps_per_sm
+                 << " resident warps per SM");
+    const KernelMetrics want = oracle_launch(spec, config, kernel);
+    EXPECT_GT(want.l1.hits, 0u);
+    EXPECT_GT(want.l2.hits, 0u);
+    EXPECT_GT(want.divergent_branches, 0u);
+    for (unsigned threads : {1u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      util::ThreadPool::set_global_threads(threads);
+      bd::testing::expect_identical(launch(spec, config, kernel), want);
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "beam/stencil.hpp"
-#include "simt/trace.hpp"
+#include "simt_oracle.hpp"
 
 namespace bd::beam {
 namespace {
@@ -70,7 +70,7 @@ TEST(Stencil, QuadraticInTimeIsExact) {
 
 TEST(Stencil, ZeroOutsideGridWithoutLoads) {
   const GridHistory history = linear_history(5.0, 0.0, 0.0, 0.0, 3, 4);
-  simt::LaneTrace trace;
+  bd::testing::LaneTrace trace;
   const double v =
       sample_spacetime(history, kChannelRho, 100.0, 0.0, 2.5, trace);
   EXPECT_DOUBLE_EQ(v, 0.0);
@@ -81,7 +81,7 @@ TEST(Stencil, ZeroOutsideGridWithoutLoads) {
 
 TEST(Stencil, IssuesNineRowLoadsInBounds) {
   const GridHistory history = linear_history(1.0, 0.0, 0.0, 0.0, 5, 5);
-  simt::LaneTrace trace;
+  bd::testing::LaneTrace trace;
   sample_spacetime(history, kChannelRho, 0.1, -0.2, 4.5, trace);
   EXPECT_EQ(trace.loads().size(),
             static_cast<std::size_t>(kLoadsPerSample));
@@ -96,7 +96,7 @@ TEST(Stencil, LoadAddressesPointIntoHistoryWindow) {
   // configured histories replay identical addresses wherever the host
   // allocator placed them (the fleet-vs-solo metrics contract).
   const GridHistory history = linear_history(1.0, 0.0, 0.0, 0.0, 5, 5);
-  simt::LaneTrace trace;
+  bd::testing::LaneTrace trace;
   sample_spacetime(history, kChannelRho, 0.0, 0.0, 4.5, trace);
   const auto lo = reinterpret_cast<std::uint64_t>(
       history.probe_address(history.plane(1, kChannelRho)));

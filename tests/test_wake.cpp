@@ -11,7 +11,7 @@
 #include "beam/stencil.hpp"
 #include "beam/wake.hpp"
 #include "quad/adaptive.hpp"
-#include "simt/trace.hpp"
+#include "simt_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace bd::beam {
@@ -129,7 +129,7 @@ TEST(Wake, FastRejectOutsideRangeSkipsLoads) {
   const GridHistory history = continuum_history(params);
   // Grid point at the far left: s - u leaves the grid for u > ~0.
   const WakeIntegrand integrand(history, model, -6.0, 0.0, 20, kSubWidth);
-  simt::LaneTrace trace;
+  bd::testing::LaneTrace trace;
   const double v = integrand.eval(2.0, trace);  // s-u = -8 < grid min
   EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_TRUE(trace.loads().empty());
@@ -141,7 +141,7 @@ TEST(Wake, InnerPointsControlLoadCount) {
   model.inner_points = 5;
   const GridHistory history = continuum_history(params);
   const WakeIntegrand integrand(history, model, 0.0, 0.0, 20, kSubWidth);
-  simt::LaneTrace trace;
+  bd::testing::LaneTrace trace;
   integrand.eval(0.5, trace);
   EXPECT_EQ(trace.loads().size(), 5u * kLoadsPerSample);
 }

@@ -1,5 +1,5 @@
 /// Tests for the warp analyzer: divergence reconstruction and memory
-/// replay from per-lane traces.
+/// replay from per-lane event streams.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@ namespace bd::simt {
 namespace {
 
 using bd::testing::analyze_warp;
+using bd::testing::LaneTrace;
 namespace oracle = bd::testing::oracle;
 
 constexpr std::uint32_t kLoad = site_id("test/load");
@@ -27,10 +28,8 @@ struct WarpHarness {
   SetAssocCache l2{spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways};
   KernelMetrics metrics;
 
-  void analyze(const std::vector<LaneTrace>& traces) {
-    std::vector<const LaneTrace*> ptrs;
-    for (const auto& t : traces) ptrs.push_back(&t);
-    analyze_warp(ptrs, spec, l1, l2, metrics);
+  void analyze(const std::vector<LaneTrace>& lanes) {
+    analyze_warp(lanes, spec, l1, l2, metrics);
   }
 };
 
@@ -150,10 +149,14 @@ TEST(Warp, RepeatedLoadHitsL1) {
 }
 
 TEST(Warp, EmptyWarpRejected) {
-  WarpHarness h;
-  std::vector<const LaneTrace*> none;
-  EXPECT_THROW(
-      analyze_warp(none, h.spec, h.l1, h.l2, h.metrics), CheckError);
+  const DeviceSpec spec = test_device();
+  WarpRecorder recorder(spec);
+  KernelMetrics metrics;
+  EXPECT_THROW(recorder.finish(metrics), CheckError);
+  for (std::uint32_t lane = 0; lane < spec.warp_size; ++lane) {
+    recorder.begin_lane();
+  }
+  EXPECT_THROW(recorder.begin_lane(), CheckError);
 }
 
 /// A random warp of 1-32 lanes covering the analyzer's grouping cases:
@@ -161,8 +164,9 @@ TEST(Warp, EmptyWarpRejected) {
 /// a load and a branch; every lane picks its own site sequence, so lanes
 /// visit sites in different orders and reach different occurrences; loads
 /// are coalesced, broadcast, scattered, zero-byte, line-straddling or many
-/// lines wide.
-std::vector<LaneTrace> random_warp(util::Rng& rng) {
+/// lines wide. Each lane reports its events to its own trace and to
+/// `recorder`, in a random interleaving of the event kinds.
+std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
   constexpr std::uint32_t kLoadSites[] = {
       site_id("oracle/load-a"), site_id("oracle/load-b"),
       site_id("oracle/load-c"), site_id("oracle/shared")};
@@ -175,40 +179,54 @@ std::vector<LaneTrace> random_warp(util::Rng& rng) {
 
   std::vector<LaneTrace> lanes(1 + rng.uniform_index(32));
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-    LaneTrace& trace = lanes[lane];
-    const std::uint64_t loads = rng.uniform_index(40);
-    for (std::uint64_t i = 0; i < loads; ++i) {
-      const std::uint32_t site = kLoadSites[rng.uniform_index(4)];
-      std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
-      std::uint32_t bytes = kWidths[rng.uniform_index(5)];
-      switch (rng.uniform_index(4)) {
-        case 0: addr = 0x8000 + i * 8; break;  // same for every lane
-        case 1: addr = 8 * rng.uniform_index(1 << 16); break;  // scattered
-        case 2:  // wide: many lines from one lane
-          addr = 8 * rng.uniform_index(1 << 16);
-          bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
-          break;
-        default: break;
+    recorder.begin_lane();
+    LaneProbe* const probes[] = {&lanes[lane], &recorder};
+    // Events left per kind: loads, loops, branches, flops.
+    std::uint64_t left[] = {rng.uniform_index(40), rng.uniform_index(6),
+                            rng.uniform_index(8), 1};
+    std::uint64_t i = 0;  // loads so far
+    for (std::uint64_t events = left[0] + left[1] + left[2] + left[3];
+         events > 0; --events) {
+      std::uint64_t pick = rng.uniform_index(events);
+      std::size_t kind = 0;
+      while (pick >= left[kind]) pick -= left[kind++];
+      --left[kind];
+      if (kind == 0) {
+        const std::uint32_t site = kLoadSites[rng.uniform_index(4)];
+        std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
+        std::uint32_t bytes = kWidths[rng.uniform_index(5)];
+        switch (rng.uniform_index(4)) {
+          case 0: addr = 0x8000 + i * 8; break;  // same for every lane
+          case 1: addr = 8 * rng.uniform_index(1 << 16); break;  // scattered
+          case 2:  // wide: many lines from one lane
+            addr = 8 * rng.uniform_index(1 << 16);
+            bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
+            break;
+          default: break;
+        }
+        ++i;
+        for (LaneProbe* p : probes) {
+          p->load(site, reinterpret_cast<const void*>(addr), bytes);
+        }
+      } else if (kind == 1) {
+        const std::uint32_t site = kLoopSites[rng.uniform_index(2)];
+        const std::uint64_t trips = rng.uniform_index(20);
+        for (LaneProbe* p : probes) p->loop_trip(site, trips);
+      } else if (kind == 2) {
+        const std::uint32_t site = kBranchSites[rng.uniform_index(3)];
+        const bool taken = rng.uniform_index(2) == 1;
+        for (LaneProbe* p : probes) p->branch(site, taken);
+      } else {
+        const std::uint64_t flops = rng.uniform_index(1000);
+        for (LaneProbe* p : probes) p->count_flops(flops);
       }
-      trace.load(site, reinterpret_cast<const void*>(addr), bytes);
     }
-    const std::uint64_t loops = rng.uniform_index(6);
-    for (std::uint64_t i = 0; i < loops; ++i) {
-      trace.loop_trip(kLoopSites[rng.uniform_index(2)],
-                      rng.uniform_index(20));
-    }
-    const std::uint64_t branches = rng.uniform_index(8);
-    for (std::uint64_t i = 0; i < branches; ++i) {
-      trace.branch(kBranchSites[rng.uniform_index(3)],
-                   rng.uniform_index(2) == 1);
-    }
-    trace.count_flops(rng.uniform_index(1000));
   }
   return lanes;
 }
 
 TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
-  // The flat analyzer must reproduce the hash-map analyzer exactly: every
+  // The recorder must reproduce the hash-map analyzer exactly: every
   // KernelMetrics counter and the per-load line stream, load for load.
   util::Rng rng(20170801);
   std::size_t widest = 0;
@@ -216,15 +234,14 @@ TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
     SCOPED_TRACE(::testing::Message() << "warp " << seed);
     DeviceSpec spec = tesla_k40();
     if (seed % 2 == 1) spec.l1_line_bytes = 32;
-    const std::vector<LaneTrace> lanes = random_warp(rng);
-    std::vector<const LaneTrace*> ptrs;
-    for (const LaneTrace& lane : lanes) ptrs.push_back(&lane);
+    WarpRecorder recorder(spec);
+    const std::vector<LaneTrace> lanes = random_warp(rng, recorder);
 
     KernelMetrics got;
     KernelMetrics want;
-    const WarpReplay replay = analyze_warp_groups(ptrs, spec, got);
+    const WarpReplay replay = recorder.finish(got);
     const oracle::LoadStream expected =
-        oracle::analyze_warp_groups(ptrs, spec, want);
+        oracle::analyze_warp_groups(lanes, spec, want);
     bd::testing::expect_identical(got, want);
     ASSERT_EQ(replay.loads(), expected.size());
     if (replay.loads() > 0) {
@@ -240,6 +257,29 @@ TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
   EXPECT_GT(widest, 64u);
 }
 
+TEST(Warp, RecorderResetsBetweenWarps) {
+  // finish() leaves nothing behind: warp B on a recorder that just
+  // finished warp A gives the stream and counters of a fresh recorder.
+  const DeviceSpec spec = tesla_k40();
+  util::Rng rng(97);
+  WarpRecorder recorder(spec);
+  for (int warp = 0; warp < 20; ++warp) {
+    SCOPED_TRACE(::testing::Message() << "warp pair " << warp);
+    KernelMetrics first;
+    random_warp(rng, recorder);
+    recorder.finish(first);
+
+    KernelMetrics got;
+    KernelMetrics want;
+    const std::vector<LaneTrace> lanes = random_warp(rng, recorder);
+    const WarpReplay replay = recorder.finish(got);
+    const WarpReplay fresh = bd::testing::record_warp(lanes, spec, want);
+    bd::testing::expect_identical(got, want);
+    EXPECT_EQ(replay.lines, fresh.lines);
+    EXPECT_EQ(replay.offsets, fresh.offsets);
+  }
+}
+
 TEST(Warp, L2PartitionCountClampsToSets) {
   // Every sector of an L1 line must land in one partition: a partition
   // spans at least l1_line_bytes / l2_line_bytes sets.
@@ -248,19 +288,6 @@ TEST(Warp, L2PartitionCountClampsToSets) {
   DeviceSpec tiny = test_device();
   tiny.l2_bytes = 256;  // 2 sets, fewer than a line's sectors
   EXPECT_EQ(l2_partitions(tiny), 1u);
-}
-
-TEST(Warp, TraceResetClearsEvents) {
-  LaneTrace trace;
-  trace.load(kLoad, nullptr, 8);
-  trace.loop_trip(kLoop, 3);
-  trace.branch(kBranch, true);
-  trace.count_flops(5);
-  trace.reset();
-  EXPECT_TRUE(trace.loads().empty());
-  EXPECT_TRUE(trace.loops().empty());
-  EXPECT_TRUE(trace.branches().empty());
-  EXPECT_EQ(trace.flops(), 0u);
 }
 
 }  // namespace

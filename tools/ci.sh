@@ -46,7 +46,15 @@
 # replay counters identical to serial always; the replay speedup floor
 # only on hosts with >= 4 hardware threads).
 #
-# Usage: tools/ci.sh [tier1|tsan|asan|debug|faults|docs|perf-smoke|all]   (default: all)
+# A mutants stage checks that the tests still catch known defects. Each
+# tools/mutants/<name>.patch is a minimal diff to src/ after a header of
+# "Must fail: <test target> <gtest filter>" lines. In a temporary copy of
+# the tree it builds the named targets once, checks that the named tests
+# pass unmutated, then applies each patch, rebuilds only its targets, runs
+# them and reverts. The stage fails if a patch no longer applies, a mutant
+# does not build, or a named test still passes with the mutant in place.
+#
+# Usage: tools/ci.sh [tier1|tsan|asan|debug|faults|docs|perf-smoke|mutants|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +134,58 @@ perf_smoke() {
     --check-baseline=tools/perf_baseline_scaling.json
 }
 
+mutants() {
+  echo "=== mutants: every seeded defect must fail the tests it names ==="
+  local root work kills patch name target filter failed=0
+  root=$(pwd)
+  work=$(mktemp -d)
+  # The copy lives only for this stage, whichever way it ends.
+  # shellcheck disable=SC2064  # expand $work now: it is local
+  trap "rm -rf '$work'" EXIT
+  tar --exclude='./build*' --exclude=./.git --exclude=./.bench_build \
+    -cf - . | tar -xf - -C "$work"
+  cmake -S "$work" -B "$work/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  must_fail() { sed -n 's/^Must fail: //p' "$@"; }
+  kills=$(must_fail tools/mutants/*.patch | sort -u)
+  # shellcheck disable=SC2046  # one word per target
+  cmake --build "$work/build" -j "$(nproc)" --target \
+    $(cut -d' ' -f1 <<< "$kills" | sort -u) >/dev/null
+  while read -r target filter; do
+    "$work/build/tests/$target" --gtest_filter="$filter" </dev/null \
+      >/dev/null || {
+      echo "mutants: $target $filter fails without any mutant" >&2
+      return 1
+    }
+  done <<< "$kills"
+  for patch in tools/mutants/*.patch; do
+    name=$(basename "$patch" .patch)
+    if ! (cd "$work" && git apply --check "$root/$patch" 2>/dev/null); then
+      echo "mutants: $name no longer applies" >&2
+      failed=1
+      continue
+    fi
+    (cd "$work" && git apply "$root/$patch")
+    # shellcheck disable=SC2046  # one word per target
+    if ! cmake --build "$work/build" -j "$(nproc)" --target \
+        $(must_fail "$patch" | cut -d' ' -f1) >/dev/null 2>&1; then
+      echo "mutants: $name does not build" >&2
+      failed=1
+    else
+      while read -r target filter; do
+        if timeout 600 "$work/build/tests/$target" --gtest_filter="$filter" \
+            </dev/null >/dev/null 2>&1; then
+          echo "mutants: $name SURVIVED $target $filter" >&2
+          failed=1
+        else
+          echo "mutants: $name killed by $target $filter"
+        fi
+      done < <(must_fail "$patch")
+    fi
+    (cd "$work" && git apply -R "$root/$patch")
+  done
+  return "$failed"
+}
+
 case "$stage" in
   tier1) tier1 ;;
   tsan) tsan ;;
@@ -134,7 +194,8 @@ case "$stage" in
   faults) faults ;;
   docs) docs ;;
   perf-smoke) perf_smoke ;;
-  all) tier1; tsan; asan; debug; faults; docs; perf_smoke ;;
-  *) echo "unknown stage: $stage (want tier1|tsan|asan|debug|faults|docs|perf-smoke|all)" >&2; exit 2 ;;
+  mutants) mutants ;;
+  all) tier1; tsan; asan; debug; faults; docs; perf_smoke; mutants ;;
+  *) echo "unknown stage: $stage (want tier1|tsan|asan|debug|faults|docs|perf-smoke|mutants|all)" >&2; exit 2 ;;
 esac
 echo "CI ($stage) OK"
