@@ -166,7 +166,6 @@ int main(int argc, char** argv) {
                   "regression");
   if (!args.parse(argc, argv)) return 0;
 
-  util::telemetry::set_metrics_enabled(true);
   const auto fidelity_grid =
       static_cast<std::uint32_t>(args.get_int("fidelity-grid"));
   const auto particles = static_cast<std::size_t>(args.get_int("particles"));

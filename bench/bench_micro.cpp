@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "beam/analytic.hpp"
 #include "beam/bunch.hpp"
@@ -24,23 +25,42 @@ namespace {
 
 using namespace bd;
 
+/// One Simpson estimate with error (RP-QUADRULE): a one-interval sweep,
+/// 5 evaluations.
 void BM_SimpsonEstimate(benchmark::State& state) {
   const quad::FunctionIntegrand f([](double x) { return std::sin(3 * x); });
   auto& probe = simt::NullProbe::instance();
+  const double partition[2] = {0.0, 1.0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(quad::simpson_estimate(f, 0.0, 1.0, probe));
+    quad::QuadEstimate est;
+    quad::simpson_sweep(f, partition, probe,
+                        [&](std::size_t, double, double,
+                            const quad::QuadEstimate& e,
+                            const quad::SimpsonSamples&) { est = e; });
+    benchmark::DoNotOptimize(est);
   }
 }
 BENCHMARK(BM_SimpsonEstimate);
 
+/// The fallback's adaptive driver over [0, 12], seeded with the root's
+/// five samples (the kernel-1 sweep has them) and reusing its worklist.
 void BM_AdaptiveSimpson(benchmark::State& state) {
   const double tol = std::pow(10.0, -static_cast<double>(state.range(0)));
   const quad::FunctionIntegrand f(
       [](double u) { return std::pow(u + 0.05, -1.0 / 3.0); });
   auto& probe = simt::NullProbe::instance();
+  const double a = 0.0, b = 12.0, m = 0.5 * (a + b);
+  quad::SimpsonSamples root;
+  root.fa = f.eval(a, probe);
+  root.fm = f.eval(m, probe);
+  root.fb = f.eval(b, probe);
+  root.fl = f.eval(0.5 * (a + m), probe);
+  root.fr = f.eval(0.5 * (m + b), probe);
+  std::vector<quad::AdaptiveWorkItem> stack;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        quad::adaptive_simpson(f, 0.0, 12.0, tol, probe));
+    benchmark::DoNotOptimize(quad::adaptive_simpson_seeded(
+        f, a, b, tol, root, probe, {}, stack,
+        [](const quad::AdaptiveWorkItem&, const quad::QuadEstimate&) {}));
   }
 }
 BENCHMARK(BM_AdaptiveSimpson)->Arg(4)->Arg(6)->Arg(8);

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
                   "baseline JSON; exit 1 on eval-count regression");
   if (!args.parse(argc, argv)) return 0;
 
-  util::telemetry::set_metrics_enabled(true);
   const auto grid = static_cast<std::uint32_t>(args.get_int("grid"));
   const auto particles =
       static_cast<std::size_t>(args.get_int("particles"));

@@ -25,7 +25,7 @@
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
 #include "bench_common.hpp"
-#include "quad/batch_eval.hpp"
+#include "quad/integrand.hpp"
 #include "simt/probe.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

@@ -108,7 +108,7 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   // pass actually generated there. A point's failed intervals form one
   // contiguous run of `failed` (one lane per point, lanes serial per
   // block), so a single scan finds each point's run start and the fold
-  // below replays the historical per-point merge chains exactly.
+  // below merges a point's refined items into its partition in item order.
   quad::PartitionSet& next = scratch.merged;
   next.reset(num_points);
   const auto run_of = scratch.acquire_fill(scratch.point_run, num_points,

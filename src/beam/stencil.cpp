@@ -77,25 +77,4 @@ double sample_spacetime(const GridHistory& history, MomentChannel channel,
   return l0 * f0 + l1 * f1 + l2 * f2;
 }
 
-double sample_spatial(const GridHistory& history, MomentChannel channel,
-                      std::int64_t step, double x, double y,
-                      simt::LaneProbe& probe) {
-  const GridSpec& spec = history.spec();
-  const double gx = spec.gx(x);
-  const double gy = spec.gy(y);
-  const auto ix = static_cast<std::int64_t>(std::lround(gx));
-  const auto iy = static_cast<std::int64_t>(std::lround(gy));
-  const bool inside = ix >= 1 && iy >= 1 &&
-                      ix <= static_cast<std::int64_t>(spec.nx) - 2 &&
-                      iy <= static_cast<std::int64_t>(spec.ny) - 2;
-  probe.branch(kBoundsSite, inside);
-  if (!inside) return 0.0;
-  double wx[3], wy[3];
-  tsc_weights(gx - static_cast<double>(ix), wx);
-  tsc_weights(gy - static_cast<double>(iy), wy);
-  probe.count_flops(12);
-  return sample_plane(history, channel, step, static_cast<std::uint32_t>(ix),
-                      static_cast<std::uint32_t>(iy), wx, wy, probe);
-}
-
 }  // namespace bd::beam

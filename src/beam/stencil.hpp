@@ -23,11 +23,6 @@ double sample_spacetime(const GridHistory& history, MomentChannel channel,
                         double x, double y, double t_steps,
                         simt::LaneProbe& probe);
 
-/// Spatial-only TSC sample of one retained step.
-double sample_spatial(const GridHistory& history, MomentChannel channel,
-                      std::int64_t step, double x, double y,
-                      simt::LaneProbe& probe);
-
 /// Probe sites the space–time stencil reports at. Public because the
 /// batched wake path (wake_batch.cpp) must emit the identical event stream
 /// from the identical sites.

@@ -9,10 +9,6 @@
 
 namespace bd::beam {
 
-namespace {
-constexpr std::uint32_t kRangeSite = simt::site_id("beam/wake/s-range");
-}  // namespace
-
 WakeModel WakeModel::longitudinal() { return WakeModel{}; }
 
 WakeModel WakeModel::transverse() {
@@ -100,7 +96,7 @@ double WakeIntegrand::eval(double u, simt::LaneProbe& probe) const {
   const double s = s_point_ - u;
   // Fast reject: the retarded sample sits entirely outside the grid.
   const bool in_range = s >= spec.x0 - spec.dx && s <= spec.x_max() + spec.dx;
-  probe.branch(kRangeSite, in_range);
+  probe.branch(kWakeRangeSite, in_range);
   probe.count_flops(4);
   if (!in_range) return 0.0;
 
@@ -112,22 +108,7 @@ double WakeIntegrand::eval(double u, simt::LaneProbe& probe) const {
     inner += inner_w_[i] * f;
   }
   probe.count_flops(2 * static_cast<std::size_t>(inner_count_) + 12);
-  // Dispatch the radial kernel on the two paper exponents so std::pow sees
-  // a compile-time constant (identical value → bit-identical result).
-  const double base = u + regularization_;
-  double kernel;
-  switch (pow_kind_) {
-    case PowKind::kLongitudinal:
-      kernel = std::pow(base, kLongitudinalKernelPower);
-      break;
-    case PowKind::kTransverse:
-      kernel = std::pow(base, kTransverseKernelPower);
-      break;
-    default:
-      kernel = std::pow(base, kernel_power_);
-      break;
-  }
-  return amplitude_ * kernel * inner;
+  return amplitude_ * radial_kernel(u) * inner;
 }
 
 }  // namespace bd::beam

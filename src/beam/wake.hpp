@@ -9,6 +9,7 @@
 /// et al. / Murphy et al. — the paper's validation references [24], [25]).
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "beam/history.hpp"
@@ -91,6 +92,21 @@ class WakeIntegrand final : public quad::RadialIntegrand {
  private:
   /// Which compile-time exponent the radial kernel dispatch can use.
   enum class PowKind : std::uint8_t { kLongitudinal, kTransverse, kGeneric };
+
+  /// The radial kernel (u + u0)^p, dispatched on the two paper exponents so
+  /// std::pow sees a compile-time constant (identical value → bit-identical
+  /// result). Shared by eval() and eval_batch().
+  double radial_kernel(double u) const {
+    const double base = u + regularization_;
+    switch (pow_kind_) {
+      case PowKind::kLongitudinal:
+        return std::pow(base, kLongitudinalKernelPower);
+      case PowKind::kTransverse:
+        return std::pow(base, kTransverseKernelPower);
+      default:
+        return std::pow(base, kernel_power_);
+    }
+  }
 
   const GridHistory& history_;
   double amplitude_;

@@ -26,7 +26,7 @@
 #include "beam/history.hpp"
 #include "beam/stencil.hpp"
 #include "beam/wake.hpp"
-#include "quad/batch_eval.hpp"
+#include "quad/integrand.hpp"
 #include "util/check.hpp"
 
 namespace bd::beam {
@@ -156,20 +156,7 @@ void WakeIntegrand::eval_batch(const double* u, double* out, std::size_t n,
     }
     flops += 2 * static_cast<std::uint64_t>(ic) + 12;
     probe.count_flops(flops);
-    // Radial kernel: same compile-time-exponent dispatch as eval().
-    const double base = u[k] + regularization_;
-    double kernel = 0.0;
-    switch (pow_kind_) {
-      case PowKind::kLongitudinal:
-        kernel = std::pow(base, kLongitudinalKernelPower);
-        break;
-      case PowKind::kTransverse:
-        kernel = std::pow(base, kTransverseKernelPower);
-        break;
-      default:
-        kernel = std::pow(base, kernel_power_);
-        break;
-    }
+    const double kernel = radial_kernel(u[k]);
     const double inner =
         lane_inner_scalar(lane, inner_w_.data(), inner_wy_.data(), iy_ok, ic);
     out[k] = amplitude_ * kernel * inner;

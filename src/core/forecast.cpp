@@ -15,33 +15,11 @@ std::uint32_t round_pow2(double count) {
   return static_cast<std::uint32_t>(std::exp2(level));
 }
 
-std::vector<double> pattern_to_partition(std::span<const double> pattern,
-                                         double sub_width, double r_max,
-                                         double headroom) {
-  BD_CHECK(sub_width > 0.0 && r_max > 0.0 && headroom > 0.0);
-  std::vector<std::uint32_t> counts;
-  counts.reserve(pattern.size());
-  for (double n : pattern) counts.push_back(round_pow2(headroom * n));
-  return quad::partition_from_counts(counts, sub_width, r_max);
-}
-
-std::vector<double> pattern_to_partition_adaptive(
-    std::span<const double> pattern, const std::vector<double>& previous,
-    double sub_width, double r_max, double headroom) {
-  if (previous.size() < 2) {
-    return pattern_to_partition(pattern, sub_width, r_max, headroom);
-  }
-  std::vector<std::uint32_t> counts;
-  counts.reserve(pattern.size());
-  for (double n : pattern) counts.push_back(round_pow2(headroom * n));
-  return quad::refine_partition(previous, counts, sub_width, r_max);
-}
-
 namespace {
 
-/// Virtual view of quad::clip_partition(previous, 0, r_max) — the sequence
-/// [0.0] ++ {x in previous : 0 < x < r_max} ++ [r_max] — without
-/// materializing it.
+/// `previous` clipped to [0, r_max] — the sequence
+/// [0.0] ++ {x in previous : 0 < x < r_max} ++ [r_max] — as a view, without
+/// materializing it. Empty when `previous` does not overlap (0, r_max).
 struct ClippedPrev {
   std::span<const double> prev;
   std::size_t first = 0;     ///< index of the first interior element
@@ -71,30 +49,26 @@ ClippedPrev clip_view(std::span<const double> prev, double r_max) {
   return v;
 }
 
-/// Walk the clipped previous partition exactly like quad::refine_partition,
-/// deriving each subregion's previous-interval count from its run length:
-/// interval midpoints increase, so the (floor/clamped) subregion index is
-/// non-decreasing and all of a subregion's intervals form one contiguous
-/// run. Valid whenever `previous` spans [0, r_max] — true for every
-/// solver-built partition; the vector transforms remain the general path.
+/// Walk the clipped previous partition, deriving each subregion's
+/// previous-interval count d_j from its run length: interval midpoints
+/// increase, so the quad::subregion_of index is non-decreasing and all of
+/// a subregion's intervals form one contiguous run.
 /// emit(lo, hi, pieces) is called once per previous interval, in order.
 template <typename Emit>
 void refine_walk(std::span<const double> pattern, const ClippedPrev& c,
                  double sub_width, double headroom, Emit&& emit) {
   const std::size_t nint = c.size() - 1;
-  const auto kappa = static_cast<std::int64_t>(pattern.size());
   const auto subregion = [&](std::size_t i) {
-    const double mid = 0.5 * (c.at(i) + c.at(i + 1));
-    auto j = static_cast<std::int64_t>(std::floor(mid / sub_width));
-    return std::clamp<std::int64_t>(j, 0, kappa - 1);
+    return quad::subregion_of(c.at(i), c.at(i + 1), sub_width,
+                              pattern.size());
   };
   std::size_t i = 0;
   while (i < nint) {
-    const std::int64_t j = subregion(i);
+    const std::size_t j = subregion(i);
     std::size_t run_end = i + 1;
     while (run_end < nint && subregion(run_end) == j) ++run_end;
-    const std::uint32_t target = std::max<std::uint32_t>(
-        1, round_pow2(headroom * pattern[static_cast<std::size_t>(j)]));
+    const std::uint32_t target =
+        std::max<std::uint32_t>(1, round_pow2(headroom * pattern[j]));
     const auto have = static_cast<std::uint32_t>(run_end - i);
     const std::uint32_t pieces =
         std::max<std::uint32_t>(1, (target + have - 1) / have);
@@ -123,7 +97,10 @@ std::size_t pattern_to_partition_into(std::span<const double> pattern,
   for (std::size_t j = 0; j < pattern.size(); ++j) {
     const double lo = static_cast<double>(j) * sub_width;
     if (lo >= r_max) break;
-    const double hi = std::min(lo + sub_width, r_max);
+    // (j+1)·w is exactly r_max = w·κ in the last subregion; lo + w can
+    // fall an ulp short of it and leave a sliver interval up to r_max.
+    const double hi =
+        std::min(static_cast<double>(j + 1) * sub_width, r_max);
     const std::uint32_t n =
         std::max<std::uint32_t>(1, round_pow2(headroom * pattern[j]));
     for (std::uint32_t i = 1; i <= n; ++i) {

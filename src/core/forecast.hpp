@@ -7,9 +7,9 @@
 /// (MERGE-LISTS over all members) close to the finest member instead of
 /// blowing up.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace bd::core {
 
@@ -30,36 +30,20 @@ std::uint32_t round_pow2(double count);
 /// through to the (divergent) adaptive fallback every step.
 inline constexpr double kPartitionHeadroom = 1.3;
 
-/// Uniform transform: subregion j gets round_pow2(headroom · pattern[j])
-/// equal intervals. Returns breakpoints over [0, r_max].
-std::vector<double> pattern_to_partition(std::span<const double> pattern,
-                                         double sub_width, double r_max,
-                                         double headroom = kPartitionHeadroom);
-
-/// Adaptive transform: subdivide the previous partition so each subregion
-/// reaches at least the predicted count (paper: split each previous
-/// interval in S_j into n_j/d_j pieces). Falls back to the uniform
-/// transform when there is no previous partition.
-std::vector<double> pattern_to_partition_adaptive(
-    std::span<const double> pattern, const std::vector<double>& previous,
-    double sub_width, double r_max, double headroom = kPartitionHeadroom);
-
-// --- Allocation-free variants (PartitionSet fill path) ---
-//
-// The *_bound functions return a breakpoint-count upper bound for one
-// point, so a PartitionSet can lay out all rows in a single serial pass;
-// the *_into functions then fill each row slot in parallel, producing
-// exactly the same breakpoints as the vector-returning transforms above.
-// The adaptive variants require `previous` to span [0, r_max] (which
-// every solver-built partition does) so the per-subregion interval counts
-// can be derived from a single monotone walk instead of a scratch array.
+// Each transform is a *_bound / *_into pair: the bound is a breakpoint-
+// count upper bound for one point, so a PartitionSet can lay out all rows
+// in a single serial pass; the *_into function then fills each row slot
+// (in parallel, one point per row) and returns the length it wrote, which
+// never exceeds the bound.
 
 /// Breakpoint-count bound of the uniform transform.
 std::size_t pattern_to_partition_bound(std::span<const double> pattern,
                                        double headroom = kPartitionHeadroom);
 
-/// Uniform transform into a caller-provided slot (>= the bound). Returns
-/// the number of breakpoints written.
+/// Uniform transform (method 1): subregion j gets
+/// round_pow2(headroom · pattern[j]) equal intervals. Writes breakpoints
+/// over [0, r_max] into a caller-provided slot (>= the bound) and returns
+/// how many it wrote.
 std::size_t pattern_to_partition_into(std::span<const double> pattern,
                                       double sub_width, double r_max,
                                       std::span<double> out,
@@ -70,8 +54,17 @@ std::size_t pattern_to_partition_adaptive_bound(
     std::span<const double> pattern, std::span<const double> previous,
     double sub_width, double r_max, double headroom = kPartitionHeadroom);
 
-/// Adaptive transform into a caller-provided slot (>= the bound). Returns
-/// the number of breakpoints written.
+/// Adaptive transform (method 2): subdivide the previous partition so each
+/// subregion reaches at least the predicted count (paper: split each
+/// previous interval in S_j into n_j/d_j pieces). `previous` is clipped to
+/// [0, r_max] first: breakpoints outside it are dropped and 0 and r_max
+/// become the end points, and d_j counts the clipped intervals whose
+/// midpoint lies in S_j. With no previous partition (fewer than two
+/// breakpoints) this is the uniform transform; a previous partition that
+/// misses [0, r_max] entirely yields the single interval [0, r_max].
+/// Writes into a
+/// caller-provided slot (>= the bound) and returns how many breakpoints it
+/// wrote.
 std::size_t pattern_to_partition_adaptive_into(
     std::span<const double> pattern, std::span<const double> previous,
     double sub_width, double r_max, std::span<double> out,

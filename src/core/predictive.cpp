@@ -70,10 +70,8 @@ void PredictiveSolver::reset() {
 namespace {
 
 /// MERGE-LISTS fold over a member range: merge the members' partitions into
-/// one list using the scratch ping/pong buffers, append it as a row of
-/// `out` and return the row id. The fold order (and therefore every
-/// rounding decision) matches the historical pairwise merge_partitions
-/// chain exactly.
+/// one list left to right (((m0 ∪ m1) ∪ m2) ∪ ...) using the scratch
+/// ping/pong buffers, append it as a row of `out` and return the row id.
 std::size_t fold_merge_row(const quad::PartitionSet& parts,
                            std::span<const std::uint32_t> members,
                            SolverScratch& scratch, quad::PartitionSet& out) {

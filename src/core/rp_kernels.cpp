@@ -28,14 +28,6 @@ std::uint32_t block_dim_for(std::size_t max_cluster, std::uint32_t warp,
   return std::min(std::max(raw, warp), max_threads);
 }
 
-/// Subregion index of an interval midpoint.
-std::size_t subregion_of(const RpProblem& problem, double a, double b) {
-  const double mid = 0.5 * (a + b);
-  auto j = static_cast<std::int64_t>(std::floor(mid / problem.sub_width));
-  j = std::clamp<std::int64_t>(j, 0, problem.num_subregions - 1);
-  return static_cast<std::size_t>(j);
-}
-
 /// Sum of inner capacities — a before/after pair detects reallocation by
 /// the kernel lambdas (push_back past a list's high-water mark).
 template <typename Inner>
@@ -152,7 +144,8 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
               const double ratio = est.error / tau_local;
               const double factor =
                   std::clamp(std::pow(ratio, 0.25), 0.125, 2.0);
-              contrib[subregion_of(problem, a, b)] += factor;
+              contrib[quad::subregion_of(a, b, problem.sub_width,
+                                         problem.num_subregions)] += factor;
             } else {
               fail_list.push_back(FailedInterval{point, a, b, samples});
             }
@@ -198,17 +191,14 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
     span.arg("failed", static_cast<std::uint64_t>(total_failed));
   }
 
-  // Telemetry outside the traced hot section; the cluster-balance
-  // histogram loop is skipped entirely when metrics are off.
-  if (telemetry::metrics_enabled()) {
-    for (const auto& members : clusters.members) {
-      telemetry::histogram_record("rp.cluster_size",
-                                  static_cast<double>(members.size()));
-    }
-    telemetry::counter_add("rp.kernel_intervals", out.intervals);
-    telemetry::counter_add("rp.kernel_evaluations", out.evaluations);
-    telemetry::counter_add("rp.evals_saved", out.evaluations_saved);
+  // Telemetry outside the traced hot section.
+  for (const auto& members : clusters.members) {
+    telemetry::histogram_record("rp.cluster_size",
+                                static_cast<double>(members.size()));
   }
+  telemetry::counter_add("rp.kernel_intervals", out.intervals);
+  telemetry::counter_add("rp.kernel_evaluations", out.evaluations);
+  telemetry::counter_add("rp.evals_saved", out.evaluations_saved);
   return out;
 }
 
@@ -308,7 +298,8 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
           integrand, item.a, item.b, tol, item.samples, probe, options,
           stack,
           [&](const quad::AdaptiveWorkItem& leaf, const quad::QuadEstimate&) {
-            ++counts[subregion_of(problem, leaf.a, leaf.b)];
+            ++counts[quad::subregion_of(leaf.a, leaf.b, problem.sub_width,
+                                        problem.num_subregions)];
           });
 
       fb_integral[i] = result.integral;

@@ -13,8 +13,8 @@ OnlinePredictor::OnlinePredictor(PredictorKind kind, std::size_t feature_dim,
       feature_dim_(feature_dim),
       target_dim_(target_dim),
       window_(window),
-      knn_config_(knn),
-      ridge_config_(ridge) {
+      knn_(knn),
+      ridge_(ridge) {
   BD_CHECK(feature_dim > 0 && target_dim > 0 && window > 0);
   history_.resize(window_, Dataset(feature_dim_, target_dim_));
 }
@@ -52,13 +52,12 @@ void OnlinePredictor::refit() {
   if (merged.empty()) return;
   switch (kind_) {
     case PredictorKind::kKnn:
-      model_ = std::make_unique<KnnModel>(knn_config_);
+      knn_.fit(merged);
       break;
     case PredictorKind::kRidge:
-      model_ = std::make_unique<RidgeModel>(ridge_config_);
+      ridge_.fit(merged);
       break;
   }
-  model_->fit(merged);
   last_train_seconds_ = timer.seconds();
 }
 
@@ -94,14 +93,22 @@ void OnlinePredictor::load(util::BinaryReader& in) {
     std::vector<double> targets = in.read_f64_vector();
     slot.assign_raw(std::move(features), std::move(targets));
   }
-  model_.reset();
+  knn_ = KNNRegressor(knn_.config());
+  ridge_ = RidgeRegressor(ridge_.config());
   if (steps_seen_ > 0) refit();
 }
 
 void OnlinePredictor::predict_into(std::span<const double> features,
                                    std::span<double> out) const {
   BD_CHECK_MSG(ready(), "predictor not trained yet");
-  model_->predict_into(features, out);
+  switch (kind_) {
+    case PredictorKind::kKnn:
+      knn_.predict_into(features, out);
+      break;
+    case PredictorKind::kRidge:
+      ridge_.predict_into(features, out);
+      break;
+  }
 }
 
 }  // namespace bd::ml

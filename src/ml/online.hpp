@@ -6,7 +6,6 @@
 /// predictor g_k is learned from the patterns observed at step k (plus a
 /// short window of history) without unbounded memory growth.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,53 +20,10 @@ class BinaryReader;
 
 namespace bd::ml {
 
-/// Uniform interface over the interchangeable predictors.
-class Regressor {
- public:
-  virtual ~Regressor() = default;
-  virtual void fit(const Dataset& data) = 0;
-  virtual void predict_into(std::span<const double> features,
-                            std::span<double> out) const = 0;
-  virtual bool fitted() const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// kNN-backed Regressor.
-class KnnModel final : public Regressor {
- public:
-  explicit KnnModel(KnnConfig config = {}) : impl_(config) {}
-  void fit(const Dataset& data) override { impl_.fit(data); }
-  void predict_into(std::span<const double> features,
-                    std::span<double> out) const override {
-    impl_.predict_into(features, out);
-  }
-  bool fitted() const override { return impl_.fitted(); }
-  const char* name() const override { return "knn"; }
-
- private:
-  KNNRegressor impl_;
-};
-
-/// Ridge-regression-backed Regressor.
-class RidgeModel final : public Regressor {
- public:
-  explicit RidgeModel(LinRegConfig config = {}) : impl_(config) {}
-  void fit(const Dataset& data) override { impl_.fit(data); }
-  void predict_into(std::span<const double> features,
-                    std::span<double> out) const override {
-    impl_.predict_into(features, out);
-  }
-  bool fitted() const override { return impl_.fitted(); }
-  const char* name() const override { return "ridge"; }
-
- private:
-  RidgeRegressor impl_;
-};
-
-/// Which predictor to instantiate.
+/// Which regressor backs the predictor.
 enum class PredictorKind { kKnn, kRidge };
 
-/// Sliding-window online trainer around a Regressor.
+/// Sliding-window online trainer around a kNN or ridge regressor.
 class OnlinePredictor {
  public:
   /// \param window number of most recent steps whose observations are kept
@@ -87,12 +43,17 @@ class OnlinePredictor {
                     std::span<double> out) const;
 
   /// True once at least one step has been observed.
-  bool ready() const { return model_ && model_->fitted(); }
+  bool ready() const {
+    return kind_ == PredictorKind::kKnn ? knn_.fitted() : ridge_.fitted();
+  }
 
   std::size_t feature_dim() const { return feature_dim_; }
   std::size_t target_dim() const { return target_dim_; }
   std::size_t window() const { return window_; }
-  const char* model_name() const { return model_ ? model_->name() : "none"; }
+  const char* model_name() const {
+    if (!ready()) return "none";
+    return kind_ == PredictorKind::kKnn ? "knn" : "ridge";
+  }
 
   /// Seconds spent in the most recent refit (model training cost — the
   /// paper's Table II reports this overhead).
@@ -113,9 +74,8 @@ class OnlinePredictor {
   std::size_t feature_dim_;
   std::size_t target_dim_;
   std::size_t window_;
-  KnnConfig knn_config_;
-  LinRegConfig ridge_config_;
-  std::unique_ptr<Regressor> model_;
+  KNNRegressor knn_;      ///< fitted when kind_ == kKnn
+  RidgeRegressor ridge_;  ///< fitted when kind_ == kRidge
   std::vector<Dataset> history_;  // ring of recent step datasets
   std::size_t next_slot_ = 0;
   std::size_t steps_seen_ = 0;

@@ -31,27 +31,6 @@ void StandardScaler::fit(const Dataset& data) {
   }
 }
 
-void StandardScaler::fit_rows(std::span<const double> rows, std::size_t dim) {
-  BD_CHECK(dim > 0 && rows.size() % dim == 0 && !rows.empty());
-  const std::size_t n = rows.size() / dim;
-  means_.assign(dim, 0.0);
-  stds_.assign(dim, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < dim; ++c) means_[c] += rows[i * dim + c];
-  }
-  for (double& m : means_) m /= static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = rows[i * dim + c] - means_[c];
-      stds_[c] += d * d;
-    }
-  }
-  for (double& s : stds_) {
-    s = std::sqrt(s / static_cast<double>(n));
-    if (s < 1e-12) s = 1.0;
-  }
-}
-
 void StandardScaler::transform(std::span<double> features) const {
   BD_CHECK_MSG(fitted(), "scaler not fitted");
   BD_CHECK(features.size() == means_.size());

@@ -17,9 +17,6 @@ class StandardScaler {
   /// Fit means/stds from the dataset's features.
   void fit(const Dataset& data);
 
-  /// Fit from raw rows.
-  void fit_rows(std::span<const double> rows, std::size_t dim);
-
   /// Transform one feature vector in place.
   void transform(std::span<double> features) const;
 

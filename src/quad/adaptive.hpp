@@ -1,17 +1,18 @@
 #pragma once
 /// \file adaptive.hpp
 /// Stack-based adaptive Simpson quadrature — the RP-ADAPTIVEQUADRATURE of
-/// the paper. In addition to the integral/error estimates it returns the
-/// partition it generated along the outer dimension (the breakpoints) so
-/// callers can log the observed data-access pattern for the online learner.
+/// the paper. Besides the integral/error estimates, every accepted leaf
+/// interval is handed to a caller callback, so the caller can log the
+/// partition the driver generated (the fallback kernel counts leaves per
+/// subregion as the observed data-access pattern for the online learner).
 ///
 /// The driver is memoized: each work item carries the samples of its
 /// interval that are already known, so a bisection costs 2 new integrand
-/// evaluations (the two fine points of each child) instead of 5, and a
-/// caller that has just run a Simpson estimate on the root interval (the
-/// kernel-1 sweep) can seed the root for free. Accept/poison/depth logic,
-/// LIFO traversal order, and all arithmetic are unchanged, so results are
-/// bit-identical to the non-memoized driver.
+/// evaluations (the two fine points of each child) instead of 5, and the
+/// root is seeded with the five samples the kernel-1 sweep already paid
+/// for. Accept/poison/depth logic, LIFO traversal order and all arithmetic
+/// are those of the plain 5-evaluations-per-item driver, so results are
+/// bit-identical to it (tests/quad_oracle.hpp keeps that reference).
 
 #include <cmath>
 #include <cstdint>
@@ -28,16 +29,6 @@ namespace bd::quad {
 struct AdaptiveOptions {
   int max_depth = 30;           ///< bisection depth limit
   std::uint64_t max_intervals = 1u << 20;  ///< interval budget safety net
-};
-
-/// Result of adaptive integration over one interval.
-struct AdaptiveResult {
-  double integral = 0.0;
-  double error = 0.0;               ///< accumulated error estimate
-  std::uint64_t evaluations = 0;    ///< integrand evaluations
-  std::uint64_t evaluations_saved = 0;  ///< evals avoided by memoization
-  bool converged = true;            ///< false if a budget/depth limit hit
-  std::vector<double> breakpoints;  ///< sorted partition incl. both endpoints
 };
 
 /// One pending interval of the memoized worklist. The three coarse samples
@@ -57,7 +48,7 @@ struct AdaptiveWorkItem {
 };
 
 /// Aggregate outcome of the seeded driver. No breakpoint list — callers
-/// that need one collect interval starts through the accept callback.
+/// that need one collect leaf intervals through the accept callback.
 struct AdaptiveOutcome {
   double integral = 0.0;
   double error = 0.0;
@@ -74,17 +65,23 @@ inline constexpr std::uint32_t kAdaptiveAcceptSite =
     simt::site_id("quad/adaptive/accept");
 }  // namespace detail
 
-/// Memoized adaptive Simpson over [a, b], seeded with the five samples of
-/// the root interval (free when the caller just estimated it, e.g. during
-/// the kernel-1 partition sweep). `stack` is caller-provided scratch — it
-/// is cleared on entry and reusing it across calls makes the driver
-/// allocation-free in steady state. `accept(item, est)` is invoked for
-/// every accepted leaf in DFS (left-to-right) order.
+/// Memoized adaptive Simpson over [a, b] to absolute tolerance `tol`,
+/// seeded with the five samples of the root interval (free when the caller
+/// just estimated it, e.g. during the kernel-1 partition sweep). Tolerance
+/// is distributed proportionally to subinterval width (each bisection
+/// halves it), so the total error is bounded by `tol` — the classic
+/// adaptive-Simpson policy the paper's GPU fallback kernel executes. Loop
+/// trip counts and accept branches are reported through `probe` so the
+/// SIMT model sees this routine's data-dependent control flow. `stack` is
+/// caller-provided scratch — it is cleared on entry and reusing it across
+/// calls makes the driver allocation-free in steady state.
+/// `accept(item, est)` is invoked for every accepted leaf in DFS
+/// (left-to-right) order.
 ///
 /// Eval accounting: the driver pays 2 evaluations and books 3 saved per
-/// memoized child; the free seeded root books nothing here — the caller
+/// memoized child; the seeded root books nothing here — the caller
 /// decides whether its samples were actually free (+5 saved in the
-/// fallback, +0 in the standalone wrapper which paid for them).
+/// fallback).
 template <typename Accept>
 AdaptiveOutcome adaptive_simpson_seeded(const RadialIntegrand& f, double a,
                                         double b, double tol,
@@ -153,15 +150,5 @@ AdaptiveOutcome adaptive_simpson_seeded(const RadialIntegrand& f, double a,
   probe.loop_trip(detail::kAdaptiveLoopSite, trips);
   return out;
 }
-
-/// Adaptively integrate `f` over [a, b] to absolute tolerance `tol`.
-/// Tolerance is distributed proportionally to subinterval width so the
-/// total error is bounded by `tol` (the classic adaptive-Simpson policy;
-/// identical to the control flow the paper's GPU fallback kernel executes).
-/// Loop trip counts and branches are reported through `probe` so the SIMT
-/// model sees this routine's data-dependent control flow.
-AdaptiveResult adaptive_simpson(const RadialIntegrand& f, double a, double b,
-                                double tol, simt::LaneProbe& probe,
-                                const AdaptiveOptions& options = {});
 
 }  // namespace bd::quad

@@ -9,11 +9,16 @@
 /// (computed by the implementation with Newton–Cotes, reporting its memory
 /// traffic through the LaneProbe).
 
+#include <cstddef>
 #include <functional>
 
 #include "simt/probe.hpp"
 
 namespace bd::quad {
+
+/// Maximum samples per eval_batch call — the four fresh samples
+/// simpson_sweep pays per interval (the memoized bisection pays two).
+inline constexpr std::size_t kBatchWidth = 4;
 
 /// Abstract outer-dimension integrand f(r) = ∫ f(r, θ) dθ.
 class RadialIntegrand {
@@ -24,14 +29,17 @@ class RadialIntegrand {
   /// loads through `probe`.
   virtual double eval(double r, simt::LaneProbe& probe) const = 0;
 
-  /// Evaluate `n` radii in one call (n ≤ quad::kBatchWidth). The contract
-  /// is strict batch-of-eval semantics: out[k] must be bitwise identical to
+  /// Evaluate `n` radii in one call (n ≤ kBatchWidth). The contract is
+  /// strict batch-of-eval semantics: out[k] must be bitwise identical to
   /// eval(r[k], probe), and probe events must be emitted per sample in
   /// index order with the same per-site sequences the scalar path produces.
-  /// The default implementation (batch_eval.cpp) is exactly that loop;
-  /// integrands with a batched path (beam::WakeIntegrand) override it.
+  /// This default is exactly that loop — it also serves integrands that
+  /// never grow a batched path, including test doubles that count eval()
+  /// calls; beam::WakeIntegrand overrides it with its SoA path.
   virtual void eval_batch(const double* r, double* out, std::size_t n,
-                          simt::LaneProbe& probe) const;
+                          simt::LaneProbe& probe) const {
+    for (std::size_t k = 0; k < n; ++k) out[k] = eval(r[k], probe);
+  }
 };
 
 /// Adapter turning any callable double(double) into a RadialIntegrand.

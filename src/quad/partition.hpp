@@ -6,57 +6,35 @@
 /// an integration region. The paper represents each grid point's data
 /// access pattern by the number of partition intervals n_j that fall inside
 /// each radial subregion S_j = [j·w, (j+1)·w] (w = cΔt), and reconstructs
-/// partitions from (predicted) patterns with the transforms of §III-C2.
+/// partitions from (predicted) patterns with the transforms of §III-C2
+/// (core/forecast).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 namespace bd::quad {
 
-/// Sorted-unique merge of two sorted breakpoint lists — the paper's
-/// MERGE-LISTS. Values closer than `eps` are considered duplicates.
-std::vector<double> merge_partitions(const std::vector<double>& a,
-                                     const std::vector<double>& b,
-                                     double eps = 1e-12);
-
-/// Allocation-reusing MERGE-LISTS: writes the sorted-unique merge of `a`
-/// and `b` into `out` (cleared first, capacity reused). Produces exactly
-/// the same breakpoints as `merge_partitions`. `out` must not alias the
-/// inputs.
+/// The paper's MERGE-LISTS: writes the sorted-unique merge of `a` and `b`
+/// into `out` (cleared first, capacity reused). Values closer than `eps`
+/// are considered duplicates. `out` must not alias the inputs.
 void merge_partitions_into(std::span<const double> a,
                            std::span<const double> b,
                            std::vector<double>& out, double eps = 1e-12);
 
-/// Count partition intervals per subregion: subregion j covers
-/// [j·sub_width, (j+1)·sub_width). An interval is attributed to the
-/// subregion containing its midpoint. Breakpoints beyond
-/// num_subregions·sub_width are attributed to the last subregion.
-std::vector<std::uint32_t> count_per_subregion(
-    const std::vector<double>& breakpoints, double sub_width,
-    std::uint32_t num_subregions);
-
-/// Uniform partitioning transform (paper §III-C2, method 1): subregion j is
-/// divided into counts[j] equal intervals (0 counts produce the bare
-/// subregion boundary). Returns the global partition over
-/// [0, num_subregions·sub_width] clipped to [0, r_max].
-std::vector<double> partition_from_counts(
-    const std::vector<std::uint32_t>& counts, double sub_width, double r_max);
-
-/// Adaptive partitioning transform (paper §III-C2, method 2): each interval
-/// of `previous` that lies in subregion j is subdivided into
-/// ceil(counts[j] / d_j) equal pieces, where d_j is the number of previous
-/// intervals in that subregion. Falls back to the uniform transform for
-/// subregions where the previous partition has no interval.
-std::vector<double> refine_partition(const std::vector<double>& previous,
-                                     const std::vector<std::uint32_t>& counts,
-                                     double sub_width, double r_max);
-
-/// Restrict a global partition to the part inside [lo, hi]; endpoints are
-/// inserted if missing. Returns an empty vector when the partition does not
-/// overlap the window.
-std::vector<double> clip_partition(const std::vector<double>& breakpoints,
-                                   double lo, double hi);
+/// The subregion an interval [a, b] belongs to: the one holding its
+/// midpoint, where subregion j covers [j·sub_width, (j+1)·sub_width).
+/// Midpoints outside [0, num_subregions·sub_width) are attributed to the
+/// first or last subregion.
+inline std::size_t subregion_of(double a, double b, double sub_width,
+                                std::size_t num_subregions) {
+  const double mid = 0.5 * (a + b);
+  const auto j = static_cast<std::int64_t>(std::floor(mid / sub_width));
+  return static_cast<std::size_t>(std::clamp<std::int64_t>(
+      j, 0, static_cast<std::int64_t>(num_subregions) - 1));
+}
 
 /// True if breakpoints are strictly increasing.
 bool is_valid_partition(std::span<const double> breakpoints);

@@ -2,19 +2,7 @@
 
 #include <cmath>
 
-#include "quad/batch_eval.hpp"
-
 namespace bd::quad {
-
-double simpson_value(const RadialIntegrand& f, double a, double b,
-                     simt::LaneProbe& probe) {
-  const double m = 0.5 * (a + b);
-  const double value =
-      (b - a) / 6.0 * (f.eval(a, probe) + 4.0 * f.eval(m, probe) +
-                       f.eval(b, probe));
-  probe.count_flops(6);
-  return value;
-}
 
 QuadEstimate simpson_combine(double a, double b, const SimpsonSamples& s,
                              simt::LaneProbe& probe) {
@@ -31,28 +19,23 @@ QuadEstimate simpson_combine(double a, double b, const SimpsonSamples& s,
   return est;
 }
 
-QuadEstimate simpson_estimate(const RadialIntegrand& f, double a, double b,
-                              simt::LaneProbe& probe) {
-  const double m = 0.5 * (a + b);
-  SimpsonSamples s;
-  s.fa = f.eval(a, probe);
-  s.fm = f.eval(m, probe);
-  s.fb = f.eval(b, probe);
-  s.fl = f.eval(0.5 * (a + m), probe);
-  s.fr = f.eval(0.5 * (m + b), probe);
-
-  QuadEstimate est = simpson_combine(a, b, s, probe);
-  est.evaluations = 5;
-  return est;
-}
-
 QuadEstimate simpson_estimate_memo(const RadialIntegrand& f, double a,
                                    double b, double fa, double fm, double fb,
                                    simt::LaneProbe& probe,
                                    SimpsonSamples& out) {
-  // The memoized refinement pair (fl, fr) is one eval_batch block; the
-  // adaptive driver inherits the batched path through this delegation.
-  return simpson_refine_batch(f, a, b, fa, fm, fb, probe, out);
+  const double m = 0.5 * (a + b);
+  out.fa = fa;
+  out.fm = fm;
+  out.fb = fb;
+  const double r[2] = {0.5 * (a + m), 0.5 * (m + b)};
+  double fv[2];
+  f.eval_batch(r, fv, 2, probe);
+  out.fl = fv[0];
+  out.fr = fv[1];
+
+  QuadEstimate est = simpson_combine(a, b, out, probe);
+  est.evaluations = 2;
+  return est;
 }
 
 }  // namespace bd::quad

@@ -4,11 +4,11 @@
 /// RP-QUADRULE of the paper (Listing 1): estimates the rp-integral along
 /// one outer subregion, evaluating the inner integral at 5 radii.
 ///
-/// The evaluation-engine primitives below all share one arithmetic core
-/// (`simpson_combine`), so every entry point — the plain 5-point
-/// estimate, the 2-point memoized refinement, and the shared-sample
-/// partition sweep — produces bit-identical estimates for the same
-/// interval; they differ only in how many integrand evaluations they pay.
+/// Both evaluation-engine entry points below share one arithmetic core
+/// (`simpson_combine`), so the shared-sample partition sweep (kernel 1)
+/// and the 2-point memoized refinement (the adaptive fallback) produce
+/// bit-identical estimates for the same interval; they differ only in how
+/// many integrand evaluations they pay.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,37 +30,29 @@ struct SimpsonSamples {
   double fb = 0.0;
 };
 
-/// Richardson-extrapolated Simpson estimate from already-known samples.
-/// Costs 0 integrand evaluations (18 flops). `simpson_estimate` and the
-/// memoized/sweep variants are thin wrappers over this, which is what
+/// Richardson-extrapolated Simpson estimate from already-known samples:
+/// compares S(a,b) against S(a,m) + S(m,b), uses the standard
+/// |S2 - S1| / 15 error bound and returns the extrapolated value as the
+/// integral. Costs 0 integrand evaluations (18 flops). The sweep and the
+/// memoized refinement are thin wrappers over this, which is what
 /// guarantees their bit-identity.
 QuadEstimate simpson_combine(double a, double b, const SimpsonSamples& s,
                              simt::LaneProbe& probe);
 
-/// Simpson estimate over [a, b]: compares S(a,b) against
-/// S(a,m) + S(m,b) and uses the standard |S2 - S1| / 15 error bound, with
-/// the Richardson-extrapolated value returned as the integral.
-/// Costs 5 integrand evaluations.
-QuadEstimate simpson_estimate(const RadialIntegrand& f, double a, double b,
-                              simt::LaneProbe& probe);
-
 /// Simpson estimate over [a, b] with the three coarse samples
 /// fa = f(a), fm = f((a+b)/2), fb = f(b) already known (the memoized
-/// adaptive refinement path): evaluates only the two fine points fl, fr.
-/// Costs 2 integrand evaluations; the full sample set is written to `out`
-/// so the caller can seed further bisections.
+/// adaptive refinement path): evaluates only the two fine points fl, fr,
+/// as one eval_batch block in that order. Costs 2 integrand evaluations;
+/// the full sample set is written to `out` so the caller can seed further
+/// bisections.
 QuadEstimate simpson_estimate_memo(const RadialIntegrand& f, double a,
                                    double b, double fa, double fm, double fb,
                                    simt::LaneProbe& probe,
                                    SimpsonSamples& out);
 
-/// Plain (non-extrapolated) 3-point Simpson value over [a, b].
-double simpson_value(const RadialIntegrand& f, double a, double b,
-                     simt::LaneProbe& probe);
-
 /// Shared-sample sweep over a whole partition: produces the same estimate
-/// for every interval [p[i], p[i+1]] as a naive per-interval
-/// `simpson_estimate` loop, but carries f(b_i) into interval i+1, so a
+/// for every interval [p[i], p[i+1]] as a naive per-interval 5-point
+/// Simpson estimate, but carries f(b_i) into interval i+1, so a
 /// partition of n intervals costs 4·n+1 integrand evaluations instead of
 /// 5·n. Bit-identical to the naive loop: the integrand is pure and every
 /// sample-point expression is unchanged. The four fresh samples per

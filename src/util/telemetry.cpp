@@ -302,24 +302,6 @@ std::string MetricsRegistry::summary_csv() const {
   return os.str();
 }
 
-namespace {
-std::atomic<bool>& metrics_flag() {
-  static std::atomic<bool> enabled{[] {
-    const char* env = std::getenv("BD_METRICS");
-    return !(env && env[0] == '0' && env[1] == '\0');
-  }()};
-  return enabled;
-}
-}  // namespace
-
-bool metrics_enabled() {
-  return metrics_flag().load(std::memory_order_relaxed);
-}
-
-void set_metrics_enabled(bool enabled) {
-  metrics_flag().store(enabled, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // TelemetryScope
 // ---------------------------------------------------------------------------
@@ -352,15 +334,12 @@ TraceSession& current_trace() {
 }
 
 void counter_add(std::string_view name, std::uint64_t delta) {
-  if (!metrics_enabled()) return;
   current_metrics().counter_add(name, delta);
 }
 void gauge_set(std::string_view name, double value) {
-  if (!metrics_enabled()) return;
   current_metrics().gauge_set(name, value);
 }
 void histogram_record(std::string_view name, double value) {
-  if (!metrics_enabled()) return;
   current_metrics().histogram_record(name, value);
 }
 

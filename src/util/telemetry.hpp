@@ -19,8 +19,8 @@
 ///    including the thread-pool worker lanes of util/parallel.
 ///
 /// Both are ordinary instantiable classes; `global()` returns the
-/// process-wide default instance the free functions and `BD_TRACE` /
-/// `BD_METRICS` bootstrap use. Code that must keep several simulations'
+/// process-wide default instance the free functions and the `BD_TRACE`
+/// bootstrap use. Code that must keep several simulations'
 /// telemetry apart (core/fleet) creates one registry/session per
 /// simulation and routes the existing call sites to it with a
 /// **TelemetryScope** — a thread-local RAII override picked up by the free
@@ -34,11 +34,8 @@
 /// would-be span. Turn it on with the `BD_TRACE=out.json` environment
 /// variable (every binary; the file and a summary are emitted at exit) or
 /// the `--trace=out.json` flag that util/cli adds to every ArgParser
-/// binary. Metric counters are on by default; they are a handful of shard
-/// updates per solver step, not per-particle work. They can be disabled
-/// process-wide with `BD_METRICS=0` (or set_metrics_enabled(false)), which
-/// turns the free-function update paths into early returns so benchmarks
-/// can measure the solve path with zero telemetry overhead.
+/// binary. Metrics are always on; they are a handful of shard updates per
+/// solver step, not per-particle work.
 ///
 /// Span and metric *names* are literal strings by convention — the CI
 /// consistency check (tools/check_docs.sh) greps them out of the source
@@ -138,19 +135,10 @@ class MetricsRegistry {
 
 /// Convenience free functions on the *current* registry — the innermost
 /// TelemetryScope override on this thread, else the global instance (these
-/// exact spellings are what tools/check_docs.sh greps for). They
-/// early-return when metric capture is disabled (see metrics_enabled).
+/// exact spellings are what tools/check_docs.sh greps for).
 void counter_add(std::string_view name, std::uint64_t delta = 1);
 void gauge_set(std::string_view name, double value);
 void histogram_record(std::string_view name, double value);
-
-/// Whether the free-function metric updates are live. Defaults to true;
-/// bootstrapped from the BD_METRICS environment variable ("0" disables).
-/// Hot loops can check this once to skip metric preparation work entirely.
-bool metrics_enabled();
-
-/// Enable/disable metric capture process-wide.
-void set_metrics_enabled(bool enabled);
 
 // ---------------------------------------------------------------------------
 // Tracing

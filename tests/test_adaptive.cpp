@@ -1,4 +1,5 @@
-/// Tests for adaptive Simpson quadrature (RP-ADAPTIVEQUADRATURE).
+/// Tests for adaptive Simpson quadrature (RP-ADAPTIVEQUADRATURE): the
+/// seeded driver, run from a paid-for root by the quad_oracle.hpp wrapper.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +8,14 @@
 
 #include "quad/adaptive.hpp"
 #include "quad/partition.hpp"
+#include "quad_oracle.hpp"
 #include "util/check.hpp"
 
 namespace bd::quad {
 namespace {
+
+using bd::testing::adaptive_simpson;
+using bd::testing::AdaptiveResult;
 
 simt::NullProbe& probe() { return simt::NullProbe::instance(); }
 

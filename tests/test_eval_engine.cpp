@@ -13,13 +13,18 @@
 
 #include "beam/wake.hpp"
 #include "quad/adaptive.hpp"
-#include "quad/batch_eval.hpp"
+#include "quad/integrand.hpp"
 #include "quad/simpson.hpp"
+#include "quad_oracle.hpp"
 #include "simt_oracle.hpp"
 #include "test_helpers.hpp"
 
 namespace bd::quad {
 namespace {
+
+using bd::testing::adaptive_simpson;
+using bd::testing::AdaptiveResult;
+using bd::testing::simpson_estimate;
 
 simt::NullProbe& probe() { return simt::NullProbe::instance(); }
 
@@ -124,10 +129,9 @@ TEST(SimpsonMemo, TwoEvaluationsAndBitIdenticalEstimate) {
   EXPECT_EQ(out.fb, fb);
 }
 
-/// The historical non-memoized adaptive driver, reimplemented verbatim as
-/// a reference: same worklist discipline (LIFO, left child on top), same
-/// accept/poison/budget logic, but every item pays the full 5-point
-/// simpson_estimate.
+/// The non-memoized adaptive driver as a reference: same worklist
+/// discipline (LIFO, left child on top), same accept/poison/budget logic,
+/// but every item pays the full 5-point simpson_estimate.
 AdaptiveResult reference_adaptive(const RadialIntegrand& f, double a,
                                   double b, double tol,
                                   const AdaptiveOptions& options = {}) {

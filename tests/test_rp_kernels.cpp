@@ -7,6 +7,7 @@
 #include "core/forecast.hpp"
 #include "core/rp_kernels.hpp"
 #include "core/solver_scratch.hpp"
+#include "quad_oracle.hpp"
 #include "simt/device.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
@@ -15,6 +16,7 @@ namespace bd::core {
 namespace {
 
 using bd::testing::ProblemFixture;
+using bd::testing::uniform_partition;
 
 /// Shared scratch: kernel outputs (failed spans, intervals_per_item) point
 /// into it, so it must outlive each test's assertions.
@@ -27,7 +29,7 @@ RpKernelOutput run_with_uniform_counts(const ProblemFixture& fixture,
                                        double count,
                                        std::uint32_t block = 64) {
   const RpProblem& problem = fixture.problem;
-  const std::vector<double> partition = pattern_to_partition(
+  const std::vector<double> partition = uniform_partition(
       std::vector<double>(problem.num_subregions, count), problem.sub_width,
       problem.r_max(), 1.0);
   static quad::PartitionSet parts;    // keep alive across return
@@ -85,7 +87,7 @@ TEST(RpKernel, SharedPartitionUniformControlFlowWhenLanesAligned) {
   // irregularity pattern clustering exists to remove.
   const ProblemFixture fixture(32, 1e-5);
   const RpProblem& problem = fixture.problem;
-  const std::vector<double> shared_partition = pattern_to_partition(
+  const std::vector<double> shared_partition = uniform_partition(
       std::vector<double>(problem.num_subregions, 8.0), problem.sub_width,
       problem.r_max(), 1.0);
 
@@ -128,7 +130,7 @@ TEST(RpKernel, PerPointDivergenceLowersWarpEfficiency) {
   per_point.reset(problem.num_points());
   for (std::size_t p = 0; p < problem.num_points(); ++p) {
     const double count = (p % 2 == 0) ? 1.0 : 16.0;
-    per_point.bind(p, per_point.add_row(pattern_to_partition(
+    per_point.bind(p, per_point.add_row(uniform_partition(
                           std::vector<double>(problem.num_subregions, count),
                           problem.sub_width, problem.r_max(), 1.0)));
   }

@@ -60,19 +60,6 @@ TEST(Scaler, ConstantColumnLeftUnscaled) {
   EXPECT_NEAR(v[0], 2.0, 1e-12);  // centered, not divided by ~0
 }
 
-TEST(Scaler, FitRowsMatchesFitDataset) {
-  const Dataset d = two_column_data();
-  StandardScaler s1, s2;
-  s1.fit(d);
-  std::vector<double> rows;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    rows.insert(rows.end(), d.features(i).begin(), d.features(i).end());
-  }
-  s2.fit_rows(rows, 2);
-  EXPECT_NEAR(s1.means()[0], s2.means()[0], 1e-12);
-  EXPECT_NEAR(s1.stds()[1], s2.stds()[1], 1e-12);
-}
-
 TEST(Scaler, ErrorsOnMisuse) {
   StandardScaler scaler;
   std::vector<double> v{1.0};

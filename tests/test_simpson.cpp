@@ -1,21 +1,19 @@
 /// Tests for the Simpson estimate with Richardson error bound (the
-/// RP-QUADRULE of Listing 1).
+/// RP-QUADRULE of Listing 1): quad::simpson_combine on five samples.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "quad/simpson.hpp"
+#include "quad_oracle.hpp"
 
 namespace bd::quad {
 namespace {
 
-simt::NullProbe& probe() { return simt::NullProbe::instance(); }
+using bd::testing::simpson_estimate;
 
-TEST(Simpson, ValueExactForCubic) {
-  const FunctionIntegrand f([](double x) { return x * x * x - x; });
-  EXPECT_NEAR(simpson_value(f, 0.0, 2.0, probe()), 4.0 - 2.0, 1e-13);
-}
+simt::NullProbe& probe() { return simt::NullProbe::instance(); }
 
 TEST(Simpson, EstimateExactForCubicWithZeroError) {
   const FunctionIntegrand f([](double x) { return 2.0 * x * x * x + 1.0; });

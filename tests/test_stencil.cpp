@@ -125,9 +125,12 @@ TEST(Stencil, ClampsTimeNearHistoryEdges) {
 }
 
 TEST(Stencil, SpatialOnlySampleMatchesPlane) {
+  // At an integer time the Lagrange weights are (1, 0, 0): the sample is
+  // the spatial TSC sample of that step's plane alone.
   const GridHistory history = linear_history(2.0, 1.0, 1.0, 0.0, 3, 4);
   simt::NullProbe& probe = simt::NullProbe::instance();
-  const double v = sample_spatial(history, kChannelRho, 3, 0.5, -0.5, probe);
+  const double v =
+      sample_spacetime(history, kChannelRho, 0.5, -0.5, 3.0, probe);
   EXPECT_NEAR(v, 2.0 + 0.5 - 0.5, 1e-10);
 }
 

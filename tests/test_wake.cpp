@@ -11,6 +11,7 @@
 #include "beam/stencil.hpp"
 #include "beam/wake.hpp"
 #include "quad/adaptive.hpp"
+#include "quad_oracle.hpp"
 #include "simt_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -98,8 +99,8 @@ TEST(Wake, IntegrandMatchesContinuumOnNoiselessGrid) {
   for (double s : {-1.0, 0.0, 1.5}) {
     for (double y : {0.0, 0.8}) {
       const WakeIntegrand integrand(history, model, s, y, 20, kSubWidth);
-      const quad::AdaptiveResult r =
-          quad::adaptive_simpson(integrand, 0.0, kRMax, 1e-8, probe);
+      const bd::testing::AdaptiveResult r =
+          bd::testing::adaptive_simpson(integrand, 0.0, kRMax, 1e-8, probe);
       const double exact = analytic_force(s, y, model, params, kRMax);
       // Grid interpolation + finite inner window limit the agreement.
       EXPECT_NEAR(r.integral, exact,
@@ -116,8 +117,8 @@ TEST(Wake, TransverseIntegrandMatchesContinuum) {
   simt::NullProbe& probe = simt::NullProbe::instance();
   const double y = 1.0;
   const WakeIntegrand integrand(history, model, 0.0, y, 20, kSubWidth);
-  const quad::AdaptiveResult r =
-      quad::adaptive_simpson(integrand, 0.0, kRMax, 1e-8, probe);
+  const bd::testing::AdaptiveResult r =
+      bd::testing::adaptive_simpson(integrand, 0.0, kRMax, 1e-8, probe);
   const double exact = analytic_force(0.0, y, model, params, kRMax);
   EXPECT_NEAR(r.integral, exact, std::max(5e-3 * std::abs(exact), 2e-4));
   EXPECT_LT(exact, 0.0);  // focusing direction above the axis

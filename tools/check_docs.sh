@@ -9,7 +9,10 @@
 #      record-kind table in docs/ROBUSTNESS.md must list the same kinds;
 #   5. every backticked `PredictiveOptions::x`, `ClusteringAccel::x`,
 #      `RpClusteringOptions::x` or `KnnConfig::x` in README.md, DESIGN.md,
-#      EXPERIMENTS.md or docs/*.md must name a member its header declares.
+#      EXPERIMENTS.md or docs/*.md must name a member its header declares;
+#   6. every backticked src/ module path in those files (`quad/simpson`,
+#      `beam/wake_batch.cpp`, `src/core/fleet.{hpp,cpp}`, `simt/*`) must
+#      name an existing file or directory under src/.
 # Pure grep/sed — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -141,8 +144,38 @@ check_members ClusteringAccel src/core/clustering.hpp
 check_members RpClusteringOptions src/core/clustering.hpp
 check_members KnnConfig src/ml/knn.hpp
 
+# --- 6. documented src/ module paths ---------------------------------------
+# A path is `<dir>/<name>` with <dir> a top-level directory of src/ and an
+# optional `src/` prefix. `name.ext` and `name.{hpp,cpp}` must be files;
+# a bare `name` (a module) needs name.hpp, name.cpp or a directory;
+# `dir/` and `dir/*` need the directory.
+src_dirs=$(find src -mindepth 1 -maxdepth 1 -type d -printf '%f\n' | paste -sd'|')
+module_paths=$(grep -oHE "\`(src/)?($src_dirs)/[^\`/ ]*\`" "${option_docs[@]}" |
+  tr -d '\`' | sort -u)
+while IFS=: read -r doc path; do
+  [ -z "$path" ] && continue
+  rel="src/${path#src/}"
+  if [[ "$rel" =~ ^(.*)\{([^}]*)\}$ ]]; then
+    IFS=, read -ra exts <<< "${BASH_REMATCH[2]}"
+    targets=()
+    for ext in "${exts[@]}"; do targets+=("${BASH_REMATCH[1]}$ext"); done
+  else
+    targets=("$rel")
+  fi
+  for target in "${targets[@]}"; do
+    case "$target" in
+      */|*/\*) [ -d "${target%/*}" ] && continue ;;
+      *.*) [ -f "$target" ] && continue ;;
+      *) { [ -f "$target.hpp" ] || [ -f "$target.cpp" ] || [ -d "$target" ]; } &&
+           continue ;;
+    esac
+    echo "check_docs: $doc names \`$path\`, but $target does not exist" >&2
+    fail=1
+  done
+done <<< "$module_paths"
+
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names and $(echo "$kinds" | wc -l) journal record kinds documented, option members declared, links clean)"
+echo "check_docs: OK ($(echo "$names" | wc -l) telemetry names and $(echo "$kinds" | wc -l) journal record kinds documented, option members declared, $(echo "$module_paths" | wc -l) src/ paths exist, links clean)"

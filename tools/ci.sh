@@ -24,9 +24,10 @@
 # A docs stage checks docs consistency (tools/check_docs.sh): every
 # telemetry name documented in docs/METRICS.md and every documented name
 # still used, no dead markdown links, the fleet journal's record kinds
-# matching docs/ROBUSTNESS.md's record-kind table, and every documented
+# matching docs/ROBUSTNESS.md's record-kind table, every documented
 # PredictiveOptions/ClusteringAccel/RpClusteringOptions/KnnConfig member
-# still declared in its header.
+# still declared in its header, and every documented src/ module path
+# naming an existing file or directory.
 #
 # A perf-smoke stage runs bench_rp_eval against the checked-in baseline
 # (tools/perf_baseline_rp_eval.json). Eval counts are deterministic, so
