@@ -114,6 +114,8 @@ void BM_KMeansTiles(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansTiles)->Arg(128)->Arg(512);
 
+/// A stream of distinct lines through the K40 L1 geometry: every access
+/// misses.
 void BM_CacheAccess(benchmark::State& state) {
   simt::SetAssocCache cache(48 * 1024, 128, 6);
   std::uint64_t addr = 0;
@@ -124,6 +126,43 @@ void BM_CacheAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheAccess);
+
+/// Replay-like traffic: a seeded stream in which about 80% of accesses
+/// re-read one of the last capacity/2 lines brought in (hits, as on
+/// rigid-64, whose modeled L1 hit rate is 0.79) and the rest bring in a
+/// new line. Args: capacity, line size and ways — the K40 L1 and one of
+/// the 32 K40 L2 set partitions the replay shards the L2 into.
+void BM_CacheAccessMixed(benchmark::State& state) {
+  const auto capacity = static_cast<std::uint32_t>(state.range(0));
+  const auto line = static_cast<std::uint32_t>(state.range(1));
+  const auto ways = static_cast<std::uint32_t>(state.range(2));
+  const std::uint64_t recent = capacity / line / 2;
+  util::Rng rng(79);
+  std::vector<std::uint64_t> stream(1 << 16);
+  std::uint64_t fresh = 0;
+  for (std::uint64_t& addr : stream) {
+    if (fresh > recent && rng.uniform() < 0.8) {
+      addr = (fresh - 1 - rng.uniform_index(recent)) * line;
+    } else {
+      addr = fresh++ * line;
+    }
+  }
+  simt::SetAssocCache cache(capacity, line, ways);
+  std::size_t i = 0;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    const bool hit = cache.access(stream[i]);
+    benchmark::DoNotOptimize(hit);
+    hits += hit;
+    i = (i + 1) & (stream.size() - 1);
+  }
+  state.counters["hit_rate"] =
+      static_cast<double>(hits) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CacheAccessMixed)
+    ->ArgNames({"bytes", "line", "ways"})
+    ->Args({48 * 1024, 128, 6})
+    ->Args({64 * 16 * 32, 32, 16});
 
 void BM_AnalyzeWarp(benchmark::State& state) {
   // 32 lanes x 64 loads of 24-byte stencil rows: the shape of a kernel warp.

@@ -141,9 +141,14 @@ std::size_t pattern_to_partition_adaptive_into(
   if (!c.empty) {
     refine_walk(pattern, c, sub_width, headroom,
                 [&](double lo, double hi, std::uint32_t pieces) {
+                  // The last piece ends at hi itself: lo + (hi − lo)·s/
+                  // pieces can miss it by an ulp, leaving a sliver
+                  // interval before r_max.
                   for (std::uint32_t s = 1; s <= pieces; ++s) {
                     const double x =
-                        lo + (hi - lo) * static_cast<double>(s) / pieces;
+                        s == pieces
+                            ? hi
+                            : lo + (hi - lo) * static_cast<double>(s) / pieces;
                     if (x > out[len - 1]) out[len++] = x;
                   }
                 });

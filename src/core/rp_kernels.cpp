@@ -28,6 +28,15 @@ std::uint32_t block_dim_for(std::size_t max_cluster, std::uint32_t warp,
   return std::min(std::max(raw, warp), max_threads);
 }
 
+/// The launch-wide index of the lane's warp. Warps are numbered block by
+/// block, so concatenating per-warp lists in index order is lane order.
+std::size_t warp_index(const simt::ThreadCtx& ctx,
+                       std::uint32_t warps_per_block,
+                       std::uint32_t warp_size) {
+  return std::size_t{ctx.block_id} * warps_per_block +
+         ctx.thread_id / warp_size;
+}
+
 /// Sum of inner capacities — a before/after pair detects reallocation by
 /// the kernel lambdas (push_back past a list's high-water mark).
 template <typename Inner>
@@ -71,19 +80,22 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
     launch.num_blocks = static_cast<std::uint32_t>(num_blocks);
     launch.threads_per_block = block_dim;
 
-    // Per-block failure lists. The executor may run lanes from different
-    // blocks concurrently but runs each block's lanes serially on one
-    // thread (see executor.hpp), so per-block accumulators are race-free.
-    // Writes to out.integral/out.error/contributions are per-point, and
-    // every point belongs to exactly one cluster (= block), so those stay
-    // per-block too.
-    scratch.acquire_nested(scratch.failed_per_block, num_blocks);
+    // Per-warp failure lists and counters. The executor may run any two
+    // warps concurrently, even warps of one block, but runs each warp's
+    // lanes serially on one thread (see executor.hpp), so per-warp
+    // accumulators are race-free. Writes to out.integral/out.error/
+    // contributions are per-point, and every point belongs to exactly one
+    // lane, so those need no partials.
+    const std::uint32_t warps_per_block =
+        (block_dim + device.warp_size - 1) / device.warp_size;
+    const std::size_t num_warps = num_blocks * warps_per_block;
+    scratch.acquire_nested(scratch.failed_per_warp, num_warps);
     // Top every list up to the global failure high-water mark (see
     // SolverScratch::failed_watermark). The top-up allocates, so it books
     // a grow; it stops firing once all capacities meet the watermark.
     {
       bool topped_up = false;
-      for (auto& list : scratch.failed_per_block) {
+      for (auto& list : scratch.failed_per_warp) {
         list.clear();
         if (list.capacity() < scratch.failed_watermark) {
           list.reserve(scratch.failed_watermark);
@@ -92,15 +104,14 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
       }
       if (topped_up) scratch.note_capacity(true);
     }
-    auto intervals_per_block =
-        scratch.acquire_fill(scratch.intervals_per_block, num_blocks,
-                             std::uint64_t{0});
-    auto evals_per_block = scratch.acquire_fill(
-        scratch.evals_per_block, num_blocks, std::uint64_t{0});
-    auto saved_per_block = scratch.acquire_fill(
-        scratch.saved_per_block, num_blocks, std::uint64_t{0});
+    auto intervals_per_warp = scratch.acquire_fill(
+        scratch.intervals_per_warp, num_warps, std::uint64_t{0});
+    auto evals_per_warp = scratch.acquire_fill(
+        scratch.evals_per_warp, num_warps, std::uint64_t{0});
+    auto saved_per_warp = scratch.acquire_fill(
+        scratch.saved_per_warp, num_warps, std::uint64_t{0});
     const std::size_t failed_cap_before =
-        inner_capacity(scratch.failed_per_block);
+        inner_capacity(scratch.failed_per_warp);
 
     auto kernel = [&](const simt::ThreadCtx& ctx, simt::LaneProbe& probe) {
       const auto& members = clusters.members[ctx.block_id];
@@ -109,6 +120,8 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
         return;
       }
       const std::uint32_t point = members[ctx.thread_id];
+      const std::size_t warp =
+          warp_index(ctx, warps_per_block, device.warp_size);
       double x = 0.0, y = 0.0;
       problem.point_coords(point, x, y);
       const beam::WakeIntegrand integrand(*problem.history, *problem.model,
@@ -120,10 +133,10 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
 
       const std::size_t intervals = partition.size() - 1;
       probe.loop_trip(kIntervalLoop, intervals);
-      intervals_per_block[ctx.block_id] += intervals;
+      intervals_per_warp[warp] += intervals;
 
       auto contrib = out.contributions.at(point);
-      auto& fail_list = scratch.failed_per_block[ctx.block_id];
+      auto& fail_list = scratch.failed_per_warp[warp];
       const std::uint64_t evals = quad::simpson_sweep(
           integrand, partition, probe,
           [&](std::size_t, double a, double b, const quad::QuadEstimate& est,
@@ -150,41 +163,43 @@ RpKernelOutput run_compute_rp_integral(const simt::DeviceSpec& device,
               fail_list.push_back(FailedInterval{point, a, b, samples});
             }
           });
-      evals_per_block[ctx.block_id] += evals;
+      evals_per_warp[warp] += evals;
       // The sweep shares one sample per interior breakpoint: the naive
       // per-interval loop would have paid 5·n evaluations.
-      saved_per_block[ctx.block_id] +=
+      saved_per_warp[warp] +=
           5 * static_cast<std::uint64_t>(intervals) - evals;
     };
 
     out.metrics = simt::launch(device, launch, kernel);
 
-    if (inner_capacity(scratch.failed_per_block) > failed_cap_before) {
+    if (inner_capacity(scratch.failed_per_warp) > failed_cap_before) {
       scratch.note_capacity(true);
     }
     // Next power of two above 2x the worst list ever seen: the learner's
-    // slow convergence drifts per-block failure counts by a percent or so
+    // slow convergence drifts per-warp failure counts by a percent or so
     // per step, and a watermark that tracked the drift exactly would
     // re-trigger a round of top-ups on every new record. Quantized, the
     // watermark moves only when demand doubles.
-    for (const auto& list : scratch.failed_per_block) {
+    for (const auto& list : scratch.failed_per_warp) {
       scratch.failed_watermark = std::max(
           scratch.failed_watermark, std::bit_ceil(2 * list.size()));
     }
 
     std::size_t total_failed = 0;
-    for (const auto& list : scratch.failed_per_block) {
+    for (const auto& list : scratch.failed_per_warp) {
       total_failed += list.size();
     }
+    // (block, warp) order is lane order: the fallback sees each cluster's
+    // failures in member order, block by block, at any thread count.
     auto failed = scratch.acquire(scratch.failed, total_failed);
     std::size_t cursor = 0;
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const auto& list = scratch.failed_per_block[b];
+    for (std::size_t w = 0; w < num_warps; ++w) {
+      const auto& list = scratch.failed_per_warp[w];
       std::copy(list.begin(), list.end(), failed.begin() + cursor);
       cursor += list.size();
-      out.intervals += intervals_per_block[b];
-      out.evaluations += evals_per_block[b];
-      out.evaluations_saved += saved_per_block[b];
+      out.intervals += intervals_per_warp[w];
+      out.evaluations += evals_per_warp[w];
+      out.evaluations_saved += saved_per_warp[w];
     }
     out.failed = failed;
     span.arg("intervals", out.intervals);
@@ -223,7 +238,7 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
 
   // Group failed intervals into point-contiguous runs. Kernel 1 emits a
   // point's failures contiguously (one lane per point, lanes serial per
-  // block), so a run is all of a point's items and each group constructs
+  // warp), so a run is all of a point's items and each group constructs
   // its integrand exactly once. An arbitrary caller-built list merely
   // splits a point across groups — still correct, just fewer cache hits.
   auto offsets = scratch.acquire(scratch.group_offsets, failed.size() + 1);
@@ -252,9 +267,12 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
   auto fb_counts = scratch.acquire_fill(
       scratch.fb_counts, failed.size() * problem.num_subregions,
       std::uint32_t{0});
-  scratch.acquire_nested(scratch.fb_stacks, launch.num_blocks);
+  const std::uint32_t warps_per_block =
+      (launch.threads_per_block + device.warp_size - 1) / device.warp_size;
+  scratch.acquire_nested(scratch.fb_stacks,
+                         std::size_t{launch.num_blocks} * warps_per_block);
   // Same global-watermark top-up as the kernel-1 failure lists: worklist
-  // depth is a property of the workload, not of which block runs it.
+  // depth is a property of the workload, not of which warp runs it.
   {
     bool topped_up = false;
     for (auto& stack : scratch.fb_stacks) {
@@ -270,7 +288,7 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
   const quad::AdaptiveOptions options{};
 
   // Distinct items may share a point, and the executor runs lanes from
-  // different blocks concurrently — so the kernel only writes per-item
+  // different warps concurrently — so the kernel only writes per-item
   // slots (one lane per group of items); the read-modify-write into the
   // per-point arrays happens in the deterministic serial reduction below.
   // (A CUDA port would use atomics instead.)
@@ -287,7 +305,8 @@ FallbackOutput run_adaptive_fallback(const simt::DeviceSpec& device,
     const beam::WakeIntegrand integrand(*problem.history, *problem.model, x,
                                         y, problem.step, problem.sub_width);
     probe.loop_trip(kFallbackItems, end - begin);
-    auto& stack = scratch.fb_stacks[ctx.block_id];
+    auto& stack =
+        scratch.fb_stacks[warp_index(ctx, warps_per_block, device.warp_size)];
 
     for (std::size_t i = begin; i < end; ++i) {
       const FailedInterval& item = failed[i];

@@ -25,11 +25,13 @@ namespace bd::core {
 
 struct SolverScratch {
   // --- COMPUTE-RP-INTEGRAL (kernel 1) ---
-  /// Per-block failure lists (executor runs a block's lanes serially).
-  std::vector<std::vector<FailedInterval>> failed_per_block;
-  std::vector<std::uint64_t> intervals_per_block;
-  std::vector<std::uint64_t> evals_per_block;
-  std::vector<std::uint64_t> saved_per_block;
+  /// Per-warp failure lists and counters, indexed by block ×
+  /// warps-per-block + thread_id / warp_size (the executor runs a warp's
+  /// lanes serially; any two warps may run concurrently).
+  std::vector<std::vector<FailedInterval>> failed_per_warp;
+  std::vector<std::uint64_t> intervals_per_warp;
+  std::vector<std::uint64_t> evals_per_warp;
+  std::vector<std::uint64_t> saved_per_warp;
   /// Concatenated failure list the fallback consumes (RpKernelOutput::failed
   /// points into this).
   std::vector<FailedInterval> failed;
@@ -45,7 +47,7 @@ struct SolverScratch {
   std::vector<std::uint32_t> fb_intervals;
   /// Flat per-item subregion counts, stride num_subregions.
   std::vector<std::uint32_t> fb_counts;
-  /// Per-block adaptive worklists (lanes of a block run serially).
+  /// Per-warp adaptive worklists (lanes of a warp run serially).
   std::vector<std::vector<quad::AdaptiveWorkItem>> fb_stacks;
 
   // --- partition staging (solvers) ---
@@ -125,12 +127,12 @@ struct SolverScratch {
   std::uint64_t grow_events = 0;
   std::uint64_t reuse_events = 0;
 
-  /// Global high-water marks for the per-block inner containers above.
-  /// Every inner list is topped up to the worst block ever observed, so
+  /// Global high-water marks for the per-warp inner containers above.
+  /// Every inner list is topped up to the worst warp ever observed, so
   /// capacity becomes a property of the workload rather than of cluster
-  /// membership: solvers that reshuffle points across blocks each step
+  /// membership: solvers that reshuffle points across warps each step
   /// (predictive k-means) would otherwise chase the shuffle with a
-  /// reallocation whenever some block sets a purely local record.
+  /// reallocation whenever some warp sets a purely local record.
   std::size_t failed_watermark = 0;
   std::size_t stack_watermark = 0;
 };

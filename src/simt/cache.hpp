@@ -30,7 +30,8 @@ struct CacheStats {
 class SetAssocCache {
  public:
   /// \param capacity_bytes total size; must be a multiple of line*ways.
-  /// \param line_bytes line (transaction) size; must be a power of two.
+  /// \param line_bytes line (transaction) size; a power of two of at
+  ///        least 2 bytes.
   /// \param ways associativity; clamped so there is at least one set.
   SetAssocCache(std::uint32_t capacity_bytes, std::uint32_t line_bytes,
                 std::uint32_t ways);
@@ -48,17 +49,14 @@ class SetAssocCache {
   std::uint32_t ways() const { return ways_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = ~0ull;
-    std::uint64_t lru = 0;  // larger = more recently used
-    bool valid = false;
-  };
-
   std::uint32_t line_shift_;
   std::uint32_t num_sets_;
   std::uint32_t ways_;
-  std::uint64_t tick_ = 0;
-  std::vector<Way> ways_storage_;  // num_sets_ * ways_
+  /// num_sets_ * ways_ line numbers, each set's most recently used first,
+  /// so the LRU line is last and an access reads the set only up to its
+  /// line. An empty way holds ~0, which no `addr >> line_shift_`
+  /// produces, and empty ways stay at the back of their set.
+  std::vector<std::uint64_t> tags_;
 };
 
 }  // namespace bd::simt

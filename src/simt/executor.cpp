@@ -35,16 +35,19 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   const std::uint32_t num_sms = spec.num_sms;
 
   // --- Pass 1 (parallel): execute lanes, analyze warps -------------------
-  // One task per block. Lanes within a block run serially in lane order on
-  // one thread; lanes from different blocks may run concurrently (the
+  // One task per warp: task w runs warp w % warps_per_block of block
+  // w / warps_per_block, its lanes serially in lane order on one thread;
+  // any two warps may run concurrently, warps of one block included (the
   // contract kernels must obey, see executor.hpp). Each lane reports its
-  // events straight to the task's WarpRecorder, which analyzes a warp as
+  // events straight to the task's WarpRecorder, which analyzes the warp as
   // its lanes run and hands back its stream. Blocks are dealt to SMs
   // round-robin: block b is the (b / num_sms)-th block of SM b % num_sms,
-  // so each task writes its warps' streams straight to their place in that
+  // so each task writes its warp's stream straight to its place in that
   // SM's warp list and its divergence/coalescing counters to a private
   // KernelMetrics. Pass 1 shares no mutable state between tasks.
-  std::vector<KernelMetrics> analysis(config.num_blocks);
+  const std::size_t num_warps =
+      std::size_t{config.num_blocks} * warps_per_block;
+  std::vector<KernelMetrics> analysis(num_warps);
   std::vector<std::vector<WarpReplay>> sm_warps(num_sms);
   for (std::uint32_t sm = 0; sm < num_sms && sm < config.num_blocks; ++sm) {
     const std::uint32_t sm_blocks =
@@ -53,16 +56,15 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   }
   telemetry::TraceSession& session = telemetry::current_trace();
   const double lane_pass_start = session.enabled() ? session.now_us() : 0.0;
-  util::parallel_for(0, config.num_blocks, [&](std::size_t b) {
-    const auto block = static_cast<std::uint32_t>(b);
-    WarpReplay* replays =
-        &sm_warps[block % num_sms][std::size_t{block / num_sms} *
-                                   warps_per_block];
+  util::parallel_for_chunked(0, num_warps, 1, [&](std::size_t lo,
+                                                  std::size_t hi) {
     WarpRecorder recorder(spec);
-    for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
+    for (std::size_t w = lo; w < hi; ++w) {
+      const auto block = static_cast<std::uint32_t>(w / warps_per_block);
+      const auto warp = static_cast<std::uint32_t>(w % warps_per_block);
       const std::uint32_t lane_begin = warp * spec.warp_size;
-      const std::uint32_t lane_end = std::min(
-          lane_begin + spec.warp_size, config.threads_per_block);
+      const std::uint32_t lane_end =
+          std::min(lane_begin + spec.warp_size, config.threads_per_block);
       for (std::uint32_t t = lane_begin; t < lane_end; ++t) {
         recorder.begin_lane();
         ThreadCtx ctx;
@@ -71,7 +73,9 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
         ctx.global_id = block * config.threads_per_block + t;
         kernel(ctx, recorder);
       }
-      replays[warp] = recorder.finish(analysis[b]);
+      sm_warps[block % num_sms][std::size_t{block / num_sms} *
+                                    warps_per_block +
+                                warp] = recorder.finish(analysis[w]);
     }
   });
   if (session.enabled()) {
@@ -90,7 +94,7 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   const std::uint32_t num_shards = std::min(num_sms, config.num_blocks);
   KernelMetrics metrics = replay_caches(
       spec, sm_warps, std::size_t{resident} * warps_per_block);
-  for (const KernelMetrics& block : analysis) metrics += block;
+  for (const KernelMetrics& warp : analysis) metrics += warp;
   sm_warps = {};  // release the streams inside the replay span
 
   if (session.enabled()) {

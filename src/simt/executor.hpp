@@ -10,11 +10,11 @@
 ///
 /// Execution is a two-pass pipeline:
 ///
-///  1. *Lane execution* (parallel): kernel lambdas run block by block on
-///     the process thread pool (util/parallel.hpp, BD_NUM_THREADS), each
-///     warp's lanes streaming into one WarpRecorder that derives its
-///     divergence/coalescing counters and transaction stream in the same
-///     pass. This is where all the quadrature time goes.
+///  1. *Lane execution* (parallel): kernel lambdas run warp by warp on the
+///     process thread pool (util/parallel.hpp, BD_NUM_THREADS), one task
+///     per warp, its lanes streaming into one WarpRecorder that derives
+///     the warp's divergence/coalescing counters and transaction stream in
+///     the same pass. This is where all the quadrature time goes.
 ///  2. *Cache replay* (sharded, simt::replay_caches): per-SM L1 state is
 ///     independent, so each SM's warps replay through its private L1 in
 ///     parallel on the pool, bucketing L1-miss lines by L2 set partition
@@ -25,12 +25,14 @@
 ///     scheduling and of BD_NUM_THREADS.
 ///
 /// Lane-concurrency contract (what kernel bodies must obey, mirroring a
-/// real GPU): lanes from *different blocks* may execute concurrently; lanes
-/// within one block run serially in lane order on a single thread. A kernel
-/// may therefore freely mutate state indexed by block_id / thread_id /
-/// global_id, but writes to state shared across blocks (e.g. accumulating
-/// into a per-point array when two blocks can touch the same point) must be
-/// restructured as per-block or per-item partials reduced serially after
+/// real GPU, which orders neither its blocks nor the warps of a block): the
+/// lanes of one warp run serially in lane order on a single thread; any
+/// two warps may execute concurrently, even warps of one block. A kernel
+/// may therefore freely mutate state indexed by warp (block_id ×
+/// warps-per-block + thread_id / warp_size) or by lane, but writes to state
+/// shared across warps (e.g. accumulating into a per-block total, or into
+/// a per-point array when two warps can touch the same point) must be
+/// restructured as per-warp or per-item partials reduced serially after
 /// launch() returns — see core/rp_kernels.cpp.
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "simt/cache.hpp"
 #include "simt/coalescer.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -12,6 +13,37 @@ namespace bd::simt {
 namespace {
 
 constexpr std::uint32_t kInitialLines = 8;
+
+/// L1 stage of the cache replay: interleaves several warps' transaction
+/// streams through the SM's private L1 round-robin, one instruction at a
+/// time — the concurrency model of an SM's warp schedulers. Scattered
+/// per-warp streams thrash the shared L1; streams touching common lines
+/// share it. Accumulates L1 hit/miss counters into `out` and appends the
+/// line address of every L1 miss to `l2_misses` in replay order.
+void replay_interleaved_l1(std::span<const WarpReplay> replays,
+                           SetAssocCache& l1, KernelMetrics& out,
+                           std::vector<std::uint64_t>& l2_misses) {
+  std::size_t rounds = 0;
+  for (const WarpReplay& replay : replays) {
+    rounds = std::max(rounds, replay.loads());
+  }
+  // Round i issues load i of every warp that has one.
+  for (std::size_t i = 0; i < rounds; ++i) {
+    for (const WarpReplay& replay : replays) {
+      if (i >= replay.loads()) continue;
+      for (std::uint32_t k = replay.offsets[i]; k < replay.offsets[i + 1];
+           ++k) {
+        const std::uint64_t line = replay.lines[k];
+        if (l1.access(line)) {
+          ++out.l1.hits;
+        } else {
+          ++out.l1.misses;
+          l2_misses.push_back(line);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -138,31 +170,6 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   sums_ = {};
   lanes_ = 0;
   return replay;
-}
-
-void replay_interleaved_l1(std::span<const WarpReplay> replays,
-                           SetAssocCache& l1, KernelMetrics& out,
-                           std::vector<std::uint64_t>& l2_misses) {
-  std::size_t rounds = 0;
-  for (const WarpReplay& replay : replays) {
-    rounds = std::max(rounds, replay.loads());
-  }
-  // Round i issues load i of every warp that has one.
-  for (std::size_t i = 0; i < rounds; ++i) {
-    for (const WarpReplay& replay : replays) {
-      if (i >= replay.loads()) continue;
-      for (std::uint32_t k = replay.offsets[i]; k < replay.offsets[i + 1];
-           ++k) {
-        const std::uint64_t line = replay.lines[k];
-        if (l1.access(line)) {
-          ++out.l1.hits;
-        } else {
-          ++out.l1.misses;
-          l2_misses.push_back(line);
-        }
-      }
-    }
-  }
 }
 
 std::uint32_t l2_partitions(const DeviceSpec& spec) {

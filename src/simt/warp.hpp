@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
 #include "simt/probe.hpp"
@@ -158,16 +157,6 @@ class WarpRecorder final : public LaneProbe {
   std::vector<std::uint64_t> arena_;  // storage of every LineSet
   Sums sums_;
 };
-
-/// L1 stage of the cache replay: interleaves several warps' transaction
-/// streams through the SM's private L1 round-robin, one instruction at a
-/// time — the concurrency model of an SM's warp schedulers. Scattered
-/// per-warp streams thrash the shared L1; streams touching common lines
-/// share it. Accumulates L1 hit/miss counters into `out` and appends the
-/// line address of every L1 miss to `l2_misses` in replay order.
-void replay_interleaved_l1(std::span<const WarpReplay> replays,
-                           SetAssocCache& l1, KernelMetrics& out,
-                           std::vector<std::uint64_t>& l2_misses);
 
 /// Number of set partitions replay_caches splits the shared L2 into: up
 /// to 32, and at most as many as keep every L1 line's L2 sectors inside

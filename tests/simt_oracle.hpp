@@ -1,17 +1,17 @@
 #pragma once
 /// Reference implementations the SIMT model's fast paths are checked
 /// against: the hash-map warp analyzer with its per-instruction coalescer,
-/// the serial single-L2 replay, and the serial per-SM cache replay built
-/// from them. LaneTrace records one lane's probe events for the oracle and
-/// for tests that compare event streams.
+/// the tick-LRU cache, the serial single-L2 replay, and the serial per-SM
+/// cache replay built from them. LaneTrace records one lane's probe events
+/// for the oracle and for tests that compare event streams.
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "simt/cache.hpp"
 #include "simt/coalescer.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
@@ -98,6 +98,80 @@ inline simt::WarpReplay record_warp(std::span<const LaneTrace> lanes,
 }
 
 namespace oracle {
+
+/// Set-associative cache with true-LRU replacement by access tick: each
+/// way keeps the tick of its last access, and a miss fills an empty way
+/// or else evicts the way with the oldest tick. The reference for
+/// simt::SetAssocCache, with the same set count.
+class TickLruCache {
+ public:
+  TickLruCache(std::uint32_t capacity_bytes, std::uint32_t line_bytes,
+               std::uint32_t ways)
+      : ways_(ways) {
+    BD_CHECK_MSG(line_bytes > 0 && std::has_single_bit(line_bytes),
+                 "line size must be a power of two");
+    BD_CHECK_MSG(ways > 0 && capacity_bytes / line_bytes >= ways,
+                 "bad cache geometry");
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    num_sets_ = std::bit_floor(capacity_bytes / line_bytes / ways);
+    ways_storage_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{});
+  }
+
+  /// Probe and fill: true on hit; on miss the line is installed.
+  bool access(std::uint64_t addr) {
+    const std::uint64_t line = addr >> line_shift_;
+    Way* set = &ways_storage_[set_begin(line)];
+    ++tick_;
+    Way* victim = set;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      Way& way = set[w];
+      if (way.valid && way.tag == line) {
+        way.lru = tick_;
+        return true;
+      }
+      if (!way.valid) {
+        victim = &way;  // prefer an invalid way
+      } else if (victim->valid && way.lru < victim->lru) {
+        victim = &way;
+      }
+    }
+    victim->tag = line;
+    victim->valid = true;
+    victim->lru = tick_;
+    return false;
+  }
+
+  /// The address of the line the next miss in `addr`'s set would evict,
+  /// or nothing while the set has an empty way.
+  std::optional<std::uint64_t> lru_line(std::uint64_t addr) const {
+    const Way* set = &ways_storage_[set_begin(addr >> line_shift_)];
+    const Way* oldest = set;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) return std::nullopt;
+      if (set[w].lru < oldest->lru) oldest = &set[w];
+    }
+    return oldest->tag << line_shift_;
+  }
+
+  std::uint32_t num_sets() const { return num_sets_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = ~0ull;
+    std::uint64_t lru = 0;  // larger = more recently used
+    bool valid = false;
+  };
+
+  std::size_t set_begin(std::uint64_t line) const {
+    return static_cast<std::size_t>(line & (num_sets_ - 1)) * ways_;
+  }
+
+  std::uint32_t line_shift_ = 0;
+  std::uint32_t num_sets_ = 0;
+  std::uint32_t ways_;
+  std::uint64_t tick_ = 0;
+  std::vector<Way> ways_storage_;  // num_sets_ * ways_
+};
 
 /// One lane's contribution to a warp load.
 struct LaneAccess {
@@ -268,11 +342,38 @@ inline LoadStream analyze_warp_groups(std::span<const LaneTrace> traces,
   return loads;
 }
 
+/// One SM's L1, serially: the warps' streams interleaved round-robin one
+/// load at a time (round i issues load i of every warp that has one). L1
+/// misses are appended to `l2_misses` in replay order.
+inline void replay_interleaved_l1(std::span<const simt::WarpReplay> replays,
+                                  TickLruCache& l1, simt::KernelMetrics& out,
+                                  std::vector<std::uint64_t>& l2_misses) {
+  std::vector<LoadStream> streams;
+  for (const simt::WarpReplay& replay : replays) {
+    streams.push_back(loads_of(replay));
+  }
+  for (std::size_t i = 0;; ++i) {
+    bool issued = false;
+    for (const LoadStream& loads : streams) {
+      if (i >= loads.size()) continue;
+      issued = true;
+      for (std::uint64_t line : loads[i]) {
+        if (l1.access(line)) {
+          ++out.l1.hits;
+        } else {
+          ++out.l1.misses;
+          l2_misses.push_back(line);
+        }
+      }
+    }
+    if (!issued) return;
+  }
+}
+
 /// One shared L2, serially: each recorded L1-miss line fetched as
 /// l2_line_bytes sector transactions, in the order given.
 inline void replay_l2_lines(const std::vector<std::uint64_t>& lines,
-                            const simt::DeviceSpec& spec,
-                            simt::SetAssocCache& l2,
+                            const simt::DeviceSpec& spec, TickLruCache& l2,
                             simt::KernelMetrics& out) {
   for (std::uint64_t line : lines) {
     for (std::uint32_t off = 0; off < spec.l1_line_bytes;
@@ -293,11 +394,11 @@ inline void replay_l2_lines(const std::vector<std::uint64_t>& lines,
 /// the L1 misses through the shared L2 — the pre-sharding executor.
 inline void replay_interleaved(std::span<const simt::WarpReplay> replays,
                                const simt::DeviceSpec& spec,
-                               simt::SetAssocCache& l1,
-                               simt::SetAssocCache& l2,
+                               oracle::TickLruCache& l1,
+                               oracle::TickLruCache& l2,
                                simt::KernelMetrics& out) {
   std::vector<std::uint64_t> l2_misses;
-  simt::replay_interleaved_l1(replays, l1, out, l2_misses);
+  oracle::replay_interleaved_l1(replays, l1, out, l2_misses);
   oracle::replay_l2_lines(l2_misses, spec, l2, out);
 }
 
@@ -309,9 +410,9 @@ inline simt::KernelMetrics serial_replay(
     const std::vector<std::vector<simt::WarpReplay>>& streams,
     std::size_t warps_per_chunk) {
   simt::KernelMetrics out;
-  simt::SetAssocCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+  oracle::TickLruCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
-    simt::SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
+    oracle::TickLruCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
     const std::span<const simt::WarpReplay> warps = streams[sm];
     for (std::size_t begin = 0; begin < warps.size();
          begin += warps_per_chunk) {
@@ -326,7 +427,7 @@ inline simt::KernelMetrics serial_replay(
 /// Analyze one warp and replay it alone.
 inline void analyze_warp(std::span<const LaneTrace> lanes,
                          const simt::DeviceSpec& spec,
-                         simt::SetAssocCache& l1, simt::SetAssocCache& l2,
+                         oracle::TickLruCache& l1, oracle::TickLruCache& l2,
                          simt::KernelMetrics& out) {
   const simt::WarpReplay replay = record_warp(lanes, spec, out);
   replay_interleaved({&replay, 1}, spec, l1, l2, out);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "simt/cache.hpp"
+#include "simt_oracle.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace bd::simt {
 namespace {
+
+using bd::testing::oracle::TickLruCache;
 
 /// A 4-set, 2-way cache of 128 B lines whose hits and misses are counted
 /// from access() results, as the cache replay counts them.
@@ -79,6 +83,7 @@ TEST(Cache, StatsAccumulate) {
 
 TEST(Cache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache(1024, 100, 2), CheckError);  // non-pow2 line
+  EXPECT_THROW(SetAssocCache(1024, 1, 2), CheckError);    // 1-byte line
   EXPECT_THROW(SetAssocCache(128, 128, 2), CheckError);   // capacity < ways
   EXPECT_THROW(SetAssocCache(1024, 128, 0), CheckError);  // zero ways
 }
@@ -93,6 +98,64 @@ TEST(Cache, FullyAssociativeWorks) {
   }
   cache.access(4 * 128);                  // evicts line 0 (LRU)
   EXPECT_FALSE(cache.access(0));
+}
+
+TEST(Cache, MatchesTickLruOracle) {
+  // Seeded streams over a pool of lines: a pool just above capacity gives
+  // a hit-heavy stream, one 8x capacity a miss-heavy one. A quarter of
+  // the accesses repeat the previous line (its set's most recent) or the
+  // line the oracle would evict next (its set's least recent): the two
+  // ends of each set's recency order. Every access's hit/miss must equal
+  // the oracle's.
+  struct Geometry {
+    const char* name;
+    std::uint32_t capacity, line, ways;
+  };
+  const Geometry geometries[] = {
+      {"direct-mapped", 1024, 128, 1},
+      {"2-way", 1024, 128, 2},
+      {"K40 L1", 48 * 1024, 128, 6},
+      {"K40 L2 partition", 64 * 16 * 32, 32, 16},
+      {"fully associative", 16 * 128, 128, 16},
+  };
+  for (const Geometry& g : geometries) {
+    const std::uint32_t lines = g.capacity / g.line;
+    for (const std::uint32_t pool : {lines + lines / 4, 8 * lines}) {
+      SCOPED_TRACE(::testing::Message()
+                   << g.name << ", pool of " << pool << " lines");
+      SetAssocCache cache(g.capacity, g.line, g.ways);
+      TickLruCache oracle(g.capacity, g.line, g.ways);
+      ASSERT_EQ(cache.num_sets(), oracle.num_sets());
+      util::Rng rng(pool * 31 + g.ways);
+      std::uint64_t prev = 0;
+      std::uint64_t hits = 0, lru_hits = 0;
+      constexpr int kAccesses = 20000;
+      for (int i = 0; i < kAccesses; ++i) {
+        const double pick = rng.uniform();
+        std::uint64_t addr =
+            rng.uniform_index(pool) * g.line + rng.uniform_index(g.line);
+        const std::optional<std::uint64_t> lru = oracle.lru_line(addr);
+        const bool repeat_lru = pick < 0.125 && lru.has_value();
+        if (repeat_lru) {
+          addr = *lru + rng.uniform_index(g.line);
+        } else if (pick < 0.25 && i > 0) {
+          addr = prev;
+        }
+        const bool want = oracle.access(addr);
+        ASSERT_EQ(cache.access(addr), want) << "access " << i << " at "
+                                            << addr;
+        hits += want;
+        lru_hits += repeat_lru && want;
+        prev = addr;
+      }
+      EXPECT_GT(lru_hits, 0u);
+      if (pool > 2 * lines) {
+        EXPECT_LT(hits, kAccesses / 2u);
+      } else {
+        EXPECT_GT(hits, kAccesses / 2u);
+      }
+    }
+  }
 }
 
 class CacheCapacitySweep : public ::testing::TestWithParam<std::uint32_t> {};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "simt/executor.hpp"
@@ -31,6 +32,33 @@ TEST(Executor, RunsEveryThreadExactlyOnce) {
     BD_CHECK(ctx.global_id == ctx.block_id * 64 + ctx.thread_id);
   });
   for (int v : visits) EXPECT_EQ(v, 1);
+}
+
+TEST(Executor, WarpLanesRunInLaneOrderOnOneThread) {
+  // The lane-concurrency contract: any two warps may run at once, but the
+  // lanes of one warp run serially, in lane order, on one thread. Each
+  // lane records its thread and that thread's running lane count; 72
+  // threads per block leave an 8-lane last warp.
+  struct Slot {
+    std::thread::id thread;
+    std::uint64_t seq = 0;
+  };
+  const DeviceSpec spec = test_device();
+  const LaunchConfig config{6, 72};
+  std::vector<Slot> slots(config.num_blocks * config.threads_per_block);
+  util::ThreadPool::set_global_threads(8);
+  launch(spec, config, [&](const ThreadCtx& ctx, LaneProbe& p) {
+    thread_local std::uint64_t lanes_run = 0;
+    slots[ctx.global_id] = Slot{std::this_thread::get_id(), ++lanes_run};
+    p.count_flops(1);
+  });
+  util::ThreadPool::set_global_threads(0);
+  for (std::uint32_t g = 0; g < slots.size(); ++g) {
+    if ((g % config.threads_per_block) % spec.warp_size == 0) continue;
+    SCOPED_TRACE(::testing::Message() << "lane " << g);
+    EXPECT_EQ(slots[g].thread, slots[g - 1].thread);
+    EXPECT_EQ(slots[g].seq, slots[g - 1].seq + 1);
+  }
 }
 
 TEST(Executor, DeterministicMetrics) {

@@ -11,6 +11,7 @@
 #include "simt/device.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace bd::core {
 namespace {
@@ -58,6 +59,59 @@ TEST(RpKernel, FinePartitionMostlyPasses) {
   const RpKernelOutput coarse = run_with_uniform_counts(fixture, 1.0);
   const RpKernelOutput fine = run_with_uniform_counts(fixture, 16.0);
   EXPECT_LT(fine.failed.size(), coarse.failed.size() / 2 + 1);
+}
+
+TEST(RpKernel, FailedListInLaneOrderAtAnyThreadCount) {
+  // Kernel 1 keeps a failure list per warp, and any two warps may run at
+  // once. Concatenated in (block, warp) order the lists are lane order:
+  // each cluster's failed points in member order, block by block, the
+  // same list at any pool width. Scrambled members, three warps a block.
+  const ProblemFixture fixture(16, 1e-7);
+  const RpProblem& problem = fixture.problem;
+  std::vector<std::uint32_t> order(problem.num_points());
+  std::vector<std::size_t> rank(problem.num_points());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<std::uint32_t>((i * 97) % order.size());
+    rank[order[i]] = i;
+  }
+  const ClusterAssignment clusters = ordered_clustering(order, 96);
+  ASSERT_GT(clusters.members.size(), 2u);
+  quad::PartitionSet parts;
+  parts.reset(problem.num_points());
+  parts.bind_all(parts.add_row(uniform_partition(
+      std::vector<double>(problem.num_subregions, 1.0), problem.sub_width,
+      problem.r_max(), 1.0)));
+  RpKernelInput input;
+  input.problem = &problem;
+  input.clusters = &clusters;
+  input.partitions = &parts;
+
+  std::vector<std::vector<FailedInterval>> runs;
+  for (unsigned threads : {1u, 8u}) {
+    util::ThreadPool::set_global_threads(threads);
+    const RpKernelOutput out =
+        run_compute_rp_integral(simt::tesla_k40(), input, test_scratch());
+    runs.emplace_back(out.failed.begin(), out.failed.end());
+  }
+  util::ThreadPool::set_global_threads(0);
+
+  const std::vector<FailedInterval>& serial = runs[0];
+  const std::vector<FailedInterval>& pooled = runs[1];
+  ASSERT_GT(serial.size(), problem.num_points());
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "item " << i);
+    EXPECT_EQ(pooled[i].point, serial[i].point);
+    EXPECT_EQ(pooled[i].a, serial[i].a);
+    EXPECT_EQ(pooled[i].b, serial[i].b);
+    EXPECT_EQ(pooled[i].samples.fm, serial[i].samples.fm);
+    if (i > 0) {
+      EXPECT_LE(rank[serial[i - 1].point], rank[serial[i].point]);
+      if (serial[i - 1].point == serial[i].point) {
+        EXPECT_LT(serial[i - 1].a, serial[i].a);
+      }
+    }
+  }
 }
 
 TEST(RpKernel, FallbackRestoresTolerance) {

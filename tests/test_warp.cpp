@@ -24,8 +24,8 @@ constexpr std::uint32_t kBranch = site_id("test/branch");
 
 struct WarpHarness {
   DeviceSpec spec = test_device();
-  SetAssocCache l1{spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways};
-  SetAssocCache l2{spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways};
+  oracle::TickLruCache l1{spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways};
+  oracle::TickLruCache l2{spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways};
   KernelMetrics metrics;
 
   void analyze(const std::vector<LaneTrace>& lanes) {
@@ -228,13 +228,18 @@ std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
 TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
   // The recorder must reproduce the hash-map analyzer exactly: every
   // KernelMetrics counter and the per-load line stream, load for load.
+  // Each line size reuses one recorder, so every warp after the first
+  // runs on the tables and line arena the warps before it left.
   util::Rng rng(20170801);
   std::size_t widest = 0;
+  DeviceSpec specs[2] = {tesla_k40(), tesla_k40()};
+  specs[1].l1_line_bytes = 32;
+  WarpRecorder recorders[2] = {WarpRecorder(specs[0]),
+                               WarpRecorder(specs[1])};
   for (int seed = 0; seed < 300; ++seed) {
     SCOPED_TRACE(::testing::Message() << "warp " << seed);
-    DeviceSpec spec = tesla_k40();
-    if (seed % 2 == 1) spec.l1_line_bytes = 32;
-    WarpRecorder recorder(spec);
+    const DeviceSpec& spec = specs[seed % 2];
+    WarpRecorder& recorder = recorders[seed % 2];
     const std::vector<LaneTrace> lanes = random_warp(rng, recorder);
 
     KernelMetrics got;
