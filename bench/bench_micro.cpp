@@ -184,6 +184,53 @@ void BM_AnalyzeWarp(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeWarp);
 
+void BM_AnalyzeWarpStencil(benchmark::State& state) {
+  // One warp of kernel 1 at 64x64: 32 lanes, neighbouring lanes one grid
+  // column apart, 100 samples each. A sample reports the 63 24-byte rows
+  // of its space-time stencil (7 inner nodes x 3 planes x 3 rows, in that
+  // order) as one load_run, addressed as wake_batch.cpp addresses them;
+  // along the samples the column and the newest plane step back, as the
+  // retarded position and time do. About 6,300 loads per lane.
+  constexpr std::uint64_t kNx = 64;
+  constexpr std::uint64_t kPlaneBytes = kNx * kNx * sizeof(double);
+  constexpr std::uint64_t kDepth = 16;  // history planes in the ring
+  constexpr std::uint64_t kBase = 0x4000'0000;
+  constexpr std::uint64_t kSamples = 100;
+  constexpr std::uint64_t kNodes = 7;
+  constexpr std::uint32_t kRowBytes = 3 * sizeof(double);
+  const simt::DeviceSpec spec = simt::tesla_k40();
+  constexpr std::uint32_t kSite = simt::site_id("bench/stencil-row");
+  simt::WarpRecorder recorder(spec);
+  simt::KernelMetrics metrics;
+  const void* rows[kNodes * 9];
+  for (auto _ : state) {
+    for (std::uint64_t lane = 0; lane < 32; ++lane) {
+      recorder.begin_lane();
+      for (std::uint64_t k = 0; k < kSamples; ++k) {
+        const std::uint64_t ix = 1 + lane + (kSamples - 1 - k) * 30 / kSamples;
+        const std::uint64_t newest = 14 - k * 12 / kSamples;
+        std::size_t q = 0;
+        for (std::uint64_t node = 0; node < kNodes; ++node) {
+          const std::uint64_t iy = 20 + 4 * node;
+          for (std::uint64_t p = 0; p < 3; ++p) {
+            const std::uint64_t plane = (newest - p) % kDepth;
+            for (std::uint64_t r = 0; r < 3; ++r) {
+              rows[q++] = reinterpret_cast<const void*>(
+                  kBase + plane * kPlaneBytes +
+                  ((iy - 1 + r) * kNx + ix - 1) * sizeof(double));
+            }
+          }
+        }
+        recorder.load_run(kSite, rows, kRowBytes, q);
+      }
+    }
+    benchmark::DoNotOptimize(recorder.finish(metrics));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          32 * kSamples * kNodes * 9);
+}
+BENCHMARK(BM_AnalyzeWarpStencil);
+
 void BM_StencilSample(benchmark::State& state) {
   const beam::GridSpec spec = beam::make_centered_grid(128, 128, 6.0, 6.0);
   beam::GridHistory history(spec, 16);

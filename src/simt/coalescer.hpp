@@ -6,7 +6,6 @@
 /// models; the warp analyzer (warp.cpp) collects those distinct lines per
 /// instruction with this rule.
 
-#include <bit>
 #include <cstdint>
 
 namespace bd::simt {
@@ -20,11 +19,13 @@ void for_each_line(std::uint64_t addr, std::uint32_t bytes,
                    std::uint32_t line_bytes, Fn&& fn) {
   if (bytes == 0) return;
   const std::uint64_t mask = ~static_cast<std::uint64_t>(line_bytes - 1);
-  const std::uint64_t first = addr & mask;
-  const std::uint64_t count =
-      ((((addr + bytes - 1) & mask) - first) >> std::countr_zero(line_bytes)) +
-      1;
-  for (std::uint64_t i = 0; i < count; ++i) fn(first + i * line_bytes);
+  const std::uint64_t last = (addr + bytes - 1) & mask;
+  std::uint64_t line = addr & mask;
+  fn(line);
+  while (line != last) {  // the access straddles a line boundary
+    line += line_bytes;
+    fn(line);
+  }
 }
 
 }  // namespace bd::simt

@@ -46,10 +46,11 @@ class LaneProbe {
 
   /// Record `count` same-width loads issued from static site `site`, in
   /// program order. Semantically identical to `count` sequential load()
-  /// calls — the default implementation is exactly that loop — but the
-  /// warp analyzer (WarpRecorder) overrides it with a bulk insert, so
-  /// batched evaluation paths pay one virtual dispatch per sample block
-  /// instead of one per row.
+  /// calls — the default implementation is exactly that loop. Batched
+  /// evaluation paths pay one virtual dispatch per sample block instead of
+  /// one per row, and the warp analyzer (WarpRecorder) overrides it to
+  /// resolve the site once per run; an override must still behave exactly
+  /// like the loop.
   virtual void load_run(std::uint32_t site, const void* const* addrs,
                         std::uint32_t bytes, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) load(site, addrs[i], bytes);

@@ -12,7 +12,9 @@ namespace bd::simt {
 
 namespace {
 
-constexpr std::uint32_t kInitialLines = 8;
+constexpr std::uint16_t kInitialLines = 8;
+/// The largest power-of-two capacity a line set's 16-bit field holds.
+constexpr std::uint16_t kMaxLines = 1u << 15;
 
 /// L1 stage of the cache replay: interleaves several warps' transaction
 /// streams through the SM's private L1 round-robin, one instruction at a
@@ -61,60 +63,70 @@ void WarpRecorder::begin_lane() {
   branches_.next_lane();
 }
 
-void WarpRecorder::load(std::uint32_t site, const void* addr,
-                        std::uint32_t bytes) {
-  const auto fresh = static_cast<std::uint32_t>(sets_.size());
-  const std::uint32_t index = loads_.next(site, fresh);
-  if (index == fresh) {
-    sets_.push_back(
-        LineSet{static_cast<std::uint32_t>(arena_.size()), 0, kInitialLines});
-    arena_.resize(arena_.size() + kInitialLines);
+inline void WarpRecorder::insert_line(LineSet& set, std::uint64_t line) {
+  // Lanes mostly walk lines in order, so most lines equal the set's
+  // largest or exceed it, and neither case searches the arena slice.
+  if (line == set.last && set.size != 0) return;
+  if (line > set.last || set.size == 0) {
+    if (set.size == set.capacity) grow(set);
+    arena_[set.begin + set.size++] = line;
+    set.last = line;
+    return;
   }
-  LineSet& set = sets_[index];
-  ++sums_.load_events;
-  sums_.bytes_requested += bytes;
-  for_each_line(reinterpret_cast<std::uint64_t>(addr), bytes, line_bytes_,
-                [&](std::uint64_t line) { insert_line(set, line); });
+  insert_below_last(set, line);
 }
 
 void WarpRecorder::load_run(std::uint32_t site, const void* const* addrs,
                             std::uint32_t bytes, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) load(site, addrs[i], bytes);
+  LineSet* const sets = loads_.next(site, count);
+  sums_.load_events += count;
+  sums_.bytes_requested += std::uint64_t{bytes} * count;
+  const std::uint32_t line_bytes = line_bytes_;
+  for (std::size_t i = 0; i < count; ++i) {
+    for_each_line(reinterpret_cast<std::uint64_t>(addrs[i]), bytes,
+                  line_bytes,
+                  [&](std::uint64_t line) { insert_line(sets[i], line); });
+  }
 }
 
-void WarpRecorder::insert_line(LineSet& set, std::uint64_t line) {
+void WarpRecorder::insert_below_last(LineSet& set, std::uint64_t line) {
   std::uint64_t* first = arena_.data() + set.begin;
-  std::uint64_t* last = first + set.size;
-  std::uint64_t* pos = last;
-  if (set.size > 0 && line <= last[-1]) {
-    if (line == last[-1]) return;  // lanes mostly walk lines in order
-    pos = std::lower_bound(first, last - 1, line);
-    if (*pos == line) return;
-  }
+  std::uint64_t* last = first + set.size - 1;  // holds set.last
+  std::uint64_t* pos = std::lower_bound(first, last, line);
+  if (*pos == line) return;
   if (set.size == set.capacity) {
-    const std::size_t at = static_cast<std::size_t>(pos - first);
-    const auto begin = static_cast<std::uint32_t>(arena_.size());
-    arena_.resize(arena_.size() + 2 * std::size_t{set.capacity});
-    first = arena_.data() + begin;
-    std::copy_n(arena_.data() + set.begin, set.size, first);
-    set.begin = begin;
-    set.capacity *= 2;
+    const std::ptrdiff_t at = pos - first;
+    grow(set);
+    first = arena_.data() + set.begin;
     pos = first + at;
-    last = first + set.size;
+    last = first + set.size - 1;
   }
-  std::copy_backward(pos, last, last + 1);
+  std::copy_backward(pos, last + 1, last + 2);
   *pos = line;
   ++set.size;
 }
 
+void WarpRecorder::grow(LineSet& set) {
+  BD_CHECK_MSG(set.capacity < kMaxLines,
+               "a warp-level load touches more than " << kMaxLines
+                                                      << " lines");
+  const auto capacity = static_cast<std::uint16_t>(
+      set.capacity == 0 ? kInitialLines : 2 * set.capacity);
+  const auto begin = static_cast<std::uint32_t>(arena_.size());
+  arena_.resize(arena_.size() + capacity);
+  std::copy_n(arena_.data() + set.begin, set.size, arena_.data() + begin);
+  set.begin = begin;
+  set.capacity = capacity;
+}
+
 void WarpRecorder::loop_trip(std::uint32_t site, std::uint64_t trips) {
-  std::uint64_t& max_trips = loops_.next(site, 0);
+  std::uint64_t& max_trips = *loops_.next(site, 1);
   max_trips = std::max(max_trips, trips);
   sums_.loop_trips += trips;
 }
 
 void WarpRecorder::branch(std::uint32_t site, bool taken) {
-  branches_.next(site, 0) |= taken ? 1 : 2;
+  *branches_.next(site, 1) |= taken ? 1 : 2;
   ++sums_.branch_events;
 }
 
@@ -123,18 +135,18 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   out.warp_size = warp_size_;
 
   // ---- loads: one issue slot each, one transaction per distinct line ------
-  const std::size_t num_loads = sets_.size();
+  const std::size_t num_loads = loads_.size();
   std::size_t num_lines = 0;
-  for (const LineSet& set : sets_) num_lines += set.size;
+  loads_.for_each([&](const LineSet& set) { num_lines += set.size; });
   WarpReplay replay;
   replay.lines.reserve(num_lines);
   replay.offsets.reserve(num_loads + 1);
   replay.offsets.push_back(0);
-  for (const LineSet& set : sets_) {
+  loads_.for_each([&](const LineSet& set) {
     const auto first = arena_.begin() + set.begin;
     replay.lines.insert(replay.lines.end(), first, first + set.size);
     replay.offsets.push_back(static_cast<std::uint32_t>(replay.lines.size()));
-  }
+  });
   out.load_instructions += num_loads;
   out.warp_instructions += num_loads;
   out.lane_slots += num_loads * warp_size_;
@@ -165,7 +177,6 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   loads_.clear();
   loops_.clear();
   branches_.clear();
-  sets_.clear();
   arena_.clear();
   sums_ = {};
   lanes_ = 0;

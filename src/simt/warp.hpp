@@ -49,11 +49,16 @@ class WarpRecorder final : public LaneProbe {
   void begin_lane();
 
   void count_flops(std::uint64_t n) override { sums_.flops += n; }
+  /// A run of one row.
   void load(std::uint32_t site, const void* addr,
-            std::uint32_t bytes) override;
+            std::uint32_t bytes) override {
+    load_run(site, &addr, bytes, 1);
+  }
   void loop_trip(std::uint32_t site, std::uint64_t trips) override;
   void branch(std::uint32_t site, bool taken) override;
-  /// Bulk insert: one virtual dispatch for the whole run.
+  /// Resolves `site` once for the whole run. Row i is the lane's (n + i)-th
+  /// load at `site`, where n counts its loads there before the run, exactly
+  /// as with `count` load() calls.
   void load_run(std::uint32_t site, const void* const* addrs,
                 std::uint32_t bytes, std::size_t count) override;
 
@@ -65,8 +70,9 @@ class WarpRecorder final : public LaneProbe {
  private:
   /// Occurrence counting for one event kind: the n-th event a lane reports
   /// at a site belongs to warp-level instruction (site, n). Holds one
-  /// `Slot` per instruction, per site in occurrence order. A kernel has few
-  /// sites, so lookup is a scan behind a last-hit check.
+  /// `Slot` per instruction, per site in occurrence order, and the site of
+  /// every instruction in the order lanes first reached them. A kernel has
+  /// few sites, so lookup is a scan behind a last-hit check.
   template <typename Slot>
   class SiteTable {
    public:
@@ -75,6 +81,7 @@ class WarpRecorder final : public LaneProbe {
       for (std::size_t i = 0; i < used_; ++i) sites_[i].slots.clear();
       used_ = 0;
       last_ = 0;
+      order_.clear();
     }
 
     /// Restart occurrence counting (start of a lane).
@@ -82,21 +89,36 @@ class WarpRecorder final : public LaneProbe {
       for (std::size_t i = 0; i < used_; ++i) sites_[i].next = 0;
     }
 
-    /// The slot of the lane's next event at `site`. An instruction no
-    /// earlier lane reached starts as `fresh`.
-    Slot& next(std::uint32_t site, Slot fresh) {
-      Site& s = find(site);
-      const std::uint32_t occ = s.next++;
-      if (occ == s.slots.size()) s.slots.push_back(fresh);
-      return s.slots[occ];
+    /// The slots of the lane's next `count` events at `site`, in
+    /// occurrence order. Instructions no earlier lane reached start as
+    /// `Slot{}`.
+    Slot* next(std::uint32_t site, std::size_t count) {
+      const std::uint32_t index = find(site);
+      Site& s = sites_[index];
+      const std::size_t occ = s.next;
+      for (std::size_t k = s.slots.size(); k < occ + count; ++k) {
+        s.slots.emplace_back();
+        order_.push_back(index);
+      }
+      s.next += static_cast<std::uint32_t>(count);
+      return s.slots.data() + occ;
     }
 
+    /// Visit every slot in the order lanes first reached it. A site's
+    /// instructions were created in occurrence order, so one cursor per
+    /// site walks them; the cursors are the occurrence counters, so call
+    /// this only after the warp's last lane.
     template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (std::size_t i = 0; i < used_; ++i) {
-        for (const Slot& slot : sites_[i].slots) fn(slot);
+    void for_each(Fn&& fn) {
+      next_lane();
+      for (std::uint32_t index : order_) {
+        Site& s = sites_[index];
+        fn(s.slots[s.next++]);
       }
     }
+
+    /// Number of instructions.
+    std::size_t size() const { return order_.size(); }
 
    private:
     struct Site {
@@ -105,35 +127,36 @@ class WarpRecorder final : public LaneProbe {
       std::vector<Slot> slots;
     };
 
-    Site& find(std::uint32_t id) {
-      if (last_ < used_ && sites_[last_].id == id) return sites_[last_];
-      for (std::size_t i = 0; i < used_; ++i) {
-        if (sites_[i].id == id) {
-          last_ = i;
-          return sites_[i];
-        }
+    std::uint32_t find(std::uint32_t id) {
+      if (last_ < used_ && sites_[last_].id == id) return last_;
+      for (std::uint32_t i = 0; i < used_; ++i) {
+        if (sites_[i].id == id) return last_ = i;
       }
       if (used_ == sites_.size()) sites_.emplace_back();
       Site& s = sites_[used_];
       s.id = id;
       s.next = 0;
-      last_ = used_++;
-      return s;
+      return last_ = used_++;
     }
 
     std::vector<Site> sites_;  // [0, used_) are live; the rest keep capacity
-    std::size_t used_ = 0;
-    std::size_t last_ = 0;
+    std::uint32_t used_ = 0;
+    std::uint32_t last_ = 0;
+    std::vector<std::uint32_t> order_;  // site index of each instruction
   };
 
   /// The distinct lines of one warp-level load, ascending, in a slice of
-  /// the line arena. A full slice moves to one twice its size at the arena
-  /// end.
+  /// the line arena, and a copy of the largest: a line equal to it is
+  /// already in the set and a larger one appends, so only a smaller line
+  /// searches the slice. An empty set has no slice yet; a full slice moves
+  /// to one twice its size at the arena end.
   struct LineSet {
+    std::uint64_t last = 0;  // largest line; 0 and matching none while empty
     std::uint32_t begin = 0;
-    std::uint32_t size = 0;
-    std::uint32_t capacity = 0;
+    std::uint16_t size = 0;
+    std::uint16_t capacity = 0;
   };
+  static_assert(sizeof(LineSet) == 16);
 
   /// Totals that do not depend on the grouping, summed as events arrive.
   struct Sums {
@@ -145,16 +168,17 @@ class WarpRecorder final : public LaneProbe {
   };
 
   void insert_line(LineSet& set, std::uint64_t line);
+  void insert_below_last(LineSet& set, std::uint64_t line);
+  void grow(LineSet& set);
 
   std::uint32_t warp_size_;
   std::uint32_t line_bytes_;
   std::uint32_t lanes_ = 0;
-  SiteTable<std::uint32_t> loads_;    // instruction -> index into `sets_`
+  SiteTable<LineSet> loads_;          // instruction -> its distinct lines
   SiteTable<std::uint64_t> loops_;    // instruction -> longest trip count
   SiteTable<std::uint8_t> branches_;  // instruction -> bit 0 taken seen,
                                       //   bit 1 not-taken seen
-  std::vector<LineSet> sets_;         // one per load, program order
-  std::vector<std::uint64_t> arena_;  // storage of every LineSet
+  std::vector<std::uint64_t> arena_;  // the slices of every LineSet
   Sums sums_;
 };
 

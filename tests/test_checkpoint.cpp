@@ -16,6 +16,7 @@
 #include "core/fleet.hpp"
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
+#include "quad/partition_set.hpp"
 #include "simt/device.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
@@ -72,6 +73,18 @@ TEST(Serialize, ReadIntoRequiresExactLength) {
   util::BinaryReader in(out.payload());
   std::vector<double> wrong(4);
   EXPECT_THROW(in.read_f64_into(wrong), bd::CheckError);
+}
+
+TEST(Serialize, PartitionSetEntryCountBeyondPayloadThrows) {
+  // A solver checkpoint's partition set is read count-first. A count far
+  // beyond the bytes left must be a CheckError before anything is sized
+  // from it; sizing 2^40 entries would escape as an allocation error.
+  util::BinaryWriter out;
+  out.write_u64(std::uint64_t{1} << 40);
+  out.write_f64_span(std::vector<double>{0.0, 1.0});
+  util::BinaryReader in(out.payload());
+  quad::PartitionSet set;
+  EXPECT_THROW(quad::read_partition_set_nested(in, set), bd::CheckError);
 }
 
 TEST(Serialize, Crc32MatchesKnownVector) {

@@ -197,25 +197,40 @@ TEST(Determinism, WarmStartCacheSurvivesSolverStateRoundTrip) {
   // learned state: a solver restored from save_state must cluster the
   // next step from the same cached seeds and produce bit-identical
   // physics. Without the cache in the payload the restored solver would
-  // re-seed k-means++ cold and silently diverge.
+  // re-seed k-means++ cold and silently diverge. 2x2 tiles give the 4
+  // clusters 64 tiles, enough that a cold start ends in other clusters
+  // than the warm one. The default 8x4 tiles give 8, which warm and cold
+  // starts split alike, so a lost cache went unseen.
+  util::telemetry::MetricsRegistry registry;
+  const util::telemetry::TelemetryScope scope(&registry, nullptr);
+  const auto warm_starts = [&] {
+    return registry.snapshot().gauges.at("predictive.warm_start_hits");
+  };
   testing::ProblemFixture& fixture = shared_fixture();
   reset_history(fixture);
-  core::PredictiveSolver solver(simt::tesla_k40(), {});
+  core::PredictiveOptions options;
+  options.tile_w = 2;
+  options.tile_h = 2;
+  core::PredictiveSolver solver(simt::tesla_k40(), options);
   for (int step = 0; step < 3; ++step) {
     solver.solve(fixture.problem);
     fixture.advance();
   }
+  const double saved_warm_starts = warm_starts();
 
   util::BinaryWriter snapshot;
   solver.save_state(snapshot);
 
-  core::PredictiveSolver restored(simt::tesla_k40(), {});
+  core::PredictiveSolver restored(simt::tesla_k40(), options);
   util::BinaryReader in(snapshot.payload());
   restored.load_state(in);
   EXPECT_TRUE(in.done());
 
+  // Both solvers seed the step after the restore from the cache.
   const core::SolveResult a = solver.solve(fixture.problem);
+  EXPECT_EQ(warm_starts(), saved_warm_starts + 1);
   const core::SolveResult b = restored.solve(fixture.problem);
+  EXPECT_EQ(warm_starts(), saved_warm_starts + 1);
   expect_identical(a.metrics, b.metrics);
   EXPECT_EQ(a.fallback_items, b.fallback_items);
   EXPECT_EQ(a.kernel_intervals, b.kernel_intervals);

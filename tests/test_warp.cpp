@@ -164,8 +164,10 @@ TEST(Warp, EmptyWarpRejected) {
 /// a load and a branch; every lane picks its own site sequence, so lanes
 /// visit sites in different orders and reach different occurrences; loads
 /// are coalesced, broadcast, scattered, zero-byte, line-straddling or many
-/// lines wide. Each lane reports its events to its own trace and to
-/// `recorder`, in a random interleaving of the event kinds.
+/// lines wide, and a quarter of the load events are runs of 0-70 rows of
+/// one width at one site, as the batched kernels issue them. Each lane
+/// reports its events to its own trace and to `recorder`, in a random
+/// interleaving of the event kinds.
 std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
   constexpr std::uint32_t kLoadSites[] = {
       site_id("oracle/load-a"), site_id("oracle/load-b"),
@@ -178,6 +180,7 @@ std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
   constexpr std::uint32_t kWidths[] = {0, 4, 8, 24, 200};
 
   std::vector<LaneTrace> lanes(1 + rng.uniform_index(32));
+  std::vector<const void*> rows;
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
     recorder.begin_lane();
     LaneProbe* const probes[] = {&lanes[lane], &recorder};
@@ -193,20 +196,29 @@ std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
       --left[kind];
       if (kind == 0) {
         const std::uint32_t site = kLoadSites[rng.uniform_index(4)];
-        std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
         std::uint32_t bytes = kWidths[rng.uniform_index(5)];
-        switch (rng.uniform_index(4)) {
-          case 0: addr = 0x8000 + i * 8; break;  // same for every lane
-          case 1: addr = 8 * rng.uniform_index(1 << 16); break;  // scattered
-          case 2:  // wide: many lines from one lane
-            addr = 8 * rng.uniform_index(1 << 16);
-            bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
-            break;
-          default: break;
+        const std::uint64_t pattern = rng.uniform_index(4);
+        if (pattern == 2) {  // wide: many lines from one lane
+          bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
         }
-        ++i;
+        const bool run = rng.uniform_index(4) == 0;
+        rows.resize(run ? rng.uniform_index(71) : 1);
+        for (const void*& row : rows) {
+          std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
+          if (pattern == 0) {
+            addr = 0x8000 + i * 8;  // same for every lane
+          } else if (pattern != 3) {
+            addr = 8 * rng.uniform_index(1 << 16);  // scattered or wide
+          }
+          row = reinterpret_cast<const void*>(addr);
+          ++i;
+        }
         for (LaneProbe* p : probes) {
-          p->load(site, reinterpret_cast<const void*>(addr), bytes);
+          if (run) {
+            p->load_run(site, rows.data(), bytes, rows.size());
+          } else {
+            p->load(site, rows[0], bytes);
+          }
         }
       } else if (kind == 1) {
         const std::uint32_t site = kLoopSites[rng.uniform_index(2)];
@@ -283,6 +295,64 @@ TEST(Warp, RecorderResetsBetweenWarps) {
     EXPECT_EQ(replay.lines, fresh.lines);
     EXPECT_EQ(replay.offsets, fresh.offsets);
   }
+}
+
+TEST(Warp, RunsMatchSingleLoads) {
+  // load_run is `count` load() calls: the same rows issued one by one and
+  // grouped into runs give the same stream and counters. Lanes run
+  // different numbers of rows at each site, so a run can start at any
+  // occurrence and reach instructions no earlier lane did.
+  constexpr std::uint32_t kSites[] = {site_id("runs/a"), site_id("runs/b")};
+  constexpr std::uint32_t kWidths[] = {0, 8, 24, 200};
+  const DeviceSpec spec = tesla_k40();
+  util::Rng rng(1123);
+  WarpRecorder singles(spec);
+  WarpRecorder runs(spec);
+  std::vector<const void*> rows;
+  std::uint64_t loads = 0;
+  for (int warp = 0; warp < 60; ++warp) {
+    SCOPED_TRACE(::testing::Message() << "warp " << warp);
+    const std::size_t lanes = 1 + rng.uniform_index(32);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      singles.begin_lane();
+      runs.begin_lane();
+      for (std::uint64_t n = rng.uniform_index(8); n > 0; --n) {
+        const std::uint32_t site = kSites[rng.uniform_index(2)];
+        const std::uint32_t bytes = kWidths[rng.uniform_index(4)];
+        rows.resize(rng.uniform_index(71));
+        for (const void*& row : rows) {
+          row = reinterpret_cast<const void*>(
+              0x4000'0000 + 8 * (lane + rng.uniform_index(2048)));
+        }
+        for (const void* row : rows) singles.load(site, row, bytes);
+        runs.load_run(site, rows.data(), bytes, rows.size());
+      }
+    }
+    KernelMetrics want;
+    KernelMetrics got;
+    const WarpReplay expected = singles.finish(want);
+    const WarpReplay replay = runs.finish(got);
+    bd::testing::expect_identical(got, want);
+    EXPECT_EQ(replay.lines, expected.lines);
+    EXPECT_EQ(replay.offsets, expected.offsets);
+    loads += got.load_instructions;
+  }
+  EXPECT_GT(loads, 0u);
+}
+
+TEST(Warp, LoadTouchingTooManyLinesRejected) {
+  // A line set counts its lines in 16 bits: a load may touch 2^15 lines,
+  // one more is an error rather than a wrapped count.
+  const DeviceSpec spec = tesla_k40();
+  constexpr std::uint32_t kMax = 1u << 15;
+  WarpRecorder recorder(spec);
+  recorder.begin_lane();
+  recorder.load(kLoad, nullptr, kMax * spec.l1_line_bytes);
+  KernelMetrics metrics;
+  EXPECT_EQ(recorder.finish(metrics).lines.size(), kMax);
+  recorder.begin_lane();
+  EXPECT_THROW(recorder.load(kLoad, nullptr, (kMax + 1) * spec.l1_line_bytes),
+               CheckError);
 }
 
 TEST(Warp, L2PartitionCountClampsToSets) {
