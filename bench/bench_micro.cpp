@@ -1,6 +1,6 @@
 /// Google-benchmark micro-benchmarks for the library's primitives:
 /// quadrature rules, kd-tree / kNN / k-means, the SIMT cache + warp analyzer,
-/// the space–time stencil and PIC deposition.
+/// the rp-integrand and PIC deposition.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,6 @@
 #include "beam/analytic.hpp"
 #include "beam/bunch.hpp"
 #include "beam/deposit.hpp"
-#include "beam/stencil.hpp"
 #include "beam/wake.hpp"
 #include "ml/kdtree.hpp"
 #include "ml/kmeans.hpp"
@@ -46,16 +45,16 @@ BENCHMARK(BM_SimpsonEstimate);
 /// five samples (the kernel-1 sweep has them) and reusing its worklist.
 void BM_AdaptiveSimpson(benchmark::State& state) {
   const double tol = std::pow(10.0, -static_cast<double>(state.range(0)));
-  const quad::FunctionIntegrand f(
-      [](double u) { return std::pow(u + 0.05, -1.0 / 3.0); });
+  const auto fn = [](double u) { return std::pow(u + 0.05, -1.0 / 3.0); };
+  const quad::FunctionIntegrand f(fn);
   auto& probe = simt::NullProbe::instance();
   const double a = 0.0, b = 12.0, m = 0.5 * (a + b);
   quad::SimpsonSamples root;
-  root.fa = f.eval(a, probe);
-  root.fm = f.eval(m, probe);
-  root.fb = f.eval(b, probe);
-  root.fl = f.eval(0.5 * (a + m), probe);
-  root.fr = f.eval(0.5 * (m + b), probe);
+  root.fa = fn(a);
+  root.fm = fn(m);
+  root.fb = fn(b);
+  root.fl = fn(0.5 * (a + m));
+  root.fr = fn(0.5 * (m + b));
   std::vector<quad::AdaptiveWorkItem> stack;
   for (auto _ : state) {
     benchmark::DoNotOptimize(quad::adaptive_simpson_seeded(
@@ -231,21 +230,7 @@ void BM_AnalyzeWarpStencil(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeWarpStencil);
 
-void BM_StencilSample(benchmark::State& state) {
-  const beam::GridSpec spec = beam::make_centered_grid(128, 128, 6.0, 6.0);
-  beam::GridHistory history(spec, 16);
-  beam::Grid2D rho(spec), grad(spec);
-  rho.fill(1.0);
-  history.fill_all(20, rho, grad);
-  auto& probe = simt::NullProbe::instance();
-  double t = 19.3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(beam::sample_spacetime(
-        history, beam::kChannelRho, 0.37, -0.61, t, probe));
-  }
-}
-BENCHMARK(BM_StencilSample);
-
+/// One WakeIntegrand sample (a one-wide eval_batch) on a 128² Gaussian fill.
 void BM_WakeIntegrandEval(benchmark::State& state) {
   const beam::GridSpec spec = beam::make_centered_grid(128, 128, 6.0, 6.0);
   beam::GridHistory history(spec, 16);
@@ -261,8 +246,11 @@ void BM_WakeIntegrandEval(benchmark::State& state) {
   const beam::WakeModel model = beam::WakeModel::longitudinal();
   const beam::WakeIntegrand integrand(history, model, 0.5, 0.0, 20, 1.0);
   auto& probe = simt::NullProbe::instance();
+  const double u = 1.0;
+  double out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(integrand.eval(1.0, probe));
+    integrand.eval_batch(&u, &out, 1, probe);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_WakeIntegrandEval);

@@ -1,11 +1,12 @@
 /// Integrand-evaluation throughput of the batched engine on the Table I
-/// default geometry (64×64 grid, Gaussian moment fill). One WakeIntegrand
-/// per grid node evaluates the simpson-sweep sample layout — per subregion
-/// interval the batch {m, b, (a+m)/2, (m+b)/2} — two ways:
+/// default geometry (64×64 grid, Gaussian moment fill). Per grid node, the
+/// simpson-sweep sample layout — per subregion interval the batch
+/// {m, b, (a+m)/2, (m+b)/2} — is evaluated two ways:
 ///
-///   scalar   four WakeIntegrand::eval calls per interval (the reference)
-///   batch    one eval_batch call per interval — the geometry-hoisting +
-///            bulk-probe SoA path the solvers run
+///   scalar   four ScalarWakeIntegrand::eval calls per interval: the
+///            one-sample reference in tests/wake_oracle.hpp
+///   batch    one WakeIntegrand::eval_batch call per interval — the
+///            geometry-hoisting + bulk-probe SoA path the solvers run
 ///
 /// Every batched output is compared bitwise against the scalar reference;
 /// any mismatch fails the run regardless of flags. Writes
@@ -30,19 +31,22 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "wake_oracle.hpp"
 
 namespace {
 
 using namespace bd;
 
 /// Continuum-filled Gaussian moment history (no Monte-Carlo noise) on the
-/// Table I default grid, plus one WakeIntegrand per grid node.
+/// Table I default grid, plus one WakeIntegrand and one reference
+/// integrand per grid node.
 struct Scenario {
   beam::GridSpec spec;
   beam::BeamParams params;
   beam::WakeModel model;
   std::unique_ptr<beam::GridHistory> history;
   std::vector<beam::WakeIntegrand> integrands;
+  std::vector<testing::ScalarWakeIntegrand> references;
   std::size_t num_subregions;
   double sub_width = 1.0;
 
@@ -65,10 +69,13 @@ struct Scenario {
     }
     history->fill_all(100, rho, grad);
     integrands.reserve(static_cast<std::size_t>(spec.nx) * spec.ny);
+    references.reserve(static_cast<std::size_t>(spec.nx) * spec.ny);
     for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
       for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
         integrands.emplace_back(*history, model, spec.x_at(ix), spec.y_at(iy),
                                 100, sub_width);
+        references.emplace_back(*history, model, spec.x_at(ix),
+                                spec.y_at(iy), 100, sub_width);
       }
     }
   }
@@ -78,12 +85,12 @@ struct Scenario {
   }
 };
 
-/// One pass over every integrand × interval with scalar eval() calls.
-/// Appends outputs to `out` (the bitwise reference) when non-null.
+/// One pass over every reference integrand × interval with scalar eval()
+/// calls. Appends outputs to `out` (the bitwise reference) when non-null.
 double scalar_pass(const Scenario& sc, std::vector<double>* out) {
   simt::LaneProbe& probe = simt::NullProbe::instance();
   double acc = 0.0;
-  for (const beam::WakeIntegrand& f : sc.integrands) {
+  for (const testing::ScalarWakeIntegrand& f : sc.references) {
     for (std::size_t j = 0; j < sc.num_subregions; ++j) {
       const double a = static_cast<double>(j) * sc.sub_width;
       const double b = a + sc.sub_width;

@@ -31,15 +31,6 @@ double analytic_radial_factor(double s, const WakeModel& model,
   return quad::gauss_integrate_to_tolerance(integrand, 0.0, r_max, abs_tol);
 }
 
-double analytic_transverse_factor(double y, const WakeModel& model,
-                                  const BeamParams& params) {
-  const double sigma_t = std::sqrt(model.coupling_sigma *
-                                       model.coupling_sigma +
-                                   params.sigma_y * params.sigma_y);
-  return model.coupling_derivative ? gaussian_pdf_prime(y, sigma_t)
-                                   : gaussian_pdf(y, sigma_t);
-}
-
 double analytic_transverse_factor_windowed(double y, const WakeModel& model,
                                            const BeamParams& params,
                                            double abs_tol) {

@@ -24,12 +24,6 @@ double analytic_radial_factor(double s, const WakeModel& model,
                               const BeamParams& params, double r_max,
                               double abs_tol = 1e-12);
 
-/// Transverse factor T(y): the coupling kernel convolved with the bunch's
-/// transverse profile — a Gaussian (or its derivative) of width
-/// sqrt(σ_c² + σ_y²), in closed form (full, un-windowed convolution).
-double analytic_transverse_factor(double y, const WakeModel& model,
-                                  const BeamParams& params);
-
 /// Transverse factor restricted to the integrand's finite inner window
 /// [y - w, y + w] (w = inner_halfwidth_sigmas·σ_c) — the operator the
 /// kernels actually evaluate. Computed by high-order quadrature to

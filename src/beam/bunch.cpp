@@ -25,17 +25,4 @@ ParticleSet sample_gaussian_bunch(std::size_t count, const BeamParams& params,
   return particles;
 }
 
-ParticleSet sample_rigid_line_bunch(std::size_t count,
-                                    const BeamParams& params,
-                                    util::Rng& rng) {
-  BD_CHECK(count > 0);
-  ParticleSet particles(count);
-  auto s = particles.s();
-  for (std::size_t i = 0; i < count; ++i) {
-    s[i] = rng.normal(0.0, params.sigma_s);
-  }
-  particles.set_weight(params.charge / static_cast<double>(count));
-  return particles;
-}
-
 }  // namespace bd::beam

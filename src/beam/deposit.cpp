@@ -142,18 +142,4 @@ void longitudinal_gradient(const Grid2D& rho, Grid2D& out) {
   }
 }
 
-void transverse_gradient(const Grid2D& rho, Grid2D& out) {
-  const GridSpec& spec = rho.spec();
-  BD_CHECK(out.spec() == spec);
-  const double inv2dy = 1.0 / (2.0 * spec.dy);
-  for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
-    out.at(ix, 0) = (rho.at(ix, 1) - rho.at(ix, 0)) * 2.0 * inv2dy;
-    for (std::uint32_t iy = 1; iy + 1 < spec.ny; ++iy) {
-      out.at(ix, iy) = (rho.at(ix, iy + 1) - rho.at(ix, iy - 1)) * inv2dy;
-    }
-    out.at(ix, spec.ny - 1) =
-        (rho.at(ix, spec.ny - 1) - rho.at(ix, spec.ny - 2)) * 2.0 * inv2dy;
-  }
-}
-
 }  // namespace bd::beam

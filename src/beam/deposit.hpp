@@ -25,7 +25,4 @@ double deposit(const ParticleSet& particles, DepositScheme scheme,
 /// One-sided at the s boundaries. `out` must share `rho`'s spec.
 void longitudinal_gradient(const Grid2D& rho, Grid2D& out);
 
-/// Central-difference transverse derivative ∂ρ/∂y (same conventions).
-void transverse_gradient(const Grid2D& rho, Grid2D& out);
-
 }  // namespace bd::beam

@@ -1,7 +1,6 @@
 #include "beam/grid.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -25,32 +24,10 @@ void Grid2D::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-double Grid2D::bilinear(double x, double y) const {
-  const double gx = spec_.gx(x);
-  const double gy = spec_.gy(y);
-  if (gx < 0.0 || gy < 0.0 || gx > spec_.nx - 1 || gy > spec_.ny - 1) {
-    return 0.0;
-  }
-  const auto ix = static_cast<std::uint32_t>(
-      std::min<double>(gx, spec_.nx - 2));
-  const auto iy = static_cast<std::uint32_t>(
-      std::min<double>(gy, spec_.ny - 2));
-  const double fx = gx - ix;
-  const double fy = gy - iy;
-  return (1 - fx) * (1 - fy) * at(ix, iy) + fx * (1 - fy) * at(ix + 1, iy) +
-         (1 - fx) * fy * at(ix, iy + 1) + fx * fy * at(ix + 1, iy + 1);
-}
-
 double Grid2D::sum() const {
   double acc = 0.0;
   for (double v : data_) acc += v;
   return acc;
-}
-
-double Grid2D::max_abs() const {
-  double worst = 0.0;
-  for (double v : data_) worst = std::max(worst, std::abs(v));
-  return worst;
 }
 
 }  // namespace bd::beam

@@ -24,7 +24,6 @@ struct GridSpec {
     return static_cast<std::size_t>(nx) * ny;
   }
   double x_max() const { return x0 + (nx - 1) * dx; }
-  double y_max() const { return y0 + (ny - 1) * dy; }
   double x_at(std::uint32_t ix) const { return x0 + ix * dx; }
   double y_at(std::uint32_t iy) const { return y0 + iy * dy; }
   /// Continuous grid coordinate of physical position x (0 at node 0).
@@ -58,14 +57,8 @@ class Grid2D {
 
   void fill(double value);
 
-  /// Bilinear interpolation at physical (x, y); zero outside the grid.
-  double bilinear(double x, double y) const;
-
   /// Sum of all node values (≈ integral / (dx·dy) for deposited charge).
   double sum() const;
-
-  /// Maximum absolute node value.
-  double max_abs() const;
 
  private:
   GridSpec spec_;

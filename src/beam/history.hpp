@@ -75,9 +75,6 @@ class GridHistory {
   double value(std::int64_t step, MomentChannel channel, std::uint32_t ix,
                std::uint32_t iy) const;
 
-  /// Total buffer footprint in bytes (the "device memory" the kernels see).
-  std::size_t footprint_bytes() const { return buffer_.size() * sizeof(double); }
-
   /// Checkpoint the ring (latest step + every retained plane).
   void save(util::BinaryWriter& out) const;
 

@@ -1,9 +1,5 @@
 #include "beam/particles.hpp"
 
-#include <cmath>
-
-#include "util/stats.hpp"
-
 namespace bd::beam {
 
 void ParticleSet::resize(std::size_t count) {
@@ -11,24 +7,6 @@ void ParticleSet::resize(std::size_t count) {
   y_.resize(count, 0.0);
   ps_.resize(count, 0.0);
   py_.resize(count, 0.0);
-}
-
-double ParticleSet::mean_s() const { return util::mean(s_); }
-
-double ParticleSet::rms_s() const {
-  const double mu = mean_s();
-  double acc = 0.0;
-  for (double v : s_) acc += (v - mu) * (v - mu);
-  return s_.empty() ? 0.0 : std::sqrt(acc / static_cast<double>(s_.size()));
-}
-
-double ParticleSet::mean_y() const { return util::mean(y_); }
-
-double ParticleSet::rms_y() const {
-  const double mu = mean_y();
-  double acc = 0.0;
-  for (double v : y_) acc += (v - mu) * (v - mu);
-  return y_.empty() ? 0.0 : std::sqrt(acc / static_cast<double>(y_.size()));
 }
 
 }  // namespace bd::beam

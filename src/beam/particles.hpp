@@ -33,12 +33,6 @@ class ParticleSet {
   double weight() const { return weight_; }
   void set_weight(double w) { weight_ = w; }
 
-  /// First/second moments of the longitudinal coordinate (diagnostics).
-  double mean_s() const;
-  double rms_s() const;
-  double mean_y() const;
-  double rms_y() const;
-
  private:
   std::vector<double> s_, y_, ps_, py_;
   double weight_ = 1.0;

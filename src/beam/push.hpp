@@ -17,8 +17,4 @@ namespace bd::beam {
 void leapfrog_push(ParticleSet& particles, std::span<const double> force_s,
                    std::span<const double> force_y, double dt);
 
-/// Rigid-bunch "push": the validation case — nothing moves in the
-/// co-moving frame. Provided for symmetry and to document intent.
-inline void rigid_push(ParticleSet& /*particles*/, double /*dt*/) {}
-
 }  // namespace bd::beam

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "beam/stencil.hpp"
 #include "quad/gauss.hpp"
 #include "quad/newton_cotes.hpp"
 #include "util/check.hpp"
@@ -40,22 +39,23 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
                         ? PowKind::kTransverse
                         : PowKind::kGeneric;
   const double w = model.inner_halfwidth_sigmas * model.coupling_sigma;
-  inner_lo_ = y_point - w;
-  inner_width_ = 2.0 * w;
+  const double inner_lo = y_point - w;
+  const double inner_width = 2.0 * w;
   inner_count_ = model.inner_points;
+  std::array<double, kMaxInnerPoints> inner_y;
   if (model.inner_rule == InnerRule::kNewtonCotes) {
     const auto nc = quad::newton_cotes_weights(model.inner_points);
     for (int i = 0; i < model.inner_points; ++i) {
-      inner_y_[static_cast<std::size_t>(i)] =
-          inner_lo_ + inner_width_ * static_cast<double>(i) /
-                          (model.inner_points - 1);
+      inner_y[static_cast<std::size_t>(i)] =
+          inner_lo + inner_width * static_cast<double>(i) /
+                         (model.inner_points - 1);
       inner_w_[static_cast<std::size_t>(i)] =
-          nc[static_cast<std::size_t>(i)] * inner_width_;
+          nc[static_cast<std::size_t>(i)] * inner_width;
     }
   } else {
     const quad::GaussRule rule = quad::gauss_legendre(model.inner_points);
     for (int i = 0; i < model.inner_points; ++i) {
-      inner_y_[static_cast<std::size_t>(i)] =
+      inner_y[static_cast<std::size_t>(i)] =
           y_point + w * rule.nodes[static_cast<std::size_t>(i)];
       inner_w_[static_cast<std::size_t>(i)] =
           rule.weights[static_cast<std::size_t>(i)] * w;
@@ -68,47 +68,27 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
   const double norm = sigma * std::sqrt(2.0 * M_PI);
   const double sigma_sq = sigma * sigma;
   for (int i = 0; i < model.inner_points; ++i) {
-    const double delta = y_point - inner_y_[static_cast<std::size_t>(i)];
+    const double delta = y_point - inner_y[static_cast<std::size_t>(i)];
     const double z = delta / sigma;
     const double kernel = std::exp(-0.5 * z * z) / norm;
     const double coupling =
         model.coupling_derivative ? -delta / sigma_sq * kernel : kernel;
     inner_w_[static_cast<std::size_t>(i)] *= coupling;
   }
-  // Hoisted stencil geometry for the batched path (wake_batch.cpp). The
-  // inner nodes are fixed per integrand, so the per-node y index, bounds
-  // flag and TSC weights sample_spacetime recomputes on every sample can
-  // be evaluated once here — same expressions, so same bits.
+  // Hoisted stencil geometry for eval_batch (wake_batch.cpp). The inner
+  // nodes are fixed per integrand, so the per-node y index, bounds flag and
+  // TSC weights are evaluated once here — the expressions the scalar
+  // reference evaluates per sample, so the same bits.
   const GridSpec& spec = history.spec();
   for (int i = 0; i < model.inner_points; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    const double gy = spec.gy(inner_y_[idx]);
+    const double gy = spec.gy(inner_y[idx]);
     const auto iy = static_cast<std::int64_t>(std::lround(gy));
     inner_iy_[idx] = iy;
     inner_iy_ok_[idx] =
         iy >= 1 && iy <= static_cast<std::int64_t>(spec.ny) - 2;
     tsc_weights(gy - static_cast<double>(iy), &inner_wy_[3 * idx]);
   }
-}
-
-double WakeIntegrand::eval(double u, simt::LaneProbe& probe) const {
-  const GridSpec& spec = history_.spec();
-  const double s = s_point_ - u;
-  // Fast reject: the retarded sample sits entirely outside the grid.
-  const bool in_range = s >= spec.x0 - spec.dx && s <= spec.x_max() + spec.dx;
-  probe.branch(kWakeRangeSite, in_range);
-  probe.count_flops(4);
-  if (!in_range) return 0.0;
-
-  const double t_steps = static_cast<double>(step_) - u / sub_width_;
-  double inner = 0.0;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(inner_count_); ++i) {
-    const double f =
-        sample_spacetime(history_, channel_, s, inner_y_[i], t_steps, probe);
-    inner += inner_w_[i] * f;
-  }
-  probe.count_flops(2 * static_cast<std::size_t>(inner_count_) + 12);
-  return amplitude_ * radial_kernel(u) * inner;
 }
 
 }  // namespace bd::beam

@@ -56,14 +56,13 @@ struct WakeModel {
 /// in fixed arrays — constructing one allocates nothing.
 inline constexpr int kMaxInnerPoints = 9;
 
-/// Probe site of the fast-reject range branch in WakeIntegrand::eval.
-/// Public because the batched path (wake_batch.cpp) reports at the same
-/// site.
+/// Probe site of WakeIntegrand's fast-reject range branch. Public because
+/// the scalar reference integrand in tests/ reports at the same site.
 inline constexpr std::uint32_t kWakeRangeSite =
     simt::site_id("beam/wake/s-range");
 
-/// rp-integrand for one grid point at one time step. eval(u) computes the
-/// inner Newton–Cotes integral at retarded separation u, sampling the
+/// rp-integrand for one grid point at one time step. A sample at retarded
+/// separation u is the inner Newton–Cotes integral there, sampling the
 /// moment history through the 27-point space–time stencil.
 ///
 /// Construction copies the model scalars it needs (no reference retained)
@@ -77,12 +76,11 @@ class WakeIntegrand final : public quad::RadialIntegrand {
                 double s_point, double y_point, std::int64_t step,
                 double sub_width);
 
-  double eval(double u, simt::LaneProbe& probe) const override;
-
   /// Batched evaluation (wake_batch.cpp): evaluates up to quad::kBatchWidth
   /// retarded separations per call with the per-sample stencil geometry
-  /// hoisted into SoA form. Bitwise identical to n sequential eval() calls
-  /// — values and probe streams alike.
+  /// hoisted into SoA form. Bitwise identical to the scalar reference
+  /// integrand in tests/wake_oracle.hpp sampled one separation at a time —
+  /// values and probe streams alike.
   void eval_batch(const double* u, double* out, std::size_t n,
                   simt::LaneProbe& probe) const override;
 
@@ -95,7 +93,7 @@ class WakeIntegrand final : public quad::RadialIntegrand {
 
   /// The radial kernel (u + u0)^p, dispatched on the two paper exponents so
   /// std::pow sees a compile-time constant (identical value → bit-identical
-  /// result). Shared by eval() and eval_batch().
+  /// result).
   double radial_kernel(double u) const {
     const double base = u + regularization_;
     switch (pow_kind_) {
@@ -118,16 +116,13 @@ class WakeIntegrand final : public quad::RadialIntegrand {
   double y_point_;
   std::int64_t step_;
   double sub_width_;
-  // Precomputed inner nodes/weights (fixed per grid point).
-  double inner_lo_;
-  double inner_width_;
+  // Precomputed inner weights (fixed per grid point).
   int inner_count_;
-  std::array<double, kMaxInnerPoints> inner_y_;
   std::array<double, kMaxInnerPoints> inner_w_;  // NC weight × coupling
-  // Batched-path SoA geometry, precomputed once per integrand. These are
-  // the per-inner-node quantities sample_spacetime recomputes on every
-  // sample (identical expressions, so identical bits): the y grid index,
-  // its in-bounds flag, and the TSC y-weights.
+  // Per-inner-node stencil geometry, precomputed once per integrand: the y
+  // grid index, its in-bounds flag and the TSC y-weights (the scalar
+  // reference recomputes them on every sample with the same expressions,
+  // so the bits agree).
   std::array<std::int64_t, kMaxInnerPoints> inner_iy_;
   std::array<double, 3 * kMaxInnerPoints> inner_wy_;
   std::array<bool, kMaxInnerPoints> inner_iy_ok_;

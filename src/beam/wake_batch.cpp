@@ -1,22 +1,24 @@
 /// \file wake_batch.cpp
-/// Batched (SoA) WakeIntegrand evaluation — WakeIntegrand::eval_batch.
+/// Batched (SoA) WakeIntegrand evaluation — WakeIntegrand::eval_batch, the
+/// one evaluation path of the rp-integrand.
 ///
 /// Per sample (lane) of a batch:
 ///  1. Geometry: range test, x grid index, TSC x-weights, time clamp +
 ///     Lagrange weights, plane row pointers and the radial-kernel pow —
-///     everything eval() recomputes per inner node is computed once per
-///     sample here (the per-node y index, y bounds and TSC y-weights are
-///     precomputed at construction). Probe events are emitted lane by
-///     lane with the same per-site sequences as sequential eval() calls
-///     (flops totals are order-insensitive sums, so one count_flops per
-///     sample carries the same information).
+///     everything the scalar form recomputes per inner node is computed
+///     once per sample here (the per-node y index, y bounds and TSC
+///     y-weights are precomputed at construction). Probe events are
+///     emitted lane by lane with the same per-site sequences as the scalar
+///     form sampled one separation at a time (flops totals are
+///     order-insensitive sums, so one count_flops per sample carries the
+///     same information).
 ///  2. Inner 27-point accumulation (lane_inner_scalar), reading the
 ///     hoisted geometry.
 ///
-/// Identity contract: bitwise identical to sequential eval() calls —
-/// values and probe streams alike. Every hoisted quantity is produced by
-/// the expression eval() evaluates, and the accumulation keeps eval()'s
-/// association order.
+/// Identity contract: bitwise identical to the scalar reference integrand
+/// in tests/wake_oracle.hpp — values and probe streams alike. Every hoisted
+/// quantity is produced by the expression the reference evaluates, and the
+/// accumulation keeps its association order.
 
 #include <cmath>
 #include <cstddef>
@@ -37,20 +39,20 @@ constexpr std::size_t kMaxRows =
     static_cast<std::size_t>(kMaxInnerPoints) * kLoadsPerSample;
 
 /// Geometry of one sample, hoisted out of the inner-node loop. Every field
-/// is produced by the same expression the scalar path evaluates (per inner
-/// node there), so consuming it yields the same bits.
+/// is produced by the same expression the scalar reference evaluates (per
+/// inner node there), so consuming it yields the same bits.
 struct LaneGeom {
   bool ix_ok = false;
   double wx[3] = {0.0, 0.0, 0.0};
   double l0 = 0.0, l1 = 0.0, l2 = 0.0;
-  // Row pointers of every in-bounds inner node, in the scalar path's
+  // Row pointers of every in-bounds inner node, in the scalar reference's
   // (node, plane, row) order; 9 per node.
   const double* rows[kMaxRows];
   std::size_t num_rows = 0;
 };
 
-/// Inner accumulation for one lane: the exact op sequence of eval()'s
-/// inner loop, reading hoisted geometry.
+/// Inner accumulation for one lane: the exact op sequence of the scalar
+/// reference's inner loop, reading hoisted geometry.
 double lane_inner_scalar(const LaneGeom& g, const double* inner_w,
                          const double* inner_wy, const bool* iy_ok, int ic) {
   double inner = 0.0;
@@ -140,8 +142,8 @@ void WakeIntegrand::eval_batch(const double* u, double* out, std::size_t n,
       }
     }
     // Per-node bounds branches in node order, then the row loads in the
-    // scalar (node, plane, row) order — per-site sequences identical to
-    // sequential eval() calls.
+    // scalar reference's (node, plane, row) order — per-site sequences
+    // identical to sampling one separation at a time.
     for (int i = 0; i < ic; ++i) {
       const bool inside = lane.ix_ok && iy_ok[i];
       probe.branch(kStencilBoundsSite, inside);

@@ -7,7 +7,6 @@
 /// hint — two such intervals could be merged), which keeps the online
 /// learner self-correcting instead of ratcheting partitions finer.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,26 +39,10 @@ class PatternField {
   std::span<const double> flat() const { return data_; }
   std::span<double> flat() { return data_; }
 
-  void clear_values() { std::fill(data_.begin(), data_.end(), 0.0); }
-
  private:
   std::size_t points_ = 0;
   std::size_t subregions_ = 0;
   std::vector<double> data_;
 };
-
-/// Euclidean distance between two patterns (the clustering metric).
-double pattern_distance(std::span<const double> a, std::span<const double> b);
-
-/// Total predicted partition size Σ_j ceil(n_j).
-std::uint64_t pattern_total_intervals(std::span<const double> pattern);
-
-/// Memory references to grid D_{k-i} implied by a pattern (paper §III-A):
-/// α·(n_i + n_{i-1} + n_{i-2}), clamped at the pattern edges.
-double pattern_references_to_grid(std::span<const double> pattern,
-                                  std::size_t i, double alpha);
-
-/// Elementwise maximum (used when merging fallback observations).
-void pattern_merge_max(std::span<double> into, std::span<const double> other);
 
 }  // namespace bd::core

@@ -67,10 +67,6 @@ struct PhaseBreakdown {
   double solve_ms = 0.0;    ///< compute retarded potentials (rp-solver)
   double gather_ms = 0.0;   ///< force interpolation back to particles
   double push_ms = 0.0;     ///< leap-frog push (0 for rigid bunches)
-
-  double total_ms() const {
-    return deposit_ms + solve_ms + gather_ms + push_ms;
-  }
 };
 
 /// Statistics of one simulation step.

@@ -24,12 +24,6 @@ void Dataset::reserve(std::size_t n) {
   targets_.reserve(n * target_dim_);
 }
 
-Matrix Dataset::feature_matrix() const {
-  Matrix x(size(), feature_dim_);
-  std::copy(features_.begin(), features_.end(), x.data().begin());
-  return x;
-}
-
 Matrix Dataset::target_matrix() const {
   Matrix y(size(), target_dim_);
   std::copy(targets_.begin(), targets_.end(), y.data().begin());

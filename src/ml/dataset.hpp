@@ -39,9 +39,6 @@ class Dataset {
                                    target_dim_);
   }
 
-  /// Materialize the feature matrix (n×d).
-  Matrix feature_matrix() const;
-
   /// Materialize the target matrix (n×m).
   Matrix target_matrix() const;
 

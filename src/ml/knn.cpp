@@ -57,11 +57,4 @@ void KNNRegressor::predict_into(std::span<const double> features,
   for (double& v : out) v /= weight_sum;
 }
 
-std::vector<double> KNNRegressor::predict(
-    std::span<const double> features) const {
-  std::vector<double> out(train_.target_dim());
-  predict_into(features, out);
-  return out;
-}
-
 }  // namespace bd::ml

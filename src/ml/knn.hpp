@@ -29,10 +29,8 @@ class KNNRegressor {
   /// Fit from a dataset (copies the data; kNN is instance-based).
   void fit(const Dataset& data);
 
-  /// Predict the target vector for one query point.
-  std::vector<double> predict(std::span<const double> features) const;
-
-  /// Predict into a caller-provided buffer (avoids allocation in loops).
+  /// Predict the target vector for one query point into a caller-provided
+  /// buffer of target_dim() values (avoids allocation in loops).
   void predict_into(std::span<const double> features,
                     std::span<double> out) const;
 

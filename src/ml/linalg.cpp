@@ -39,27 +39,6 @@ Matrix Matrix::at_b(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix Matrix::multiply(const Matrix& a, const Matrix& b) {
-  BD_CHECK(a.cols() == b.rows());
-  Matrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        out(i, j) += aik * b(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix eye(n, n);
-  for (std::size_t i = 0; i < n; ++i) eye(i, i) = 1.0;
-  return eye;
-}
-
 bool cholesky_factor(Matrix& a) {
   BD_CHECK(a.rows() == a.cols());
   const std::size_t n = a.rows();

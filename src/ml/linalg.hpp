@@ -44,12 +44,6 @@ class Matrix {
   /// A^T * B where a.rows() == b.rows().
   static Matrix at_b(const Matrix& a, const Matrix& b);
 
-  /// A * B.
-  static Matrix multiply(const Matrix& a, const Matrix& b);
-
-  /// Identity matrix.
-  static Matrix identity(std::size_t n);
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

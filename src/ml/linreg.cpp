@@ -59,11 +59,4 @@ void RidgeRegressor::predict_into(std::span<const double> features,
   }
 }
 
-std::vector<double> RidgeRegressor::predict(
-    std::span<const double> features) const {
-  std::vector<double> out(weights_.cols());
-  predict_into(features, out);
-  return out;
-}
-
 }  // namespace bd::ml

@@ -29,10 +29,8 @@ class RidgeRegressor {
   /// Fit weights from the dataset.
   void fit(const Dataset& data);
 
-  /// Predict the target vector for one query point.
-  std::vector<double> predict(std::span<const double> features) const;
-
-  /// Predict into a caller-provided buffer.
+  /// Predict the target vector for one query point into a caller-provided
+  /// buffer of target_dim() values.
   void predict_into(std::span<const double> features,
                     std::span<double> out) const;
 

@@ -50,10 +50,6 @@ class OnlinePredictor {
   std::size_t feature_dim() const { return feature_dim_; }
   std::size_t target_dim() const { return target_dim_; }
   std::size_t window() const { return window_; }
-  const char* model_name() const {
-    if (!ready()) return "none";
-    return kind_ == PredictorKind::kKnn ? "knn" : "ridge";
-  }
 
   /// Seconds spent in the most recent refit (model training cost — the
   /// paper's Table II reports this overhead).

@@ -39,19 +39,4 @@ void StandardScaler::transform(std::span<double> features) const {
   }
 }
 
-std::vector<double> StandardScaler::transformed(
-    std::span<const double> features) const {
-  std::vector<double> out(features.begin(), features.end());
-  transform(out);
-  return out;
-}
-
-void StandardScaler::inverse_transform(std::span<double> features) const {
-  BD_CHECK_MSG(fitted(), "scaler not fitted");
-  BD_CHECK(features.size() == means_.size());
-  for (std::size_t c = 0; c < features.size(); ++c) {
-    features[c] = features[c] * stds_[c] + means_[c];
-  }
-}
-
 }  // namespace bd::ml

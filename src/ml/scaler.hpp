@@ -20,15 +20,8 @@ class StandardScaler {
   /// Transform one feature vector in place.
   void transform(std::span<double> features) const;
 
-  /// Transform into a new vector.
-  std::vector<double> transformed(std::span<const double> features) const;
-
-  /// Inverse transform (for reporting).
-  void inverse_transform(std::span<double> features) const;
-
   bool fitted() const { return !means_.empty(); }
   std::span<const double> means() const { return means_; }
-  std::span<const double> stds() const { return stds_; }
 
  private:
   std::vector<double> means_;

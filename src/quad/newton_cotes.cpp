@@ -42,34 +42,4 @@ std::span<const double> newton_cotes_weights(int points) {
   }
 }
 
-double newton_cotes(const std::function<double(double)>& f, double a, double b,
-                    int points) {
-  const auto weights = newton_cotes_weights(points);
-  const double h = b - a;
-  double acc = 0.0;
-  for (int i = 0; i < points; ++i) {
-    const double x = a + h * static_cast<double>(i) / (points - 1);
-    acc += weights[static_cast<std::size_t>(i)] * f(x);
-  }
-  return acc * h;
-}
-
-double composite_newton_cotes(const std::function<double(double)>& f, double a,
-                              double b, int points, int panels) {
-  BD_CHECK_MSG(panels >= 1, "need at least one panel");
-  const double w = (b - a) / panels;
-  double acc = 0.0;
-  for (int p = 0; p < panels; ++p) {
-    acc += newton_cotes(f, a + p * w, a + (p + 1) * w, points);
-  }
-  return acc;
-}
-
-int newton_cotes_exactness(int points) {
-  BD_CHECK(points >= 2 && points <= 9);
-  // n points -> degree n-1 rule; even-point counts gain one extra degree
-  // when the point count is odd (symmetry).
-  return (points % 2 == 1) ? points : points - 1;
-}
-
 }  // namespace bd::quad

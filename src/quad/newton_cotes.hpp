@@ -6,7 +6,6 @@
 /// count α·n_i.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -16,20 +15,5 @@ namespace bd::quad {
 /// [0, 1]: ∫₀¹ f ≈ Σ w_i f(i/(points-1)). Supported: 2 ≤ points ≤ 9
 /// (trapezoid .. 8th order). Throws bd::CheckError otherwise.
 std::span<const double> newton_cotes_weights(int points);
-
-/// Integrate a callable over [a, b] with an n-point closed Newton–Cotes
-/// rule.
-double newton_cotes(const std::function<double(double)>& f, double a, double b,
-                    int points);
-
-/// Composite Newton–Cotes: the interval is split into `panels` panels, each
-/// integrated with an n-point rule (shared endpoints are re-evaluated; the
-/// modeled GPU kernels do the same, which keeps flop counting honest).
-double composite_newton_cotes(const std::function<double(double)>& f, double a,
-                              double b, int points, int panels);
-
-/// Degree of exactness of the n-point closed rule (highest polynomial degree
-/// integrated exactly): n-1 for even n, n for odd n.
-int newton_cotes_exactness(int points);
 
 }  // namespace bd::quad

@@ -60,7 +60,6 @@ class PartitionSet {
   /// Bind every entry to `row`.
   void bind_all(std::size_t row);
 
-  std::size_t row_of(std::size_t entry) const { return entry_row_[entry]; }
   std::span<const double> row(std::size_t r) const {
     return {breaks_.data() + row_start_[r], row_len_[r]};
   }

@@ -55,10 +55,9 @@ QuadEstimate simpson_estimate_memo(const RadialIntegrand& f, double a,
 /// Simpson estimate, but carries f(b_i) into interval i+1, so a
 /// partition of n intervals costs 4·n+1 integrand evaluations instead of
 /// 5·n. Bit-identical to the naive loop: the integrand is pure and every
-/// sample-point expression is unchanged. The four fresh samples per
-/// interval are evaluated as one eval_batch block in the same order the
-/// scalar loop used (fm, fb, fl, fr), so batching integrands vectorize
-/// here without changing values or probe streams. `visit(i, a, b, est,
+/// sample-point expression is unchanged. The first sample f(p[0]) is a
+/// one-wide eval_batch call; the four fresh samples per interval are one
+/// eval_batch block in the order fm, fb, fl, fr. `visit(i, a, b, est,
 /// samples)` is called once per interval, in order. Returns total
 /// evaluations.
 template <typename Visit>
@@ -67,7 +66,7 @@ std::uint64_t simpson_sweep(const RadialIntegrand& f,
                             simt::LaneProbe& probe, Visit&& visit) {
   if (partition.size() < 2) return 0;
   SimpsonSamples s;
-  s.fa = f.eval(partition[0], probe);
+  f.eval_batch(&partition[0], &s.fa, 1, probe);
   std::uint64_t evaluations = 1;
   for (std::size_t i = 0; i + 1 < partition.size(); ++i) {
     const double a = partition[i];

@@ -1,7 +1,5 @@
 #include "simt/report.hpp"
 
-#include <cstdio>
-#include <sstream>
 
 #include "util/table.hpp"
 
@@ -15,41 +13,6 @@ std::string binding_resource(const KernelMetrics& metrics,
   if (tb.total_seconds == tb.l1_seconds) return "L1-bandwidth-bound";
   if (tb.total_seconds == tb.l2_seconds) return "L2-bandwidth-bound";
   return "DRAM-bound";
-}
-
-std::string profiler_report(const std::string& kernel_name,
-                            const KernelMetrics& metrics,
-                            const DeviceSpec& spec) {
-  const TimeBreakdown tb = model_time(metrics, spec);
-  std::ostringstream os;
-  char line[160];
-  auto emit = [&](const char* name, const char* fmt, double value) {
-    std::snprintf(line, sizeof(line), "  %-28s ", name);
-    os << line;
-    std::snprintf(line, sizeof(line), fmt, value);
-    os << line << '\n';
-  };
-  os << "==== kernel: " << kernel_name << " (" << spec.name << ") ====\n";
-  emit("warp_execution_efficiency", "%.2f %%",
-       metrics.warp_execution_efficiency() * 100.0);
-  emit("gld_efficiency", "%.2f %%",
-       metrics.global_load_efficiency() * 100.0);
-  emit("l1_cache_global_hit_rate", "%.2f %%", metrics.l1_hit_rate() * 100.0);
-  emit("l2_hit_rate", "%.2f %%", metrics.l2_hit_rate() * 100.0);
-  emit("branch_divergence_rate", "%.2f %%",
-       metrics.branch_divergence_rate() * 100.0);
-  emit("dram_read_bytes", "%.3e B", static_cast<double>(metrics.dram_bytes));
-  emit("flop_count_dp", "%.3e", static_cast<double>(metrics.flops));
-  emit("arithmetic_intensity", "%.3f F/B", metrics.arithmetic_intensity());
-  emit("modeled_kernel_time", "%.3e s", metrics.modeled_seconds);
-  emit("achieved_dp_gflops", "%.1f GF/s", metrics.gflops());
-  emit("compute_leg", "%.3e s", tb.compute_seconds);
-  emit("l1_bandwidth_leg", "%.3e s", tb.l1_seconds);
-  emit("l2_bandwidth_leg", "%.3e s", tb.l2_seconds);
-  emit("dram_leg", "%.3e s", tb.memory_seconds);
-  os << "  binding resource:            " << binding_resource(metrics, spec)
-     << '\n';
-  return os.str();
 }
 
 std::string comparison_report(const std::vector<KernelReportEntry>& kernels,

@@ -1,8 +1,8 @@
 #pragma once
 /// \file report.hpp
-/// Profiler-style report rendering: formats KernelMetrics the way the
-/// NVIDIA profiler presents them (the source of the paper's Table I), and
-/// side-by-side comparisons of several kernels.
+/// Profiler-style report rendering: side-by-side comparisons of several
+/// kernels' KernelMetrics in the layout of the paper's Table I (whose
+/// numbers come from the NVIDIA profiler), and the binding resource.
 
 #include <string>
 #include <vector>
@@ -18,12 +18,6 @@ struct KernelReportEntry {
   std::string name;
   KernelMetrics metrics;
 };
-
-/// Render a profiler-like single-kernel report: metric name, value, and
-/// the hardware context (roofline position, binding resource).
-std::string profiler_report(const std::string& kernel_name,
-                            const KernelMetrics& metrics,
-                            const DeviceSpec& spec);
 
 /// Render a side-by-side comparison table of several kernels (one column
 /// per kernel), the layout of the paper's Table I.

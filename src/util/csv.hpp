@@ -31,9 +31,6 @@ class CsvWriter {
   /// Finish the current row (writes it out).
   void end_row();
 
-  /// Number of data rows written so far (excludes the header).
-  std::size_t rows_written() const { return rows_; }
-
   /// Flush and close; further writes are invalid.
   void close();
 

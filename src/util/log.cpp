@@ -1,13 +1,12 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace bd::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 std::mutex g_sink_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -21,12 +20,8 @@ const char* level_tag(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
 void log_line(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
+  if (static_cast<int>(level) < static_cast<int>(kMinLevel)) return;
   std::lock_guard<std::mutex> lock(g_sink_mutex);
   std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
 }

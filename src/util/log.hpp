@@ -1,7 +1,8 @@
 #pragma once
 /// \file log.hpp
-/// Minimal leveled logger. Single global sink (stderr) with a runtime level.
-/// Thread-safe at the line level (each log call formats then writes once).
+/// Minimal leveled logger. Single global sink (stderr); messages below
+/// LogLevel::kInfo are discarded. Thread-safe at the line level (each log
+/// call formats then writes once).
 
 #include <sstream>
 #include <string>
@@ -10,13 +11,7 @@ namespace bd::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Set the global minimum level; messages below it are discarded.
-void set_log_level(LogLevel level);
-
-/// Current global level.
-LogLevel log_level();
-
-/// Write one formatted line to the sink if `level` passes the filter.
+/// Write one formatted line to the sink if `level` is at least kInfo.
 void log_line(LogLevel level, const std::string& message);
 
 namespace detail {

@@ -42,15 +42,6 @@ double mean_squared_error(std::span<const double> a,
   return acc / static_cast<double>(a.size());
 }
 
-double max_abs_error(std::span<const double> a, std::span<const double> b) {
-  BD_CHECK(a.size() == b.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    worst = std::max(worst, std::abs(a[i] - b[i]));
-  }
-  return worst;
-}
-
 LineFit fit_line(std::span<const double> xs, std::span<const double> ys) {
   BD_CHECK(xs.size() == ys.size());
   BD_CHECK_MSG(xs.size() >= 2, "line fit needs at least two points");

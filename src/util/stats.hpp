@@ -23,9 +23,6 @@ double rms(std::span<const double> xs);
 /// Mean squared difference between two equally-sized spans.
 double mean_squared_error(std::span<const double> a, std::span<const double> b);
 
-/// Maximum absolute difference between two equally-sized spans.
-double max_abs_error(std::span<const double> a, std::span<const double> b);
-
 /// Result of a least-squares straight-line fit y = slope*x + intercept.
 struct LineFit {
   double slope = 0.0;

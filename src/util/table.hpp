@@ -34,7 +34,6 @@ class ConsoleTable {
   void print() const;
 
   std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return headings_.size(); }
 
  private:
   std::vector<std::string> headings_;

@@ -64,11 +64,6 @@ std::size_t histogram_bucket_index(double value) {
   return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
 }
 
-double histogram_bucket_lower_bound(std::size_t b) {
-  if (b == 0) return 0.0;
-  return std::ldexp(1.0, static_cast<int>(b) - 1);
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
@@ -282,24 +277,6 @@ std::string MetricsRegistry::summary() const {
     table.end_row();
   }
   return table.str();
-}
-
-std::string MetricsRegistry::summary_csv() const {
-  const MetricsSnapshot snap = snapshot();
-  std::ostringstream os;
-  os << "name,kind,count,sum_or_value,mean,min,max\n";
-  for (const auto& [name, value] : snap.counters) {
-    os << name << ",counter," << value << "," << value << ",,,\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    os << name << ",gauge,," << format_number(value) << ",,,\n";
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    os << name << ",histogram," << h.count << "," << format_number(h.sum)
-       << "," << format_number(h.mean()) << "," << format_number(h.min)
-       << "," << format_number(h.max) << "\n";
-  }
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -578,29 +555,6 @@ std::string TraceSession::summary() const {
     table.end_row();
   }
   return table.str();
-}
-
-std::string TraceSession::summary_csv() const {
-  std::vector<Lane*> lanes;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    for (const auto& l : impl_->lanes) lanes.push_back(l.get());
-  }
-  std::vector<std::vector<TraceEvent>> per_lane;
-  for (Lane* lane : lanes) {
-    std::lock_guard<std::mutex> lk(lane->mu);
-    per_lane.push_back(lane->events);
-  }
-  std::ostringstream os;
-  os << "name,category,count,total_ms,mean_ms,min_ms,max_ms\n";
-  for (const auto& [name, a] : aggregate_spans(per_lane)) {
-    os << name << "," << a.category << "," << a.count << ","
-       << format_number(a.total_us / 1e3) << ","
-       << format_number(a.total_us / 1e3 / static_cast<double>(a.count))
-       << "," << format_number(a.min_us / 1e3) << ","
-       << format_number(a.max_us / 1e3) << "\n";
-  }
-  return os.str();
 }
 
 void TraceSession::flush() {

@@ -63,9 +63,6 @@ inline constexpr std::size_t kHistogramBuckets = 40;
 /// Bucket index for a value (see kHistogramBuckets for the edges).
 std::size_t histogram_bucket_index(double value);
 
-/// Inclusive lower bound of bucket `b` (0 for bucket 0).
-double histogram_bucket_lower_bound(std::size_t b);
-
 /// Merged state of one histogram.
 struct HistogramSnapshot {
   std::uint64_t count = 0;  ///< total recorded values
@@ -121,9 +118,6 @@ class MetricsRegistry {
 
   /// Aligned-text summary of all metrics, rendered with util::ConsoleTable.
   std::string summary() const;
-
-  /// CSV summary: name,kind,count,sum_or_value,mean,min,max.
-  std::string summary_csv() const;
 
  private:
   struct Shard;
@@ -213,9 +207,6 @@ class TraceSession {
   /// Per-span-name aggregate (count, total/mean/min/max ms) as an aligned
   /// text table via util::ConsoleTable.
   std::string summary() const;
-
-  /// CSV flavor of summary(): name,category,count,total_ms,mean_ms,min_ms,max_ms.
-  std::string summary_csv() const;
 
   /// Write the JSON file (if an output path is set) and print the summary
   /// table to stderr. Called by the BD_TRACE atexit hook; idempotent.

@@ -22,18 +22,26 @@
 
 namespace bd::testing {
 
-/// Simpson estimate over [a, b] from five scalar eval() calls (fa, fm, fb,
-/// fl, fr), combined by quad::simpson_combine. Costs 5 evaluations.
+/// f(r) as a one-wide eval_batch call.
+inline double eval_at(const quad::RadialIntegrand& f, double r,
+                      simt::LaneProbe& probe) {
+  double out;
+  f.eval_batch(&r, &out, 1, probe);
+  return out;
+}
+
+/// Simpson estimate over [a, b] from five one-sample evaluations (fa, fm,
+/// fb, fl, fr), combined by quad::simpson_combine. Costs 5 evaluations.
 inline quad::QuadEstimate simpson_estimate(const quad::RadialIntegrand& f,
                                            double a, double b,
                                            simt::LaneProbe& probe) {
   const double m = 0.5 * (a + b);
   quad::SimpsonSamples s;
-  s.fa = f.eval(a, probe);
-  s.fm = f.eval(m, probe);
-  s.fb = f.eval(b, probe);
-  s.fl = f.eval(0.5 * (a + m), probe);
-  s.fr = f.eval(0.5 * (m + b), probe);
+  s.fa = eval_at(f, a, probe);
+  s.fm = eval_at(f, m, probe);
+  s.fb = eval_at(f, b, probe);
+  s.fl = eval_at(f, 0.5 * (a + m), probe);
+  s.fr = eval_at(f, 0.5 * (m + b), probe);
   quad::QuadEstimate est = quad::simpson_combine(a, b, s, probe);
   est.evaluations = 5;
   return est;
@@ -68,11 +76,11 @@ inline AdaptiveResult adaptive_simpson(const quad::RadialIntegrand& f,
 
   const double m = 0.5 * (a + b);
   quad::SimpsonSamples root;
-  root.fa = f.eval(a, probe);
-  root.fm = f.eval(m, probe);
-  root.fb = f.eval(b, probe);
-  root.fl = f.eval(0.5 * (a + m), probe);
-  root.fr = f.eval(0.5 * (m + b), probe);
+  root.fa = eval_at(f, a, probe);
+  root.fm = eval_at(f, m, probe);
+  root.fb = eval_at(f, b, probe);
+  root.fl = eval_at(f, 0.5 * (a + m), probe);
+  root.fr = eval_at(f, 0.5 * (m + b), probe);
 
   std::vector<quad::AdaptiveWorkItem> stack;
   std::vector<double> interior;  // accepted breakpoints (excluding a, b)

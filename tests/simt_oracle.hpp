@@ -3,7 +3,8 @@
 /// against: the hash-map warp analyzer with its per-instruction coalescer,
 /// the tick-LRU cache, the serial single-L2 replay, and the serial per-SM
 /// cache replay built from them. LaneTrace records one lane's probe events
-/// for the oracle and for tests that compare event streams.
+/// for the oracle and for tests that compare event streams; CountingProbe
+/// only totals them.
 
 #include <algorithm>
 #include <bit>
@@ -70,6 +71,41 @@ class LaneTrace final : public simt::LaneProbe {
   std::vector<LoadEvent> loads_;
   std::vector<LoopEvent> loops_;
   std::vector<BranchEvent> branches_;
+};
+
+/// Counting probe that only accumulates totals (no trace): the algorithmic
+/// flop, load, loop-trip and branch volume of one code path.
+class CountingProbe final : public simt::LaneProbe {
+ public:
+  void count_flops(std::uint64_t n) override { flops_ += n; }
+  void load(std::uint32_t, const void*, std::uint32_t bytes) override {
+    load_bytes_ += bytes;
+    ++loads_;
+  }
+  void loop_trip(std::uint32_t, std::uint64_t trips) override {
+    loop_iterations_ += trips;
+  }
+  void branch(std::uint32_t, bool) override { ++branches_; }
+  void load_run(std::uint32_t, const void* const*, std::uint32_t bytes,
+                std::size_t count) override {
+    load_bytes_ += static_cast<std::uint64_t>(bytes) * count;
+    loads_ += count;
+  }
+
+  std::uint64_t flops() const { return flops_; }
+  std::uint64_t loads() const { return loads_; }
+  std::uint64_t load_bytes() const { return load_bytes_; }
+  std::uint64_t loop_iterations() const { return loop_iterations_; }
+  std::uint64_t branches() const { return branches_; }
+
+  void reset() { *this = CountingProbe{}; }
+
+ private:
+  std::uint64_t flops_ = 0;
+  std::uint64_t loads_ = 0;
+  std::uint64_t load_bytes_ = 0;
+  std::uint64_t loop_iterations_ = 0;
+  std::uint64_t branches_ = 0;
 };
 
 /// Report a recorded lane's events to `probe` again, kind by kind.

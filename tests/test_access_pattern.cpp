@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/access_pattern.hpp"
-#include "util/check.hpp"
 
 namespace bd::core {
 namespace {
@@ -15,43 +14,6 @@ TEST(PatternField, LayoutAndAccess) {
   field.at(2)[1] = 5.0;
   EXPECT_DOUBLE_EQ(field.at(2)[1], 5.0);
   EXPECT_DOUBLE_EQ(field.flat()[2 * 3 + 1], 5.0);
-}
-
-TEST(PatternField, ClearValues) {
-  PatternField field(2, 2);
-  field.at(0)[0] = 1.0;
-  field.clear_values();
-  for (double v : field.flat()) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Pattern, DistanceEuclidean) {
-  const AccessPattern a{1.0, 2.0, 3.0};
-  const AccessPattern b{1.0, 4.0, 3.0};
-  EXPECT_DOUBLE_EQ(pattern_distance(a, b), 2.0);
-  EXPECT_THROW(pattern_distance(a, AccessPattern{1.0}), bd::CheckError);
-}
-
-TEST(Pattern, TotalIntervalsCeils) {
-  const AccessPattern p{0.4, 2.0, 1.5, 0.0, -0.5};
-  // ceil: 1 + 2 + 2 + 0 + 0 (negatives clamp to 0).
-  EXPECT_EQ(pattern_total_intervals(p), 5u);
-}
-
-TEST(Pattern, ReferencesToGridFormula) {
-  // Paper §III-A: refs to D_{k-i} = α(n_i + n_{i-1} + n_{i-2}).
-  const AccessPattern p{2.0, 4.0, 8.0, 16.0};
-  const double alpha = 7.0;
-  EXPECT_DOUBLE_EQ(pattern_references_to_grid(p, 0, alpha), 7.0 * 2.0);
-  EXPECT_DOUBLE_EQ(pattern_references_to_grid(p, 1, alpha), 7.0 * 6.0);
-  EXPECT_DOUBLE_EQ(pattern_references_to_grid(p, 3, alpha), 7.0 * 28.0);
-  EXPECT_THROW(pattern_references_to_grid(p, 4, alpha), bd::CheckError);
-}
-
-TEST(Pattern, MergeMaxElementwise) {
-  AccessPattern into{1.0, 5.0, 2.0};
-  const AccessPattern other{3.0, 4.0, 2.0};
-  pattern_merge_max(into, other);
-  EXPECT_EQ(into, (AccessPattern{3.0, 5.0, 2.0}));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "quad/adaptive.hpp"
 #include "quad/partition.hpp"
 #include "quad_oracle.hpp"
+#include "simt_oracle.hpp"
 #include "util/check.hpp"
 
 namespace bd::quad {
@@ -111,7 +112,7 @@ TEST(Adaptive, InvalidArgumentsThrow) {
 }
 
 TEST(Adaptive, ReportsControlFlowThroughProbe) {
-  simt::CountingProbe counter;
+  bd::testing::CountingProbe counter;
   const FunctionIntegrand f([](double x) { return std::sin(10.0 * x); });
   adaptive_simpson(f, 0.0, 1.0, 1e-8, counter);
   EXPECT_GT(counter.loop_iterations(), 1u);   // worklist trips

@@ -33,7 +33,6 @@ TEST_F(CsvTest, HeaderAndRows) {
     csv.end_row();
     csv.cell("x").cell(std::int64_t{-7});
     csv.end_row();
-    EXPECT_EQ(csv.rows_written(), 2u);
     csv.close();
   }
   EXPECT_EQ(read_file(path_), "a,b\n1,2.5\nx,-7\n");

@@ -117,18 +117,6 @@ TEST(Gradient, LongitudinalOfLinearField) {
   for (double v : grad.data()) EXPECT_NEAR(v, 3.0, 1e-12);
 }
 
-TEST(Gradient, TransverseOfLinearField) {
-  const GridSpec spec = make_centered_grid(5, 9, 2.0, 4.0);
-  Grid2D rho(spec), grad(spec);
-  for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
-    for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
-      rho.at(ix, iy) = -2.0 * spec.y_at(iy);
-    }
-  }
-  transverse_gradient(rho, grad);
-  for (double v : grad.data()) EXPECT_NEAR(v, -2.0, 1e-12);
-}
-
 TEST(Gradient, QuadraticFieldSecondOrderAccurate) {
   const GridSpec spec = make_centered_grid(33, 5, 4.0, 1.0);
   Grid2D rho(spec), grad(spec);

@@ -18,23 +18,31 @@
 #include "quad_oracle.hpp"
 #include "simt_oracle.hpp"
 #include "test_helpers.hpp"
+#include "wake_oracle.hpp"
 
 namespace bd::quad {
 namespace {
 
 using bd::testing::adaptive_simpson;
 using bd::testing::AdaptiveResult;
+using bd::testing::eval_at;
+using bd::testing::expect_batch_matches_reference;
+using bd::testing::ScalarWakeIntegrand;
 using bd::testing::simpson_estimate;
 
 simt::NullProbe& probe() { return simt::NullProbe::instance(); }
 
 /// A smooth but non-polynomial integrand (nonzero Richardson error on
-/// every interval) with an evaluation counter.
+/// every interval) with an evaluation counter: n per eval_batch call.
 struct CountedIntegrand final : RadialIntegrand {
   mutable std::uint64_t evals = 0;
-  double eval(double r, simt::LaneProbe&) const override {
-    ++evals;
-    return std::exp(-0.7 * r) * std::sin(3.0 * r + 0.25) + 0.1 * r * r;
+  void eval_batch(const double* r, double* out, std::size_t n,
+                  simt::LaneProbe&) const override {
+    evals += n;
+    for (std::size_t k = 0; k < n; ++k) {
+      out[k] = std::exp(-0.7 * r[k]) * std::sin(3.0 * r[k] + 0.25) +
+               0.1 * r[k] * r[k];
+    }
   }
 };
 
@@ -115,9 +123,9 @@ TEST(SimpsonMemo, TwoEvaluationsAndBitIdenticalEstimate) {
 
   const double m = 0.5 * (a + b);
   f.evals = 0;
-  const double fa = f.eval(a, probe());
-  const double fm = f.eval(m, probe());
-  const double fb = f.eval(b, probe());
+  const double fa = eval_at(f, a, probe());
+  const double fm = eval_at(f, m, probe());
+  const double fb = eval_at(f, b, probe());
   SimpsonSamples out;
   const QuadEstimate memo =
       simpson_estimate_memo(f, a, b, fa, fm, fb, probe(), out);
@@ -215,11 +223,11 @@ TEST(AdaptiveMemo, SeededRootReusesSweepSamples) {
   const CountedIntegrand f;
   const double a = 0.0, b = 3.0, m = 0.5 * (a + b);
   SimpsonSamples root;
-  root.fa = f.eval(a, probe());
-  root.fm = f.eval(m, probe());
-  root.fb = f.eval(b, probe());
-  root.fl = f.eval(0.5 * (a + m), probe());
-  root.fr = f.eval(0.5 * (m + b), probe());
+  root.fa = eval_at(f, a, probe());
+  root.fm = eval_at(f, m, probe());
+  root.fb = eval_at(f, b, probe());
+  root.fl = eval_at(f, 0.5 * (a + m), probe());
+  root.fr = eval_at(f, 0.5 * (m + b), probe());
   f.evals = 0;
 
   std::vector<AdaptiveWorkItem> stack;
@@ -243,8 +251,8 @@ TEST(WakeIntegrandProperty, PureEvaluationOnRealProblem) {
       *fixture.problem.history, *fixture.problem.model, spec.x_at(7),
       spec.y_at(9), fixture.problem.step, fixture.problem.sub_width);
   for (double r : {0.0, 0.3, 1.7, 4.2, fixture.problem.r_max()}) {
-    const double first = integrand.eval(r, probe());
-    const double second = integrand.eval(r, probe());
+    const double first = eval_at(integrand, r, probe());
+    const double second = eval_at(integrand, r, probe());
     EXPECT_EQ(first, second) << "r=" << r;
   }
 }
@@ -278,9 +286,10 @@ TEST(WakeIntegrandProperty, SweepMatchesNaiveLoopOnRealProblem) {
 }
 
 // ---- Batched integrand engine (src/beam/wake_batch.cpp) -------------------
-// eval_batch must be bitwise identical to sequential eval() calls — output
-// values AND probe event streams — for every batch width, including
-// boundary stencils and out-of-range samples.
+// eval_batch must be bitwise identical to the scalar reference integrand
+// (tests/wake_oracle.hpp) sampled one separation at a time — output values
+// AND probe event streams — for every batch width, including boundary
+// stencils and out-of-range samples.
 
 /// The simpson-sweep batch layout for subregion interval j of width 1.
 std::array<double, 4> sweep_batch(std::size_t j) {
@@ -302,13 +311,16 @@ TEST(SimdBatch, BatchedMatchesScalarBitwiseOnTableIWorkload) {
     const beam::WakeIntegrand f(
         *fixture.problem.history, *fixture.problem.model, spec.x_at(ix),
         spec.y_at(iy), fixture.problem.step, fixture.problem.sub_width);
+    const ScalarWakeIntegrand ref(
+        *fixture.problem.history, *fixture.problem.model, spec.x_at(ix),
+        spec.y_at(iy), fixture.problem.step, fixture.problem.sub_width);
     for (std::size_t j = 0; j < 12; ++j) {
       const std::array<double, 4> u = sweep_batch(j);
-      double ref[4], got[4];
-      for (std::size_t k = 0; k < 4; ++k) ref[k] = f.eval(u[k], probe());
+      double want[4], got[4];
+      for (std::size_t k = 0; k < 4; ++k) want[k] = ref.eval(u[k], probe());
       f.eval_batch(u.data(), got, 4, probe());
       for (std::size_t k = 0; k < 4; ++k) {
-        ASSERT_EQ(got[k], ref[k])
+        ASSERT_EQ(got[k], want[k])
             << "node (" << ix << "," << iy << ") interval " << j
             << " lane " << k;
       }
@@ -329,18 +341,17 @@ TEST(SimdBatch, PartialWidthsBoundaryAndOutOfRangeSamples) {
         *fixture.problem.history, *fixture.problem.model,
         spec.x_at(node[0]), spec.y_at(node[1]), fixture.problem.step,
         fixture.problem.sub_width);
+    const ScalarWakeIntegrand ref(
+        *fixture.problem.history, *fixture.problem.model,
+        spec.x_at(node[0]), spec.y_at(node[1]), fixture.problem.step,
+        fixture.problem.sub_width);
     const double samples[] = {0.0, 0.75, far, 2.5, far, 0.1, 4.9};
     for (std::size_t n = 1; n <= quad::kBatchWidth; ++n) {
       for (std::size_t off = 0; off + n <= std::size(samples); ++off) {
-        double ref[quad::kBatchWidth], got[quad::kBatchWidth];
-        for (std::size_t k = 0; k < n; ++k) {
-          ref[k] = f.eval(samples[off + k], probe());
-        }
-        f.eval_batch(samples + off, got, n, probe());
-        for (std::size_t k = 0; k < n; ++k) {
-          ASSERT_EQ(got[k], ref[k]) << "node (" << node[0] << "," << node[1]
-                                    << ") width " << n << " lane " << k;
-        }
+        SCOPED_TRACE(::testing::Message()
+                     << "node (" << node[0] << "," << node[1] << ") width "
+                     << n << " offset " << off);
+        expect_batch_matches_reference(f, ref, samples + off, n);
       }
     }
   }
@@ -348,58 +359,43 @@ TEST(SimdBatch, PartialWidthsBoundaryAndOutOfRangeSamples) {
 
 TEST(SimdBatch, ProbeStreamIdenticalToSequentialEval) {
   // The warp analyzer reconstructs lockstep execution from these streams;
-  // the batched path must emit the very same events. Emission is lane-major
-  // with per-lane ordering equal to eval()'s, so the raw vectors — not just
-  // the per-site subsequences — must match.
+  // the batched path must emit the very same events as the reference
+  // sampled one separation at a time. Emission is lane-major with per-lane
+  // ordering equal to the reference's, so the raw vectors — not just the
+  // per-site subsequences — must match.
   const bd::testing::ProblemFixture fixture(32, 1e-6, 12);
   const beam::GridSpec& spec = fixture.spec;
   const beam::WakeIntegrand f(
+      *fixture.problem.history, *fixture.problem.model, spec.x_at(3),
+      spec.y_at(28), fixture.problem.step, fixture.problem.sub_width);
+  const ScalarWakeIntegrand ref(
       *fixture.problem.history, *fixture.problem.model, spec.x_at(3),
       spec.y_at(28), fixture.problem.step, fixture.problem.sub_width);
   const double far = fixture.problem.r_max() + 25.0;
   const std::array<std::array<double, 4>, 3> batches = {
       sweep_batch(0), sweep_batch(7), {1.0, far, 0.25, far}};
   for (const auto& u : batches) {
-    bd::testing::LaneTrace scalar_trace, batch_trace;
-    double ref[4], got[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      ref[k] = f.eval(u[k], scalar_trace);
-    }
-    f.eval_batch(u.data(), got, 4, batch_trace);
-    for (std::size_t k = 0; k < 4; ++k) ASSERT_EQ(got[k], ref[k]);
-
-    EXPECT_EQ(batch_trace.flops(), scalar_trace.flops());
-    ASSERT_EQ(batch_trace.loads().size(), scalar_trace.loads().size());
-    for (std::size_t i = 0; i < scalar_trace.loads().size(); ++i) {
-      const bd::testing::LoadEvent& a = scalar_trace.loads()[i];
-      const bd::testing::LoadEvent& b = batch_trace.loads()[i];
-      ASSERT_EQ(b.site, a.site) << "load " << i;
-      ASSERT_EQ(b.addr, a.addr) << "load " << i;
-      ASSERT_EQ(b.bytes, a.bytes) << "load " << i;
-    }
-    ASSERT_EQ(batch_trace.branches().size(), scalar_trace.branches().size());
-    for (std::size_t i = 0; i < scalar_trace.branches().size(); ++i) {
-      ASSERT_EQ(batch_trace.branches()[i].site,
-                scalar_trace.branches()[i].site) << "branch " << i;
-      ASSERT_EQ(batch_trace.branches()[i].taken,
-                scalar_trace.branches()[i].taken) << "branch " << i;
-    }
-    EXPECT_EQ(batch_trace.loops().size(), scalar_trace.loops().size());
+    expect_batch_matches_reference(f, ref, u.data(), u.size());
   }
 }
 
-TEST(SimdBatch, DefaultEvalBatchLoopsOverEval) {
-  // RadialIntegrands without a custom batch path fall back to n sequential
-  // eval() calls — identical bits, identical evaluation counts (the eval-
-  // count identities above depend on this).
-  const CountedIntegrand f;
+TEST(SimdBatch, FunctionIntegrandBatchIsPerSampleCalls) {
+  // FunctionIntegrand's eval_batch is one function call and one flop report
+  // per sample, in index order.
+  std::vector<double> seen;
+  const FunctionIntegrand f(
+      [&seen](double r) {
+        seen.push_back(r);
+        return std::sin(r) + r;
+      },
+      5);
   const double u[4] = {0.1, 1.9, 3.2, 5.5};
-  double ref[4], got[4];
-  for (std::size_t k = 0; k < 4; ++k) ref[k] = f.eval(u[k], probe());
-  f.evals = 0;
-  f.eval_batch(u, got, 4, probe());
-  EXPECT_EQ(f.evals, 4u);
-  for (std::size_t k = 0; k < 4; ++k) EXPECT_EQ(got[k], ref[k]);
+  double got[4];
+  bd::testing::CountingProbe counter;
+  f.eval_batch(u, got, 4, counter);
+  EXPECT_EQ(seen, std::vector<double>(u, u + 4));
+  EXPECT_EQ(counter.flops(), 4u * 5u);
+  for (std::size_t k = 0; k < 4; ++k) EXPECT_EQ(got[k], std::sin(u[k]) + u[k]);
 }
 
 }  // namespace

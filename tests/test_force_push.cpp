@@ -85,15 +85,6 @@ TEST(Push, HarmonicOscillatorEnergyNearlyConserved) {
   EXPECT_LT(max_energy / min_energy, 1.2);  // symplectic: no secular drift
 }
 
-TEST(Push, RigidPushIsNoOp) {
-  ParticleSet p(2);
-  p.s()[0] = 1.0;
-  p.ps()[1] = 2.0;
-  rigid_push(p, 1.0);
-  EXPECT_DOUBLE_EQ(p.s()[0], 1.0);
-  EXPECT_DOUBLE_EQ(p.s()[1], 0.0);
-}
-
 TEST(Push, ForceSizeMismatchThrows) {
   ParticleSet p(3);
   const std::vector<double> wrong(2, 0.0);

@@ -33,36 +33,6 @@ TEST(Grid2D, AtAndFill) {
   g.at(1, 2) = -1.0;
   EXPECT_DOUBLE_EQ(g.at(1, 2), -1.0);
   EXPECT_DOUBLE_EQ(g.sum(), 2.0 * 16 - 3.0);
-  EXPECT_DOUBLE_EQ(g.max_abs(), 2.0);
-}
-
-TEST(Grid2D, BilinearReproducesLinearField) {
-  const GridSpec spec = make_centered_grid(11, 11, 5.0, 5.0);
-  Grid2D g(spec);
-  for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
-    for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
-      g.at(ix, iy) = 2.0 * spec.x_at(ix) - 3.0 * spec.y_at(iy) + 1.0;
-    }
-  }
-  for (double x : {-4.3, -1.1, 0.0, 2.7}) {
-    for (double y : {-3.9, 0.4, 4.9}) {
-      EXPECT_NEAR(g.bilinear(x, y), 2.0 * x - 3.0 * y + 1.0, 1e-12);
-    }
-  }
-}
-
-TEST(Grid2D, BilinearZeroOutside) {
-  Grid2D g(make_centered_grid(4, 4, 1.0, 1.0));
-  g.fill(5.0);
-  EXPECT_DOUBLE_EQ(g.bilinear(2.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(g.bilinear(0.0, -1.5), 0.0);
-}
-
-TEST(Grid2D, BilinearAtExactEdge) {
-  Grid2D g(make_centered_grid(3, 3, 1.0, 1.0));
-  g.fill(4.0);
-  EXPECT_DOUBLE_EQ(g.bilinear(1.0, 1.0), 4.0);   // far corner
-  EXPECT_DOUBLE_EQ(g.bilinear(-1.0, -1.0), 4.0); // near corner
 }
 
 TEST(TscWeights, PartitionOfUnityAndSymmetry) {

@@ -1,11 +1,14 @@
 #pragma once
 /// Shared fixtures for solver-level tests: a small rp-problem over a
-/// continuum-filled (noise-free) moment history and a bitwise
-/// KernelMetrics comparison.
+/// continuum-filled (noise-free) moment history, a bitwise KernelMetrics
+/// comparison, a bitwise integrand-vs-reference comparison and a one-query
+/// regressor prediction.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "beam/analytic.hpp"
@@ -13,9 +16,58 @@
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
 #include "core/problem.hpp"
+#include "quad/integrand.hpp"
 #include "simt/metrics.hpp"
+#include "simt_oracle.hpp"
 
 namespace bd::testing {
+
+/// Runs `f.eval_batch` on u[0..n) and the reference integrand `ref` on the
+/// same samples, each into its own LaneTrace, and checks that they agree
+/// bit for bit: every value, the flop total, and the load, branch and loop
+/// streams in order (site, address and width of every load).
+inline void expect_batch_matches_reference(const quad::RadialIntegrand& f,
+                                           const quad::RadialIntegrand& ref,
+                                           const double* u, std::size_t n) {
+  ASSERT_LE(n, quad::kBatchWidth);
+  LaneTrace got_trace, ref_trace;
+  double got[quad::kBatchWidth], want[quad::kBatchWidth];
+  f.eval_batch(u, got, n, got_trace);
+  ref.eval_batch(u, want, n, ref_trace);
+  for (std::size_t k = 0; k < n; ++k) {
+    // Bits, not values: NaN and signed zeros must match too.
+    EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+        << "sample " << k << " (u = " << u[k] << "): " << got[k]
+        << " vs reference " << want[k];
+  }
+  EXPECT_EQ(got_trace.flops(), ref_trace.flops());
+  ASSERT_EQ(got_trace.loads().size(), ref_trace.loads().size());
+  for (std::size_t i = 0; i < ref_trace.loads().size(); ++i) {
+    const LoadEvent& a = ref_trace.loads()[i];
+    const LoadEvent& b = got_trace.loads()[i];
+    ASSERT_EQ(b.site, a.site) << "load " << i;
+    ASSERT_EQ(b.addr, a.addr) << "load " << i;
+    ASSERT_EQ(b.bytes, a.bytes) << "load " << i;
+  }
+  ASSERT_EQ(got_trace.branches().size(), ref_trace.branches().size());
+  for (std::size_t i = 0; i < ref_trace.branches().size(); ++i) {
+    ASSERT_EQ(got_trace.branches()[i].site, ref_trace.branches()[i].site)
+        << "branch " << i;
+    ASSERT_EQ(got_trace.branches()[i].taken, ref_trace.branches()[i].taken)
+        << "branch " << i;
+  }
+  EXPECT_EQ(got_trace.loops().size(), ref_trace.loops().size());
+}
+
+/// One query's prediction from a fitted KNNRegressor or RidgeRegressor,
+/// through the allocation-free predict_into the solvers call.
+template <typename Model>
+std::vector<double> predict(const Model& model,
+                            std::span<const double> features) {
+  std::vector<double> out(model.target_dim());
+  model.predict_into(features, out);
+  return out;
+}
 
 /// Bit-for-bit comparison of every KernelMetrics field the paper reports.
 inline void expect_identical(const simt::KernelMetrics& a,

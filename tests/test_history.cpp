@@ -99,7 +99,6 @@ TEST(History, SlotsShareOneContiguousBuffer) {
   }
   const std::size_t plane = small_spec().nodes();
   EXPECT_EQ(static_cast<std::size_t>(hi - lo), plane * (3 * 2 - 1));
-  EXPECT_EQ(history.footprint_bytes(), plane * 6 * sizeof(double));
 }
 
 TEST(History, DepthOneStillWorks) {

@@ -8,10 +8,13 @@
 #include "ml/knn.hpp"
 #include "ml/linalg.hpp"
 #include "util/check.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace bd::ml {
 namespace {
+
+using bd::testing::predict;
 
 Dataset linear_surface(std::size_t n, util::Rng& rng) {
   // y0 = 2x0 + x1, y1 = -x0 (multi-output).
@@ -32,7 +35,7 @@ TEST(Knn, ExactMatchReturnsStoredTarget) {
   d.add(std::vector<double>{3.0}, std::vector<double>{30.0});
   KNNRegressor knn(KnnConfig{.k = 2});
   knn.fit(d);
-  EXPECT_DOUBLE_EQ(knn.predict(std::vector<double>{2.0})[0], 20.0);
+  EXPECT_DOUBLE_EQ(predict(knn, std::vector<double>{2.0})[0], 20.0);
 }
 
 TEST(Knn, UniformWeightsAverageNeighbors) {
@@ -45,7 +48,7 @@ TEST(Knn, UniformWeightsAverageNeighbors) {
   config.standardize = false;
   KNNRegressor knn(config);
   knn.fit(d);
-  EXPECT_DOUBLE_EQ(knn.predict(std::vector<double>{0.25})[0], 5.0);
+  EXPECT_DOUBLE_EQ(predict(knn, std::vector<double>{0.25})[0], 5.0);
 }
 
 TEST(Knn, DistanceWeightsFavorCloserNeighbor) {
@@ -59,7 +62,15 @@ TEST(Knn, DistanceWeightsFavorCloserNeighbor) {
   KNNRegressor knn(config);
   knn.fit(d);
   // At x = 0.25: weights 4 and 4/3 -> prediction 10 * (4/3)/(16/3) = 2.5.
-  EXPECT_NEAR(knn.predict(std::vector<double>{0.25})[0], 2.5, 1e-12);
+  EXPECT_NEAR(predict(knn, std::vector<double>{0.25})[0], 2.5, 1e-12);
+}
+
+/// A standardized copy of one feature vector.
+std::vector<double> transformed(const StandardScaler& scaler,
+                                std::span<const double> features) {
+  std::vector<double> out(features.begin(), features.end());
+  scaler.transform(out);
+  return out;
 }
 
 /// Reference kNN prediction: a brute-force scan over standardized
@@ -72,7 +83,7 @@ std::vector<double> brute_force_predict(const Dataset& d, std::size_t k,
   std::vector<Neighbor> neighbors;
   for (std::size_t i = 0; i < d.size(); ++i) {
     neighbors.push_back(
-        Neighbor{i, squared_distance(scaler.transformed(d.features(i)),
+        Neighbor{i, squared_distance(transformed(scaler, d.features(i)),
                                      query)});
   }
   std::sort(neighbors.begin(), neighbors.end(),
@@ -106,7 +117,7 @@ TEST(Knn, BruteAndKdTreeAgree) {
   with_tree.fit(d);
   for (int q = 0; q < 25; ++q) {
     const std::vector<double> query{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    const auto a = with_tree.predict(query);
+    const auto a = predict(with_tree, query);
     const auto b = brute_force_predict(d, tree_cfg.k, query);
     EXPECT_NEAR(a[0], b[0], 1e-10);
     EXPECT_NEAR(a[1], b[1], 1e-10);
@@ -122,7 +133,7 @@ TEST(Knn, LearnsSmoothSurface) {
   for (int q = 0; q < 50; ++q) {
     const double x0 = rng.uniform(-0.8, 0.8);
     const double x1 = rng.uniform(-0.8, 0.8);
-    const auto p = knn.predict(std::vector<double>{x0, x1});
+    const auto p = predict(knn, std::vector<double>{x0, x1});
     worst = std::max(worst, std::abs(p[0] - (2 * x0 + x1)));
     worst = std::max(worst, std::abs(p[1] + x0));
   }
@@ -153,8 +164,8 @@ TEST(Knn, StandardizationMattersForSkewedScales) {
     const double signal = rng.uniform(-0.01, 0.01);
     const std::vector<double> query{rng.uniform(-1000, 1000), signal};
     const double truth = signal > 0 ? 1.0 : -1.0;
-    if (raw.predict(query)[0] * truth > 0) ++raw_correct;
-    if (standardized.predict(query)[0] * truth > 0) ++std_correct;
+    if (predict(raw, query)[0] * truth > 0) ++raw_correct;
+    if (predict(standardized, query)[0] * truth > 0) ++std_correct;
   }
   EXPECT_GT(std_correct, 90);
   EXPECT_GT(std_correct, raw_correct);
@@ -162,7 +173,7 @@ TEST(Knn, StandardizationMattersForSkewedScales) {
 
 TEST(Knn, PredictBeforeFitThrows) {
   KNNRegressor knn;
-  EXPECT_THROW(knn.predict(std::vector<double>{1.0}), bd::CheckError);
+  EXPECT_THROW(predict(knn, std::vector<double>{1.0}), bd::CheckError);
 }
 
 TEST(Knn, PredictIntoValidatesSizes) {

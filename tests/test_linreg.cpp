@@ -6,10 +6,13 @@
 
 #include "ml/linreg.hpp"
 #include "util/check.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace bd::ml {
 namespace {
+
+using bd::testing::predict;
 
 TEST(Ridge, RecoversLinearFunction) {
   util::Rng rng(7);
@@ -27,7 +30,7 @@ TEST(Ridge, RecoversLinearFunction) {
   for (int q = 0; q < 20; ++q) {
     const double x0 = rng.uniform(-2, 2);
     const double x1 = rng.uniform(-2, 2);
-    EXPECT_NEAR(model.predict(std::vector<double>{x0, x1})[0],
+    EXPECT_NEAR(predict(model, std::vector<double>{x0, x1})[0],
                 3.0 * x0 - 2.0 * x1 + 1.0, 1e-6);
   }
 }
@@ -42,7 +45,7 @@ TEST(Ridge, QuadraticExpansionFitsQuadratic) {
   RidgeRegressor model;  // poly_degree = 2 default
   model.fit(d);
   for (double x : {-0.7, -0.2, 0.0, 0.4, 0.9}) {
-    EXPECT_NEAR(model.predict(std::vector<double>{x})[0], x * x - 0.5 * x,
+    EXPECT_NEAR(predict(model, std::vector<double>{x})[0], x * x - 0.5 * x,
                 1e-5);
   }
 }
@@ -59,7 +62,7 @@ TEST(Ridge, LinearModelCannotFitQuadratic) {
   RidgeRegressor model(config);
   model.fit(d);
   // Best linear fit of x² on [-1,1] is ~1/3; large pointwise error at 0.
-  EXPECT_GT(std::abs(model.predict(std::vector<double>{0.0})[0]), 0.1);
+  EXPECT_GT(std::abs(predict(model, std::vector<double>{0.0})[0]), 0.1);
 }
 
 TEST(Ridge, MultiOutput) {
@@ -73,7 +76,7 @@ TEST(Ridge, MultiOutput) {
   config.poly_degree = 1;
   RidgeRegressor model(config);
   model.fit(d);
-  const auto p = model.predict(std::vector<double>{0.5});
+  const auto p = predict(model, std::vector<double>{0.5});
   EXPECT_NEAR(p[0], 0.5, 1e-6);
   EXPECT_NEAR(p[1], 1.0, 1e-6);
   EXPECT_NEAR(p[2], 0.5, 1e-6);
@@ -91,12 +94,12 @@ TEST(Ridge, RegularizationShrinksIllConditionedFit) {
   config.ridge = 1e-4;
   RidgeRegressor model(config);
   EXPECT_NO_THROW(model.fit(d));
-  EXPECT_NEAR(model.predict(std::vector<double>{1.0, 1.0})[0], 2.0, 1e-2);
+  EXPECT_NEAR(predict(model, std::vector<double>{1.0, 1.0})[0], 2.0, 1e-2);
 }
 
 TEST(Ridge, PredictBeforeFitThrows) {
   RidgeRegressor model;
-  EXPECT_THROW(model.predict(std::vector<double>{1.0}), bd::CheckError);
+  EXPECT_THROW(predict(model, std::vector<double>{1.0}), bd::CheckError);
 }
 
 TEST(Ridge, FitEmptyThrows) {

@@ -1,14 +1,37 @@
-/// Tests for the Newton–Cotes rules (the rp-integral's inner quadrature).
+/// Tests for the Newton–Cotes rules (the rp-integral's inner quadrature):
+/// the weights WakeIntegrand folds into its inner nodes, checked through
+/// the closed rule they define.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "quad/newton_cotes.hpp"
 #include "util/check.hpp"
 
 namespace bd::quad {
 namespace {
+
+/// Integrate a callable over [a, b] with the n-point closed rule
+/// Σ w_i f(a + i·h/(n-1)) · h, h = b - a.
+double newton_cotes(const std::function<double(double)>& f, double a, double b,
+                    int points) {
+  const auto weights = newton_cotes_weights(points);
+  const double h = b - a;
+  double acc = 0.0;
+  for (int i = 0; i < points; ++i) {
+    const double x = a + h * static_cast<double>(i) / (points - 1);
+    acc += weights[static_cast<std::size_t>(i)] * f(x);
+  }
+  return acc * h;
+}
+
+/// Degree of exactness of the n-point closed rule (highest polynomial degree
+/// integrated exactly): n-1 for even n, n for odd n.
+int newton_cotes_exactness(int points) {
+  return (points % 2 == 1) ? points : points - 1;
+}
 
 TEST(NewtonCotes, WeightsSumToOne) {
   for (int n = 2; n <= 9; ++n) {
@@ -71,25 +94,6 @@ TEST_P(ExactnessSweep, ExactUpToDegree) {
 
 INSTANTIATE_TEST_SUITE_P(AllOrders, ExactnessSweep,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9));
-
-TEST(NewtonCotes, CompositeConvergesOnSmoothFunction) {
-  auto f = [](double x) { return std::sin(x); };
-  const double exact = 1.0 - std::cos(1.0);
-  double prev_err = 1.0;
-  for (int panels : {1, 2, 4, 8}) {
-    const double err =
-        std::abs(composite_newton_cotes(f, 0.0, 1.0, 3, panels) - exact);
-    EXPECT_LT(err, prev_err + 1e-16);
-    prev_err = err;
-  }
-  EXPECT_LT(prev_err, 1e-7);
-}
-
-TEST(NewtonCotes, CompositeValidatesPanels) {
-  EXPECT_THROW(
-      composite_newton_cotes([](double) { return 1.0; }, 0.0, 1.0, 3, 0),
-      bd::CheckError);
-}
 
 TEST(NewtonCotes, ReversedIntervalGivesNegative) {
   const double fwd = newton_cotes([](double x) { return x; }, 0.0, 1.0, 3);

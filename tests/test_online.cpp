@@ -63,7 +63,6 @@ TEST(Online, LargerWindowBlendsSteps) {
 TEST(Online, RidgeBackendWorks) {
   OnlinePredictor predictor(PredictorKind::kRidge, 1, 1);
   feed_step(predictor, 3.0);
-  EXPECT_STREQ(predictor.model_name(), "ridge");
   std::vector<double> out(1);
   predictor.predict_into(std::vector<double>{0.25}, out);
   EXPECT_NEAR(out[0], 0.75, 1e-3);

@@ -4,6 +4,7 @@
 
 #include "simt/device.hpp"
 #include "simt/probe.hpp"
+#include "simt_oracle.hpp"
 
 namespace bd::simt {
 namespace {
@@ -27,7 +28,7 @@ TEST(NullProbe, IsSharedAndInert) {
 }
 
 TEST(CountingProbe, AccumulatesAllKinds) {
-  CountingProbe p;
+  bd::testing::CountingProbe p;
   p.count_flops(10);
   p.count_flops(5);
   p.load(1, nullptr, 24);

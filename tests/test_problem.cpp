@@ -54,7 +54,7 @@ TEST(RpProblem, PointCoordsRowMajor) {
   EXPECT_DOUBLE_EQ(y, spec.y_at(1));
   p.point_coords(p.num_points() - 1, x, y);
   EXPECT_DOUBLE_EQ(x, spec.x_max());
-  EXPECT_DOUBLE_EQ(y, spec.y_max());
+  EXPECT_DOUBLE_EQ(y, spec.y_at(spec.ny - 1));
 }
 
 TEST(SolveResult, OverallSumsHostAndGpu) {

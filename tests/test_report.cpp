@@ -21,19 +21,6 @@ KernelMetrics sample_metrics() {
   return m;
 }
 
-TEST(Report, ProfilerReportContainsKeyMetrics) {
-  const std::string r =
-      profiler_report("predictive-rp", sample_metrics(), tesla_k40());
-  EXPECT_NE(r.find("predictive-rp"), std::string::npos);
-  EXPECT_NE(r.find("warp_execution_efficiency"), std::string::npos);
-  EXPECT_NE(r.find("90.00 %"), std::string::npos);   // warp eff
-  EXPECT_NE(r.find("gld_efficiency"), std::string::npos);
-  EXPECT_NE(r.find("125.00 %"), std::string::npos);  // 500k/400k
-  EXPECT_NE(r.find("l1_cache_global_hit_rate"), std::string::npos);
-  EXPECT_NE(r.find("80.00 %"), std::string::npos);
-  EXPECT_NE(r.find("binding resource"), std::string::npos);
-}
-
 TEST(Report, BindingResourceClassification) {
   const DeviceSpec spec = tesla_k40();
 

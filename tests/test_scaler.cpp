@@ -26,7 +26,10 @@ TEST(Scaler, FitComputesMoments) {
   ASSERT_TRUE(scaler.fitted());
   EXPECT_NEAR(scaler.means()[0], 10.0, 1e-12);
   EXPECT_NEAR(scaler.means()[1], -1.0, 1e-12);
-  EXPECT_NEAR(scaler.stds()[0], std::sqrt(8.0 / 3.0), 1e-12);
+  // One population σ = sqrt(8/3) above the mean scales to 1.
+  std::vector<double> v{10.0 + std::sqrt(8.0 / 3.0), -1.0};
+  scaler.transform(v);
+  EXPECT_NEAR(v[0], 1.0, 1e-12);
 }
 
 TEST(Scaler, TransformCentersAndScales) {
@@ -36,17 +39,6 @@ TEST(Scaler, TransformCentersAndScales) {
   scaler.transform(v);
   EXPECT_NEAR(v[0], 0.0, 1e-12);
   EXPECT_NEAR(v[1], 0.0, 1e-12);
-}
-
-TEST(Scaler, InverseRoundTrips) {
-  StandardScaler scaler;
-  scaler.fit(two_column_data());
-  std::vector<double> v{12.5, 0.25};
-  std::vector<double> original = v;
-  scaler.transform(v);
-  scaler.inverse_transform(v);
-  EXPECT_NEAR(v[0], original[0], 1e-12);
-  EXPECT_NEAR(v[1], original[1], 1e-12);
 }
 
 TEST(Scaler, ConstantColumnLeftUnscaled) {
@@ -68,15 +60,6 @@ TEST(Scaler, ErrorsOnMisuse) {
   scaler.fit(two_column_data());
   std::vector<double> wrong{1.0};
   EXPECT_THROW(scaler.transform(wrong), bd::CheckError);
-}
-
-TEST(Scaler, TransformedCopies) {
-  StandardScaler scaler;
-  scaler.fit(two_column_data());
-  const std::vector<double> v{8.0, -2.0};
-  const std::vector<double> t = scaler.transformed(v);
-  EXPECT_DOUBLE_EQ(v[0], 8.0);  // input untouched
-  EXPECT_LT(t[0], 0.0);
 }
 
 }  // namespace

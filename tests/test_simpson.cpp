@@ -7,6 +7,7 @@
 
 #include "quad/simpson.hpp"
 #include "quad_oracle.hpp"
+#include "simt_oracle.hpp"
 
 namespace bd::quad {
 namespace {
@@ -53,7 +54,7 @@ TEST(Simpson, EstimateAccumulation) {
 }
 
 TEST(Simpson, CountsFlopsThroughProbe) {
-  simt::CountingProbe counter;
+  bd::testing::CountingProbe counter;
   const FunctionIntegrand f([](double) { return 1.0; }, 7);
   simpson_estimate(f, 0.0, 1.0, counter);
   // 5 evaluations × 7 flops + 18 combination flops.

@@ -43,7 +43,7 @@ TEST(Table, EmptyHeadingsRejected) {
 
 TEST(Table, CountsRowsAndColumns) {
   ConsoleTable table({"a", "b", "c"});
-  EXPECT_EQ(table.columns(), 3u);
+  EXPECT_THROW(table.add_row({"1", "2"}), CheckError);  // 3 columns
   table.add_row({"1", "2", "3"});
   table.add_row({"4", "5", "6"});
   EXPECT_EQ(table.rows(), 2u);

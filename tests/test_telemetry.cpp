@@ -222,9 +222,10 @@ TEST(HistogramBuckets, EdgesFollowLog2Rule) {
 }
 
 TEST(HistogramBuckets, LowerBoundsRoundTrip) {
-  EXPECT_EQ(histogram_bucket_lower_bound(0), 0.0);
+  // Bucket b >= 1 holds [2^(b-1), 2^b): its inclusive lower bound is
+  // 2^(b-1).
   for (std::size_t b = 1; b + 1 < kHistogramBuckets; ++b) {
-    const double lo = histogram_bucket_lower_bound(b);
+    const double lo = std::ldexp(1.0, static_cast<int>(b) - 1);
     EXPECT_EQ(histogram_bucket_index(lo), b) << "bucket " << b;
     // Just below the lower bound must land one bucket earlier.
     EXPECT_EQ(histogram_bucket_index(std::nextafter(lo, 0.0)), b - 1)
@@ -313,11 +314,9 @@ TEST(MetricsRegistry, SummariesRenderEveryMetric) {
   histogram_record("t.render.hist", 3.0);
 
   const std::string text = reg.summary();
-  const std::string csv = reg.summary_csv();
   for (const char* name :
        {"t.render.counter", "t.render.gauge", "t.render.hist"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
-    EXPECT_NE(csv.find(name), std::string::npos) << name;
   }
   reg.reset();
 }
@@ -437,10 +436,7 @@ TEST(TraceSession, SummaryAggregatesPerName) {
   session.stop();
 
   const std::string text = session.summary();
-  const std::string csv = session.summary_csv();
   EXPECT_NE(text.find("t.repeat"), std::string::npos);
-  EXPECT_NE(csv.find("t.repeat"), std::string::npos);
-  EXPECT_NE(csv.find("name,category,count"), std::string::npos);
   session.clear();
 }
 

@@ -13,10 +13,16 @@
 #include "quad/adaptive.hpp"
 #include "quad_oracle.hpp"
 #include "simt_oracle.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "wake_oracle.hpp"
 
 namespace bd::beam {
 namespace {
+
+using bd::testing::eval_at;
+using bd::testing::expect_batch_matches_reference;
+using bd::testing::ScalarWakeIntegrand;
 
 constexpr double kSubWidth = 1.0;
 constexpr double kRMax = 12.0;
@@ -75,17 +81,31 @@ TEST(Analytic, LongitudinalForceAntisymmetricIsh) {
   EXPECT_LT(back, 0.0);
 }
 
+/// Transverse factor T(y) in closed form: the coupling kernel convolved
+/// with the bunch's Gaussian transverse profile over the whole line is a
+/// Gaussian (or its derivative) of width sqrt(σ_c² + σ_y²).
+double closed_form_transverse_factor(double y, const WakeModel& model,
+                                     const BeamParams& params) {
+  const double sigma_t = std::sqrt(model.coupling_sigma *
+                                       model.coupling_sigma +
+                                   params.sigma_y * params.sigma_y);
+  return model.coupling_derivative ? gaussian_pdf_prime(y, sigma_t)
+                                   : gaussian_pdf(y, sigma_t);
+}
+
 TEST(Analytic, TransverseFactorClosedForm) {
+  // With an inner window of ±20 σ_c, the windowed factor analytic_force
+  // uses equals the full convolution to far below the tolerance.
   WakeModel model = WakeModel::longitudinal();
   model.coupling_sigma = 0.6;
+  model.inner_halfwidth_sigmas = 20.0;
   BeamParams params;
   params.sigma_y = 0.8;
-  const double sigma_t = std::sqrt(0.36 + 0.64);
-  EXPECT_NEAR(analytic_transverse_factor(0.5, model, params),
-              gaussian_pdf(0.5, sigma_t), 1e-14);
+  EXPECT_NEAR(analytic_transverse_factor_windowed(0.5, model, params),
+              closed_form_transverse_factor(0.5, model, params), 1e-10);
   model.coupling_derivative = true;
-  EXPECT_NEAR(analytic_transverse_factor(0.5, model, params),
-              gaussian_pdf_prime(0.5, sigma_t), 1e-14);
+  EXPECT_NEAR(analytic_transverse_factor_windowed(0.5, model, params),
+              closed_form_transverse_factor(0.5, model, params), 1e-10);
 }
 
 TEST(Wake, IntegrandMatchesContinuumOnNoiselessGrid) {
@@ -106,6 +126,12 @@ TEST(Wake, IntegrandMatchesContinuumOnNoiselessGrid) {
       EXPECT_NEAR(r.integral, exact,
                   std::max(5e-4 * std::abs(exact), 5e-5))
           << "s=" << s << " y=" << y;
+      // The scalar reference refines to the same partition, bit for bit.
+      const ScalarWakeIntegrand ref(history, model, s, y, 20, kSubWidth);
+      const bd::testing::AdaptiveResult want =
+          bd::testing::adaptive_simpson(ref, 0.0, kRMax, 1e-8, probe);
+      EXPECT_EQ(r.integral, want.integral) << "s=" << s << " y=" << y;
+      EXPECT_EQ(r.breakpoints, want.breakpoints) << "s=" << s << " y=" << y;
     }
   }
 }
@@ -131,9 +157,12 @@ TEST(Wake, FastRejectOutsideRangeSkipsLoads) {
   // Grid point at the far left: s - u leaves the grid for u > ~0.
   const WakeIntegrand integrand(history, model, -6.0, 0.0, 20, kSubWidth);
   bd::testing::LaneTrace trace;
-  const double v = integrand.eval(2.0, trace);  // s-u = -8 < grid min
+  const double v = eval_at(integrand, 2.0, trace);  // s-u = -8 < grid min
   EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_TRUE(trace.loads().empty());
+  const ScalarWakeIntegrand ref(history, model, -6.0, 0.0, 20, kSubWidth);
+  const double u[] = {2.0, 0.0};
+  expect_batch_matches_reference(integrand, ref, u, 2);
 }
 
 TEST(Wake, InnerPointsControlLoadCount) {
@@ -143,8 +172,11 @@ TEST(Wake, InnerPointsControlLoadCount) {
   const GridHistory history = continuum_history(params);
   const WakeIntegrand integrand(history, model, 0.0, 0.0, 20, kSubWidth);
   bd::testing::LaneTrace trace;
-  integrand.eval(0.5, trace);
+  eval_at(integrand, 0.5, trace);
   EXPECT_EQ(trace.loads().size(), 5u * kLoadsPerSample);
+  const ScalarWakeIntegrand ref(history, model, 0.0, 0.0, 20, kSubWidth);
+  const double u[] = {0.5};
+  expect_batch_matches_reference(integrand, ref, u, 1);
 }
 
 TEST(Wake, SingularKernelGrowsTowardZero) {
@@ -155,8 +187,8 @@ TEST(Wake, SingularKernelGrowsTowardZero) {
   const WakeIntegrand integrand(history, model, 1.0, 0.0, 20, kSubWidth);
   // |f(u)| near u=0 exceeds |f| at u=2 thanks to the (u+u0)^(-1/3) kernel
   // (λ' at the retarded position is comparable at these two offsets).
-  EXPECT_GT(std::abs(integrand.eval(0.01, probe)),
-            std::abs(integrand.eval(2.0, probe)));
+  EXPECT_GT(std::abs(eval_at(integrand, 0.01, probe)),
+            std::abs(eval_at(integrand, 2.0, probe)));
 }
 
 TEST(Wake, DepositedBunchApproachesContinuum) {
@@ -168,7 +200,7 @@ TEST(Wake, DepositedBunchApproachesContinuum) {
   simt::NullProbe& probe = simt::NullProbe::instance();
   const WakeIntegrand exact_integrand(continuum, model, 0.5, 0.0, 20,
                                       kSubWidth);
-  const double exact = exact_integrand.eval(1.0, probe);
+  const double exact = eval_at(exact_integrand, 1.0, probe);
 
   double prev_err = 1e300;
   for (std::size_t n : {2000, 200000}) {
@@ -180,7 +212,7 @@ TEST(Wake, DepositedBunchApproachesContinuum) {
     GridHistory noisy(spec(), 16);
     noisy.fill_all(20, rho, grad);
     const WakeIntegrand integrand(noisy, model, 0.5, 0.0, 20, kSubWidth);
-    const double err = std::abs(integrand.eval(1.0, probe) - exact);
+    const double err = std::abs(eval_at(integrand, 1.0, probe) - exact);
     EXPECT_LT(err, prev_err);
     prev_err = err;
   }

@@ -12,8 +12,11 @@
 #      EXPERIMENTS.md or docs/*.md must name a member its header declares;
 #   6. every backticked src/ module path in those files (`quad/simpson`,
 #      `beam/wake_batch.cpp`, `src/core/fleet.{hpp,cpp}`, `simt/*`) must
-#      name an existing file or directory under src/.
-# Pure grep/sed — no build needed.
+#      name an existing file or directory under src/;
+#   7. every function declared in a src/ header must be called from src/,
+#      bench/, examples/ or stepbench/ (tools/check_callers.py; tests do
+#      not count, and an allow-list with a reason per entry exempts a few).
+# Pure grep/sed plus one python3 script — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -173,6 +176,9 @@ while IFS=: read -r doc path; do
     fail=1
   done
 done <<< "$module_paths"
+
+# --- 7. src/ functions have callers outside tests ---------------------------
+python3 tools/check_callers.py || fail=1
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

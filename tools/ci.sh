@@ -26,8 +26,10 @@
 # still used, no dead markdown links, the fleet journal's record kinds
 # matching docs/ROBUSTNESS.md's record-kind table, every documented
 # PredictiveOptions/ClusteringAccel/RpClusteringOptions/KnnConfig member
-# still declared in its header, and every documented src/ module path
-# naming an existing file or directory.
+# still declared in its header, every documented src/ module path
+# naming an existing file or directory, and every function a src/ header
+# declares having a caller in src/, bench/, examples/ or stepbench/ — not
+# only in tests (tools/check_callers.py).
 #
 # A perf-smoke stage runs bench_rp_eval against the checked-in baseline
 # (tools/perf_baseline_rp_eval.json). Eval counts are deterministic, so
@@ -106,7 +108,7 @@ asan() {
 }
 
 docs() {
-  echo "=== docs: telemetry names + markdown links ==="
+  echo "=== docs: telemetry names, markdown links, src/ callers ==="
   tools/check_docs.sh
 }
 
