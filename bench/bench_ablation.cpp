@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       Variant v = base;
       v.group = "knn-k";
       v.name = "kNN k=" + std::to_string(k);
-      v.options.knn.k = k;
+      v.options.knn_k = k;
       variants.push_back(v);
     }
 

@@ -263,8 +263,7 @@ void BM_DepositTsc(benchmark::State& state) {
   beam::Grid2D rho(beam::make_centered_grid(128, 128, 6.0, 6.0));
   for (auto _ : state) {
     rho.fill(0.0);
-    benchmark::DoNotOptimize(
-        beam::deposit(bunch, beam::DepositScheme::kTSC, rho));
+    benchmark::DoNotOptimize(beam::deposit(bunch, rho));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));

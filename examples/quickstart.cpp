@@ -55,6 +55,15 @@ int main(int argc, char** argv) {
   args.add_string("journal", "",
                   "spool/journal dir: run supervised by a SimulationFleet "
                   "(crash-safe journal, checkpoint-based retry, resume)");
+  args.add_string("checkpoint", "",
+                  "write simulation checkpoints to this path (atomic "
+                  "snapshot; see docs/ROBUSTNESS.md)");
+  args.add_int("checkpoint-every", 0,
+               "checkpoint every N simulation steps (0 = off; needs "
+               "--checkpoint)");
+  args.add_string("resume", "",
+                  "restore the simulation from this checkpoint before "
+                  "stepping");
   if (!args.parse(argc, argv)) return 0;
 
   core::SimConfig config;
@@ -116,23 +125,24 @@ int main(int argc, char** argv) {
 
   auto solver = std::make_unique<core::PredictiveSolver>(simt::tesla_k40());
   core::Simulation sim(config, std::move(solver));
-  if (!args.resume_path().empty()) {
-    core::restore_checkpoint(sim, args.resume_path());
-    std::printf("resumed from %s at step %lld\n", args.resume_path().c_str(),
+  const std::string& resume = args.get_string("resume");
+  if (!resume.empty()) {
+    core::restore_checkpoint(sim, resume);
+    std::printf("resumed from %s at step %lld\n", resume.c_str(),
                 static_cast<long long>(sim.current_step()));
   } else {
     sim.initialize();
   }
 
-  const std::string& checkpoint_path = args.checkpoint_path();
-  const std::int64_t checkpoint_every = args.checkpoint_every();
+  const std::string& checkpoint = args.get_string("checkpoint");
+  const std::int64_t checkpoint_every = args.get_int("checkpoint-every");
 
   util::ConsoleTable table = make_step_table();
   for (int k = 0; k < args.get_int("steps"); ++k) {
     const core::StepStats stats = sim.step();
-    if (!checkpoint_path.empty() && checkpoint_every > 0 &&
+    if (!checkpoint.empty() && checkpoint_every > 0 &&
         stats.step % checkpoint_every == 0) {
-      core::save_checkpoint(sim, checkpoint_path);
+      core::save_checkpoint(sim, checkpoint);
     }
     append_step_row(table, stats);
   }

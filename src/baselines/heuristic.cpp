@@ -8,6 +8,7 @@
 #include "core/rp_kernels.hpp"
 #include "core/solver_scratch.hpp"
 #include "quad/partition.hpp"
+#include "util/check.hpp"
 #include "util/serialize.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
@@ -17,6 +18,8 @@ namespace bd::baselines {
 namespace telemetry = bd::util::telemetry;
 
 namespace {
+/// Threads per block.
+constexpr std::uint32_t kBlockSize = 128;
 /// point_run sentinel: this point has no failed intervals this step.
 constexpr std::uint32_t kNoRun = 0xffffffffu;
 }  // namespace
@@ -64,8 +67,8 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   util::WallTimer cluster_timer;
   const double sort_start = session.enabled() ? session.now_us() : 0.0;
   core::ClusterAssignment blocks;
-  if (bootstrap || !options_.workload_sort) {
-    blocks = core::chunk_clustering(num_points, options_.block_size);
+  if (bootstrap) {
+    blocks = core::chunk_clustering(num_points, kBlockSize);
   } else {
     std::vector<std::uint32_t> order(num_points);
     std::iota(order.begin(), order.end(), 0u);
@@ -79,7 +82,7 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
                      [&](std::uint32_t a, std::uint32_t b) {
                        return bucket[a] > bucket[b];
                      });
-    blocks = core::ordered_clustering(order, options_.block_size);
+    blocks = core::ordered_clustering(order, kBlockSize);
   }
   const double clustering_seconds = cluster_timer.seconds();
   if (session.enabled()) {
@@ -106,15 +109,19 @@ core::SolveResult HeuristicSolver::solve(const core::RpProblem& problem) {
   // partition a point keeps is what it used, subdivided wherever the
   // tolerance was missed, into as many pieces as the fallback's adaptive
   // pass actually generated there. A point's failed intervals form one
-  // contiguous run of `failed` (one lane per point, lanes serial per
-  // block), so a single scan finds each point's run start and the fold
-  // below merges a point's refined items into its partition in item order.
+  // contiguous run of `failed` (one lane per point, the lanes of a warp
+  // run serially, and the per-warp lists are concatenated in lane order),
+  // so a single scan finds each point's run start and the fold below
+  // merges a point's refined items into its partition in item order.
   quad::PartitionSet& next = scratch.merged;
   next.reset(num_points);
   const auto run_of = scratch.acquire_fill(scratch.point_run, num_points,
                                            kNoRun);
   for (std::size_t i = 0; i < failed.size(); ++i) {
     if (i == 0 || failed[i].point != failed[i - 1].point) {
+      // A second run of the same point would overwrite the first and drop
+      // its refinement.
+      BD_DCHECK(run_of[failed[i].point] == kNoRun);
       run_of[failed[i].point] = static_cast<std::uint32_t>(i);
     }
   }

@@ -26,17 +26,10 @@
 
 namespace bd::baselines {
 
-/// Options of the Heuristic baseline.
-struct HeuristicOptions {
-  std::uint32_t block_size = 128;   ///< threads per block
-  bool workload_sort = true;        ///< heuristic 2 (off = row-major blocks)
-};
-
 class HeuristicSolver final : public core::RpSolver {
  public:
-  explicit HeuristicSolver(simt::DeviceSpec device,
-                           HeuristicOptions options = {})
-      : device_(std::move(device)), options_(options) {}
+  explicit HeuristicSolver(simt::DeviceSpec device)
+      : device_(std::move(device)) {}
 
   core::SolveResult solve(const core::RpProblem& problem) override;
   const char* name() const override { return "heuristic-rp"; }
@@ -48,7 +41,6 @@ class HeuristicSolver final : public core::RpSolver {
 
  private:
   simt::DeviceSpec device_;
-  HeuristicOptions options_;
   /// Per-point partitions carried between steps (heuristic 1).
   quad::PartitionSet previous_partitions_;
 };

@@ -7,6 +7,11 @@
 
 namespace bd::baselines {
 
+namespace {
+/// Threads per block in phase 1 (row-major chunks of the grid points).
+constexpr std::uint32_t kBlockSize = 128;
+}  // namespace
+
 core::SolveResult TwoPhaseSolver::solve(const core::RpProblem& problem) {
   util::WallTimer wall;
   core::SolverScratch& scratch = scratch_for(problem);
@@ -25,7 +30,7 @@ core::SolveResult TwoPhaseSolver::solve(const core::RpProblem& problem) {
   parts.bind_all(parts.add_row(slot.first(len)));
 
   const core::ClusterAssignment blocks =
-      core::chunk_clustering(problem.num_points(), options_.block_size);
+      core::chunk_clustering(problem.num_points(), kBlockSize);
 
   core::RpKernelInput input;
   input.problem = &problem;

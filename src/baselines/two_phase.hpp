@@ -13,15 +13,10 @@
 
 namespace bd::baselines {
 
-/// Options of the Two-Phase baseline.
-struct TwoPhaseOptions {
-  std::uint32_t block_size = 128;  ///< threads per block in phase 1
-};
-
 class TwoPhaseSolver final : public core::RpSolver {
  public:
-  explicit TwoPhaseSolver(simt::DeviceSpec device, TwoPhaseOptions options = {})
-      : device_(std::move(device)), options_(options) {}
+  explicit TwoPhaseSolver(simt::DeviceSpec device)
+      : device_(std::move(device)) {}
 
   core::SolveResult solve(const core::RpProblem& problem) override;
   const char* name() const override { return "two-phase-rp"; }
@@ -29,7 +24,6 @@ class TwoPhaseSolver final : public core::RpSolver {
 
  private:
   simt::DeviceSpec device_;
-  TwoPhaseOptions options_;
 };
 
 }  // namespace bd::baselines

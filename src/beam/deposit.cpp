@@ -30,55 +30,15 @@ inline double deposit_tsc(Grid2D& rho, const GridSpec& spec, double x,
   return 0.0;
 }
 
-inline double deposit_cic(Grid2D& rho, const GridSpec& spec, double x,
-                          double y, double value) {
-  const double gx = spec.gx(x);
-  const double gy = spec.gy(y);
-  if (gx < 0.0 || gy < 0.0 || gx > spec.nx - 1 || gy > spec.ny - 1) {
-    return value;
-  }
-  const auto ix = static_cast<std::uint32_t>(
-      std::min<double>(gx, spec.nx - 2));
-  const auto iy = static_cast<std::uint32_t>(
-      std::min<double>(gy, spec.ny - 2));
-  const double fx = gx - ix;
-  const double fy = gy - iy;
-  rho.at(ix, iy) += value * (1 - fx) * (1 - fy);
-  rho.at(ix + 1, iy) += value * fx * (1 - fy);
-  rho.at(ix, iy + 1) += value * (1 - fx) * fy;
-  rho.at(ix + 1, iy + 1) += value * fx * fy;
-  return 0.0;
-}
-
-inline double deposit_ngp(Grid2D& rho, const GridSpec& spec, double x,
-                          double y, double value) {
-  const auto ix = static_cast<std::int64_t>(std::lround(spec.gx(x)));
-  const auto iy = static_cast<std::int64_t>(std::lround(spec.gy(y)));
-  if (ix < 0 || iy < 0 || ix > spec.nx - 1 || iy > spec.ny - 1) return value;
-  rho.at(static_cast<std::uint32_t>(ix), static_cast<std::uint32_t>(iy)) +=
-      value;
-  return 0.0;
-}
-
 /// Deposit particles [begin, end) into `rho` in particle order.
-double deposit_range(const ParticleSet& particles, DepositScheme scheme,
-                     const GridSpec& spec, double density, std::size_t begin,
-                     std::size_t end, Grid2D& rho) {
+double deposit_range(const ParticleSet& particles, const GridSpec& spec,
+                     double density, std::size_t begin, std::size_t end,
+                     Grid2D& rho) {
   const auto s = particles.s();
   const auto y = particles.y();
   double dropped = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
-    switch (scheme) {
-      case DepositScheme::kNGP:
-        dropped += deposit_ngp(rho, spec, s[i], y[i], density);
-        break;
-      case DepositScheme::kCIC:
-        dropped += deposit_cic(rho, spec, s[i], y[i], density);
-        break;
-      case DepositScheme::kTSC:
-        dropped += deposit_tsc(rho, spec, s[i], y[i], density);
-        break;
-    }
+    dropped += deposit_tsc(rho, spec, s[i], y[i], density);
   }
   return dropped;
 }
@@ -90,8 +50,7 @@ constexpr std::size_t kDepositChunk = 16384;
 
 }  // namespace
 
-double deposit(const ParticleSet& particles, DepositScheme scheme,
-               Grid2D& rho) {
+double deposit(const ParticleSet& particles, Grid2D& rho) {
   const GridSpec& spec = rho.spec();
   BD_CHECK(spec.nodes() > 0);
   const double density = particles.weight() / (spec.dx * spec.dy);
@@ -99,7 +58,7 @@ double deposit(const ParticleSet& particles, DepositScheme scheme,
 
   const std::size_t num_chunks = (count + kDepositChunk - 1) / kDepositChunk;
   if (num_chunks <= 1) {
-    return deposit_range(particles, scheme, spec, density, 0, count, rho);
+    return deposit_range(particles, spec, density, 0, count, rho);
   }
 
   // Scatter with conflicts: chunks deposit into private partial grids in
@@ -112,8 +71,8 @@ double deposit(const ParticleSet& particles, DepositScheme scheme,
   util::parallel_for(0, num_chunks, [&](std::size_t c) {
     const std::size_t begin = c * kDepositChunk;
     const std::size_t end = std::min(count, begin + kDepositChunk);
-    dropped_per_chunk[c] = deposit_range(particles, scheme, spec, density,
-                                         begin, end, partial[c]);
+    dropped_per_chunk[c] =
+        deposit_range(particles, spec, density, begin, end, partial[c]);
   });
 
   double dropped = 0.0;

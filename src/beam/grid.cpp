@@ -24,10 +24,4 @@ void Grid2D::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-double Grid2D::sum() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v;
-  return acc;
-}
-
 }  // namespace bd::beam

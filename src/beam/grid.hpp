@@ -57,9 +57,6 @@ class Grid2D {
 
   void fill(double value);
 
-  /// Sum of all node values (≈ integral / (dx·dy) for deposited charge).
-  double sum() const;
-
  private:
   GridSpec spec_;
   std::vector<double> data_;

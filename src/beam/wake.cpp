@@ -28,7 +28,6 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
       regularization_(model.regularization),
       channel_(model.channel),
       s_point_(s_point),
-      y_point_(y_point),
       step_(step),
       sub_width_(sub_width) {
   BD_CHECK(sub_width > 0.0);

@@ -84,9 +84,6 @@ class WakeIntegrand final : public quad::RadialIntegrand {
   void eval_batch(const double* u, double* out, std::size_t n,
                   simt::LaneProbe& probe) const override;
 
-  double s_point() const { return s_point_; }
-  double y_point() const { return y_point_; }
-
  private:
   /// Which compile-time exponent the radial kernel dispatch can use.
   enum class PowKind : std::uint8_t { kLongitudinal, kTransverse, kGeneric };
@@ -113,7 +110,6 @@ class WakeIntegrand final : public quad::RadialIntegrand {
   MomentChannel channel_;
   PowKind pow_kind_;
   double s_point_;
-  double y_point_;
   std::int64_t step_;
   double sub_width_;
   // Precomputed inner weights (fixed per grid point).

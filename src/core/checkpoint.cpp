@@ -12,6 +12,11 @@ namespace telemetry = util::telemetry;
 
 namespace {
 
+/// The config block's deposit byte. Deposition is TSC-only; the byte keeps
+/// the value TSC had when the format also carried NGP (0) and CIC (1), so
+/// existing checkpoints still load.
+constexpr std::uint8_t kTscDeposit = 2;
+
 /// Serialize one solver's state behind a length-prefixed frame, so solvers
 /// can evolve their payloads without perturbing the outer layout.
 void write_solver(util::BinaryWriter& out, const RpSolver& solver) {
@@ -47,7 +52,7 @@ void write_config(util::BinaryWriter& out, const SimConfig& config) {
   out.write_bool(config.rigid);
   out.write_bool(config.compute_transverse);
   out.write_u64(config.seed);
-  out.write_u8(static_cast<std::uint8_t>(config.deposit));
+  out.write_u8(kTscDeposit);
 }
 
 void verify_config(util::BinaryReader& in, const SimConfig& config) {
@@ -72,7 +77,7 @@ void verify_config(util::BinaryReader& in, const SimConfig& config) {
   BD_CKPT_FIELD(read_u64, seed, std::uint64_t)
 #undef BD_CKPT_FIELD
   const auto deposit = in.read_u8();
-  BD_CHECK_MSG(deposit == static_cast<std::uint8_t>(config.deposit),
+  BD_CHECK_MSG(deposit == kTscDeposit,
                "checkpoint config mismatch on deposit scheme");
 }
 

@@ -193,7 +193,7 @@ FleetQuarantineEntry quarantine_entry(const std::string& name,
                                       const std::string& spool_path) {
   FleetQuarantineEntry q{name, attempts, error, ""};
   if (!spool_path.empty() && std::filesystem::exists(spool_path)) {
-    q.checkpoint_path = spool_path;
+    q.spool_checkpoint = spool_path;
   }
   return q;
 }

@@ -174,8 +174,8 @@ struct FleetJobStatus {
 struct FleetQuarantineEntry {
   std::string name;
   std::uint32_t attempts = 0;
-  std::string error;            ///< what() of the final failure
-  std::string checkpoint_path;  ///< last good spool checkpoint ("" if none)
+  std::string error;             ///< what() of the final failure
+  std::string spool_checkpoint;  ///< last good spool checkpoint ("" if none)
 };
 
 /// One journaled job as seen by recover() at construction.
@@ -254,7 +254,6 @@ class SimulationFleet {
   util::telemetry::MetricsSnapshot job_metrics(JobId id) const;
 
   std::size_t job_count() const;
-  const FleetOptions& options() const { return options_; }
 
  private:
   struct Job;

@@ -86,8 +86,6 @@ class HealthMonitor {
   explicit HealthMonitor(HealthThresholds thresholds = {})
       : thresholds_(thresholds) {}
 
-  const HealthThresholds& thresholds() const { return thresholds_; }
-
   /// Number of non-finite entries in `values` (no mutation).
   static std::uint64_t count_non_finite(std::span<const double> values);
 

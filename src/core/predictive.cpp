@@ -370,7 +370,7 @@ void PredictiveSolver::load_state(util::BinaryReader& in) {
     BD_CHECK_MSG(target_dim > 0, "corrupt predictor target dim");
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, target_dim, options_.training_window,
-        options_.knn);
+        options_.knn_k);
     predictor_->load(in);
   } else {
     predictor_.reset();
@@ -416,7 +416,7 @@ void PredictiveSolver::learn(const RpProblem& problem,
   if (!predictor_ || predictor_->target_dim() != problem.num_subregions) {
     predictor_ = std::make_unique<ml::OnlinePredictor>(
         options_.predictor, kFeatureDim, problem.num_subregions,
-        options_.training_window, options_.knn);
+        options_.training_window, options_.knn_k);
   }
 
   std::vector<double> features;

@@ -36,7 +36,7 @@ namespace bd::core {
 /// Predictive-RP configuration.
 struct PredictiveOptions {
   ml::PredictorKind predictor = ml::PredictorKind::kKnn;
-  ml::KnnConfig knn;                 ///< kNN hyperparameters
+  std::size_t knn_k = ml::kDefaultKnnK;  ///< neighbours per kNN query
   std::size_t training_window = 1;   ///< steps of history kept for training
   PartitionTransform transform = PartitionTransform::kUniform;
   /// m, the number of clusters (thread blocks). 0 sizes one cluster per

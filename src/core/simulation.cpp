@@ -115,7 +115,7 @@ RpProblem Simulation::make_problem(const beam::WakeModel& model) const {
 void Simulation::deposit_current(double& seconds, double& dropped) {
   util::WallTimer timer;
   rho_.fill(0.0);
-  dropped = beam::deposit(particles_, config_.deposit, rho_);
+  dropped = beam::deposit(particles_, rho_);
   beam::longitudinal_gradient(rho_, drho_ds_);
   seconds = timer.seconds();
 }
@@ -376,16 +376,6 @@ StepStats Simulation::step() {
   telemetry::gauge_set("sim.last_forecast_mae",
                        stats.longitudinal.forecast_mae);
   return stats;
-}
-
-std::vector<StepStats> Simulation::run(std::size_t n) {
-  std::vector<StepStats> all;
-  all.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (stop_requested()) break;
-    all.push_back(step());
-  }
-  return all;
 }
 
 void Simulation::demote_tier() {

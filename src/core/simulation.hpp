@@ -39,7 +39,6 @@ struct SimConfig {
   bool compute_transverse = false;  ///< also solve the transverse model
   std::uint64_t seed = 20170801;
   beam::BeamParams beam;
-  beam::DepositScheme deposit = beam::DepositScheme::kTSC;
   beam::WakeModel longitudinal = beam::WakeModel::longitudinal();
   beam::WakeModel transverse = beam::WakeModel::transverse();
 
@@ -99,9 +98,6 @@ class Simulation {
   /// Run one full simulation step; returns its statistics.
   StepStats step();
 
-  /// Run `n` steps; returns per-step statistics.
-  std::vector<StepStats> run(std::size_t n);
-
   const beam::ParticleSet& particles() const { return particles_; }
   beam::ParticleSet& particles() { return particles_; }
   const beam::GridHistory& history() const { return history_; }
@@ -130,7 +126,7 @@ class Simulation {
 
   /// Route this simulation's telemetry to `metrics`/`trace` instead of the
   /// process-global instances (nullptr = keep using the ambient target).
-  /// initialize()/step()/run() and checkpoint save/restore install the
+  /// initialize()/step() and checkpoint save/restore install the
   /// pair as a TelemetryScope for their duration, and the thread pool
   /// propagates it to workers — so concurrent simulations never interleave
   /// metrics. Used by core/fleet; standalone sims need not call this.
@@ -145,9 +141,9 @@ class Simulation {
   bool initialized() const { return initialized_; }
 
   /// Cooperative stop token. request_stop() may be called from any thread
-  /// (e.g. the fleet watchdog); run() checks it between steps and returns
-  /// early with the steps completed so far. The token is NOT consulted by
-  /// a single step() call — stops land on step boundaries only, keeping
+  /// (e.g. the fleet watchdog); the fleet's quantum loop checks it between
+  /// steps and ends the quantum early. The token is NOT consulted by a
+  /// single step() call — stops land on step boundaries only, keeping
   /// every completed step bit-identical to an uninterrupted run.
   void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
   bool stop_requested() const {

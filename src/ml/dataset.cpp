@@ -1,7 +1,6 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
 
@@ -28,29 +27,6 @@ Matrix Dataset::target_matrix() const {
   Matrix y(size(), target_dim_);
   std::copy(targets_.begin(), targets_.end(), y.data().begin());
   return y;
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double test_fraction,
-                                           util::Rng& rng) const {
-  BD_CHECK(test_fraction >= 0.0 && test_fraction <= 1.0);
-  std::vector<std::size_t> order(size());
-  std::iota(order.begin(), order.end(), 0);
-  // Fisher–Yates with our deterministic RNG.
-  for (std::size_t i = order.size(); i > 1; --i) {
-    const std::size_t j = rng.uniform_index(i);
-    std::swap(order[i - 1], order[j]);
-  }
-  const auto test_count =
-      static_cast<std::size_t>(test_fraction * static_cast<double>(size()));
-  Dataset train(feature_dim_, target_dim_);
-  Dataset test(feature_dim_, target_dim_);
-  train.reserve(size() - test_count);
-  test.reserve(test_count);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    Dataset& dst = (i < test_count) ? test : train;
-    dst.add(features(order[i]), targets(order[i]));
-  }
-  return {std::move(train), std::move(test)};
 }
 
 void Dataset::clear() {

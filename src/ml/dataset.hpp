@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "ml/linalg.hpp"
-#include "util/rng.hpp"
 
 namespace bd::ml {
 
@@ -41,11 +40,6 @@ class Dataset {
 
   /// Materialize the target matrix (n×m).
   Matrix target_matrix() const;
-
-  /// Deterministic shuffled split into (train, test) with `test_fraction`
-  /// of the examples in the test set.
-  std::pair<Dataset, Dataset> split(double test_fraction,
-                                    util::Rng& rng) const;
 
   /// Remove all examples (dims preserved).
   void clear();

@@ -31,7 +31,6 @@ class KdTree {
                               std::size_t k) const;
 
   std::size_t size() const { return count_; }
-  std::size_t dim() const { return dim_; }
   bool empty() const { return count_ == 0; }
 
  private:

@@ -10,15 +10,13 @@ namespace bd::ml {
 void KNNRegressor::fit(const Dataset& data) {
   BD_CHECK_MSG(!data.empty(), "kNN fit on empty dataset");
   train_ = data;
-  if (config_.standardize) {
-    scaler_.fit(train_);
-  }
+  scaler_.fit(train_);
   scaled_features_.clear();
   scaled_features_.reserve(train_.size() * train_.feature_dim());
   for (std::size_t i = 0; i < train_.size(); ++i) {
     auto row = train_.features(i);
     std::vector<double> f(row.begin(), row.end());
-    if (config_.standardize) scaler_.transform(f);
+    scaler_.transform(f);
     scaled_features_.insert(scaled_features_.end(), f.begin(), f.end());
   }
   tree_.build(scaled_features_, train_.size(), train_.feature_dim());
@@ -31,24 +29,21 @@ void KNNRegressor::predict_into(std::span<const double> features,
   BD_CHECK(out.size() == train_.target_dim());
 
   std::vector<double> query(features.begin(), features.end());
-  if (config_.standardize) scaler_.transform(query);
+  scaler_.transform(query);
 
-  const std::vector<Neighbor> neighbors = tree_.query(query, config_.k);
+  const std::vector<Neighbor> neighbors = tree_.query(query, k_);
 
   std::fill(out.begin(), out.end(), 0.0);
   double weight_sum = 0.0;
   for (const Neighbor& n : neighbors) {
-    double w = 1.0;
-    if (config_.distance_weighted) {
-      const double d = std::sqrt(n.squared_dist);
-      if (d < 1e-12) {
-        // Exact match: return its target directly.
-        const auto target = train_.targets(n.index);
-        std::copy(target.begin(), target.end(), out.begin());
-        return;
-      }
-      w = 1.0 / d;
+    const double d = std::sqrt(n.squared_dist);
+    if (d < 1e-12) {
+      // Exact match: return its target directly.
+      const auto target = train_.targets(n.index);
+      std::copy(target.begin(), target.end(), out.begin());
+      return;
     }
+    const double w = 1.0 / d;
     const auto target = train_.targets(n.index);
     for (std::size_t c = 0; c < out.size(); ++c) out[c] += w * target[c];
     weight_sum += w;

@@ -1,8 +1,9 @@
 #pragma once
 /// \file knn.hpp
 /// k-nearest-neighbor regression (multi-output) — the paper's choice for
-/// the online access-pattern predictor (§III-B1). Supports uniform and
-/// inverse-distance weighting; neighbours come from a kd-tree.
+/// the online access-pattern predictor (§III-B1). Features are
+/// standardized, neighbours come from a kd-tree and are weighted by
+/// inverse distance.
 
 #include <cstdint>
 #include <span>
@@ -14,17 +15,14 @@
 
 namespace bd::ml {
 
-/// kNN hyperparameters.
-struct KnnConfig {
-  std::size_t k = 4;
-  bool distance_weighted = true;  ///< 1/d weights (uniform otherwise)
-  bool standardize = true;        ///< scale features before distances
-};
+/// Neighbours per query unless a caller sets k.
+inline constexpr std::size_t kDefaultKnnK = 4;
 
 /// Multi-output kNN regressor.
 class KNNRegressor {
  public:
-  explicit KNNRegressor(KnnConfig config = {}) : config_(config) {}
+  /// \param k neighbours per query.
+  explicit KNNRegressor(std::size_t k = kDefaultKnnK) : k_(k) {}
 
   /// Fit from a dataset (copies the data; kNN is instance-based).
   void fit(const Dataset& data);
@@ -36,10 +34,10 @@ class KNNRegressor {
 
   bool fitted() const { return !train_.empty(); }
   std::size_t target_dim() const { return train_.target_dim(); }
-  const KnnConfig& config() const { return config_; }
+  std::size_t k() const { return k_; }
 
  private:
-  KnnConfig config_;
+  std::size_t k_;
   Dataset train_;
   StandardScaler scaler_;
   KdTree tree_;

@@ -6,18 +6,21 @@
 
 namespace bd::ml {
 
+namespace {
+/// L2 regularization strength.
+constexpr double kRidge = 1e-6;
+}  // namespace
+
 std::vector<double> RidgeRegressor::expand(
     std::span<const double> features) const {
   std::vector<double> f(features.begin(), features.end());
-  if (config_.standardize && scaler_.fitted()) scaler_.transform(f);
+  scaler_.transform(f);
   std::vector<double> phi;
   phi.push_back(1.0);  // bias
   phi.insert(phi.end(), f.begin(), f.end());
-  if (config_.poly_degree >= 2) {
-    for (std::size_t i = 0; i < f.size(); ++i) {
-      for (std::size_t j = i; j < f.size(); ++j) {
-        phi.push_back(f[i] * f[j]);
-      }
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    for (std::size_t j = i; j < f.size(); ++j) {
+      phi.push_back(f[i] * f[j]);
     }
   }
   return phi;
@@ -26,7 +29,7 @@ std::vector<double> RidgeRegressor::expand(
 void RidgeRegressor::fit(const Dataset& data) {
   BD_CHECK_MSG(!data.empty(), "ridge fit on empty dataset");
   feature_dim_ = data.feature_dim();
-  if (config_.standardize) scaler_.fit(data);
+  scaler_.fit(data);
 
   // Build the design matrix Φ.
   const std::vector<double> probe = expand(data.features(0));
@@ -39,7 +42,7 @@ void RidgeRegressor::fit(const Dataset& data) {
   const Matrix y = data.target_matrix();
   const Matrix gram = Matrix::gram(phi);
   const Matrix rhs = Matrix::at_b(phi, y);
-  weights_ = spd_solve(gram, rhs, config_.ridge);
+  weights_ = spd_solve(gram, rhs, kRidge);
 }
 
 void RidgeRegressor::predict_into(std::span<const double> features,

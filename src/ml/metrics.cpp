@@ -7,10 +7,6 @@
 
 namespace bd::ml {
 
-double mse(std::span<const double> predicted, std::span<const double> truth) {
-  return util::mean_squared_error(predicted, truth);
-}
-
 double mae(std::span<const double> predicted, std::span<const double> truth) {
   BD_CHECK(predicted.size() == truth.size());
   if (predicted.empty()) return 0.0;

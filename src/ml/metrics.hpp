@@ -7,9 +7,6 @@
 
 namespace bd::ml {
 
-/// Mean squared error between prediction and truth.
-double mse(std::span<const double> predicted, std::span<const double> truth);
-
 /// Mean absolute error.
 double mae(std::span<const double> predicted, std::span<const double> truth);
 

@@ -8,13 +8,12 @@ namespace bd::ml {
 
 OnlinePredictor::OnlinePredictor(PredictorKind kind, std::size_t feature_dim,
                                  std::size_t target_dim, std::size_t window,
-                                 KnnConfig knn, LinRegConfig ridge)
+                                 std::size_t knn_k)
     : kind_(kind),
       feature_dim_(feature_dim),
       target_dim_(target_dim),
       window_(window),
-      knn_(knn),
-      ridge_(ridge) {
+      knn_(knn_k) {
   BD_CHECK(feature_dim > 0 && target_dim > 0 && window > 0);
   history_.resize(window_, Dataset(feature_dim_, target_dim_));
 }
@@ -93,8 +92,8 @@ void OnlinePredictor::load(util::BinaryReader& in) {
     std::vector<double> targets = in.read_f64_vector();
     slot.assign_raw(std::move(features), std::move(targets));
   }
-  knn_ = KNNRegressor(knn_.config());
-  ridge_ = RidgeRegressor(ridge_.config());
+  knn_ = KNNRegressor(knn_.k());
+  ridge_ = RidgeRegressor();
   if (steps_seen_ > 0) refit();
 }
 

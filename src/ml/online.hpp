@@ -29,9 +29,10 @@ class OnlinePredictor {
   /// \param window number of most recent steps whose observations are kept
   ///        as training data (the paper uses the latest observations plus
   ///        the previous predictor; window=1 reproduces that memory bound).
+  /// \param knn_k neighbours per kNN query (unused by ridge).
   OnlinePredictor(PredictorKind kind, std::size_t feature_dim,
                   std::size_t target_dim, std::size_t window = 1,
-                  KnnConfig knn = {}, LinRegConfig ridge = {});
+                  std::size_t knn_k = kDefaultKnnK);
 
   /// Ingest one step's observations and refit the model.
   /// `features`/`targets` are row-major with the constructor's dims.
@@ -49,7 +50,6 @@ class OnlinePredictor {
 
   std::size_t feature_dim() const { return feature_dim_; }
   std::size_t target_dim() const { return target_dim_; }
-  std::size_t window() const { return window_; }
 
   /// Seconds spent in the most recent refit (model training cost — the
   /// paper's Table II reports this overhead).

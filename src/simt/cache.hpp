@@ -45,8 +45,6 @@ class SetAssocCache {
   /// with LRU eviction. Callers count hits and misses from the result.
   bool access(std::uint64_t addr);
 
-  std::uint32_t ways() const { return ways_; }
-
  private:
   std::uint32_t line_shift_;
   std::uint32_t num_sets_;

@@ -9,30 +9,20 @@
 
 namespace bd::util {
 
+namespace {
+/// Ends the process after a command-line error. A mistyped flag must not
+/// run the binary with its defaults (a gate would silently skip its check).
+[[noreturn]] void exit_with_usage(const std::string& usage) {
+  std::fprintf(stderr, "\n%s", usage.c_str());
+  std::exit(2);
+}
+}  // namespace
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {
   add_string("trace", "",
              "capture telemetry spans and write chrome://tracing JSON to "
              "this path at exit (same as BD_TRACE=<path>)");
-  add_string("checkpoint", "",
-             "write simulation checkpoints to this path (atomic snapshot; "
-             "see docs/ROBUSTNESS.md)");
-  add_int("checkpoint-every", 0,
-          "checkpoint every N simulation steps (0 = off; needs --checkpoint)");
-  add_string("resume", "",
-             "restore the simulation from this checkpoint before stepping");
-}
-
-const std::string& ArgParser::checkpoint_path() const {
-  return get_string("checkpoint");
-}
-
-std::int64_t ArgParser::checkpoint_every() const {
-  return get_int("checkpoint-every");
-}
-
-const std::string& ArgParser::resume_path() const {
-  return get_string("resume");
 }
 
 void ArgParser::add_int(const std::string& name, std::int64_t default_value,
@@ -69,7 +59,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) != 0) {
       std::fprintf(stderr, "%s: unexpected argument '%s'\n", program_.c_str(),
                    arg.c_str());
-      return false;
+      exit_with_usage(usage());
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -83,7 +73,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     if (it == options_.end()) {
       std::fprintf(stderr, "%s: unknown option '--%s'\n", program_.c_str(),
                    name.c_str());
-      return false;
+      exit_with_usage(usage());
     }
     Option& opt = it->second;
     if (opt.kind == Kind::kFlag) {
@@ -94,7 +84,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: option '--%s' needs a value\n",
                      program_.c_str(), name.c_str());
-        return false;
+        exit_with_usage(usage());
       }
       value = argv[++i];
     }

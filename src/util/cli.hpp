@@ -14,19 +14,17 @@ namespace bd::util {
 ///   ArgParser args("bench_table1", "Reproduces Table I");
 ///   args.add_int("particles", 100000, "number of macro-particles");
 ///   args.add_flag("full", "run the paper-scale sweep");
-///   args.parse(argc, argv);            // exits on --help / parse error
+///   if (!args.parse(argc, argv)) return 0;  // --help; exits 2 on an error
 ///   int n = args.get_int("particles");
 ///
 /// Every parser also registers a built-in `--trace=<out.json>` option: when
 /// given, telemetry span capture (util/telemetry) starts and the chrome-
 /// trace JSON plus a per-span summary are emitted when the process exits —
 /// the CLI spelling of the `BD_TRACE=<out.json>` environment variable.
-///
-/// Simulation drivers additionally get built-in checkpoint/restart options
-/// (see docs/ROBUSTNESS.md): `--checkpoint=<path>` with
-/// `--checkpoint-every=<N>` periodically snapshots the simulation, and
-/// `--resume=<path>` restores one before stepping. Binaries that do not
-/// run a Simulation simply ignore them.
+/// It is the only built-in option. A binary with more flags registers
+/// them itself: examples/quickstart adds the checkpoint/restart options
+/// (`--checkpoint`, `--checkpoint-every`, `--resume`; see
+/// docs/ROBUSTNESS.md).
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description);
@@ -39,19 +37,16 @@ class ArgParser {
                   const std::string& help);
   void add_flag(const std::string& name, const std::string& help);
 
-  /// Parse argv. Returns false (after printing usage) on --help or error;
-  /// callers typically `if (!args.parse(...)) return 0;`.
+  /// Parse argv. Returns false after printing usage to stdout on --help,
+  /// so callers write `if (!args.parse(...)) return 0;`. On an unknown
+  /// option, a missing value or a stray argument it prints the error and
+  /// the usage to stderr and exits the process with status 2.
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_flag(const std::string& name) const;
-
-  /// Built-in checkpoint/restart options (empty / 0 when not given).
-  const std::string& checkpoint_path() const;
-  std::int64_t checkpoint_every() const;
-  const std::string& resume_path() const;
 
   /// Usage text (also printed on --help).
   std::string usage() const;

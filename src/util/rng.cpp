@@ -34,22 +34,6 @@ std::uint64_t Xoshiro256::next() {
   return result;
 }
 
-void Xoshiro256::jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAull, 0xD5A61266F0C9392Cull, 0xA9582618E03FC9AAull,
-      0x39ABDC4529B1661Cull};
-  std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-  for (std::uint64_t jump_word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump_word & (1ull << b)) {
-        for (int i = 0; i < 4; ++i) acc[i] ^= s_[i];
-      }
-      next();
-    }
-  }
-  s_ = acc;
-}
-
 double Rng::uniform() {
   // 53-bit mantissa from the top bits.
   return static_cast<double>(gen_.next() >> 11) * 0x1.0p-53;
@@ -86,15 +70,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
     draw = gen_.next();
   } while (draw >= limit);
   return draw % n;
-}
-
-Rng Rng::split() {
-  Rng child = *this;
-  child.gen_.jump();
-  child.has_cached_normal_ = false;
-  // Advance the parent so repeated splits differ.
-  gen_.next();
-  return child;
 }
 
 }  // namespace bd::util

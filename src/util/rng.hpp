@@ -36,9 +36,6 @@ class Xoshiro256 {
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() { return next(); }
 
-  /// Jump ahead 2^128 draws — gives independent parallel streams.
-  void jump();
-
   /// Raw generator state, for checkpoint/restart (util/serialize).
   std::array<std::uint64_t, 4> state() const { return s_; }
   void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; }
@@ -69,9 +66,6 @@ class Rng {
 
   /// Raw 64 random bits.
   std::uint64_t bits() { return gen_.next(); }
-
-  /// Independent child stream (jump-based, deterministic).
-  Rng split();
 
   /// Complete stream state (generator + Box–Muller cache) so a restored
   /// checkpoint resumes the exact draw sequence.

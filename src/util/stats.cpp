@@ -13,16 +13,6 @@ double mean(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double mu = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - mu) * (x - mu);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double rms(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double acc = 0.0;

@@ -11,12 +11,6 @@ namespace bd::util {
 /// Arithmetic mean; returns 0 for an empty span.
 double mean(std::span<const double> xs);
 
-/// Unbiased sample variance; returns 0 for fewer than two samples.
-double variance(std::span<const double> xs);
-
-/// Sample standard deviation.
-double stddev(std::span<const double> xs);
-
 /// sqrt(mean(x_i^2)).
 double rms(std::span<const double> xs);
 

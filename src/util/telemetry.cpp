@@ -422,13 +422,6 @@ void TraceSession::set_output_path(std::string path) {
   impl_->flushed = false;
 }
 
-const std::string& TraceSession::output_path() const {
-  // Callers treat the returned reference as read-only and short-lived;
-  // the path only changes from set_output_path (startup / tests).
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  return impl_->output_path;
-}
-
 double TraceSession::now_us() const {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - impl_->epoch)

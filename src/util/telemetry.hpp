@@ -178,7 +178,6 @@ class TraceSession {
 
   /// Where the atexit hook (or flush()) writes the chrome-trace JSON.
   void set_output_path(std::string path);
-  const std::string& output_path() const;
 
   /// Microseconds since the session epoch (process-wide monotonic clock).
   double now_us() const;
@@ -270,9 +269,6 @@ class TraceSpan {
   void arg(const char* key, std::uint64_t value);
   void arg(const char* key, std::int64_t value);
   void arg(const char* key, const char* value);
-
-  /// Whether this span is actually recording.
-  bool active() const { return active_; }
 
  private:
   TraceSession* session_;  ///< resolved at construction (scoped else global)

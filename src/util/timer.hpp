@@ -24,17 +24,4 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop windows.
-class AccumTimer {
- public:
-  void start() { timer_.reset(); }
-  void stop() { total_ += timer_.seconds(); }
-  double total_seconds() const { return total_; }
-  void reset() { total_ = 0.0; }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
-};
-
 }  // namespace bd::util

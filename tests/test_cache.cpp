@@ -167,7 +167,7 @@ TEST_P(CacheCapacitySweep, WorkingSetWithinCapacityAlwaysHitsOnSecondPass) {
   // Sequential working set equal to capacity: second pass must fully hit
   // (LRU with power-of-two sets and sequential addresses is conflict-free).
   const std::uint32_t resident =
-      SetAssocCache::sets_for(lines * 128, 128, 4) * cache.ways();
+      SetAssocCache::sets_for(lines * 128, 128, 4) * 4;  // × 4 ways
   for (std::uint32_t i = 0; i < resident; ++i) cache.access(i * 128ull);
   std::uint32_t misses = 0;
   for (std::uint32_t i = 0; i < resident; ++i) {

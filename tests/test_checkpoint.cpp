@@ -27,6 +27,8 @@
 namespace bd {
 namespace {
 
+using bd::testing::run_steps;
+
 /// Temp file private to the running test: ctest runs the tests of one
 /// binary as concurrent processes, so fixtures must not share a file.
 std::string test_temp_path(const std::string& stem, const std::string& ext) {
@@ -363,14 +365,14 @@ TEST_F(CheckpointTest, FreshObjectRestoreMatchesContinuedRun) {
   // KernelMetrics must agree bit-for-bit.
   auto a = make_sim();
   a->initialize();
-  a->run(2);
+  run_steps(*a, 2);
   core::save_checkpoint(*a, path_);
-  const auto a_stats = a->run(2);
+  const auto a_stats = run_steps(*a, 2);
 
   auto b = make_sim();
   core::restore_checkpoint(*b, path_);
   EXPECT_EQ(b->current_step(), 2);
-  const auto b_stats = b->run(2);
+  const auto b_stats = run_steps(*b, 2);
 
   ASSERT_EQ(a_stats.size(), b_stats.size());
   for (std::size_t k = 0; k < a_stats.size(); ++k) {
@@ -397,7 +399,7 @@ TEST_F(CheckpointTest, FreshObjectRestoreMatchesContinuedRun) {
 TEST_F(CheckpointTest, RestoreRejectsConfigMismatch) {
   auto a = make_sim();
   a->initialize();
-  a->run(1);
+  run_steps(*a, 1);
   core::save_checkpoint(*a, path_);
 
   core::SimConfig other = sim_config();
@@ -411,7 +413,7 @@ TEST_F(CheckpointTest, RestoreRejectsConfigMismatch) {
 TEST_F(CheckpointTest, RestoreRejectsSolverLineupMismatch) {
   auto a = make_sim(/*with_fallbacks=*/true);
   a->initialize();
-  a->run(1);
+  run_steps(*a, 1);
   core::save_checkpoint(*a, path_);
 
   auto b = make_sim(/*with_fallbacks=*/false);
@@ -442,8 +444,8 @@ TEST_F(CheckpointTest, ConcurrentSimsCheckpointIntoSameDirectory) {
   auto sim_b = make_sim();
   sim_a->initialize();
   sim_b->initialize();
-  sim_a->run(2);
-  sim_b->run(3);
+  run_steps(*sim_a, 2);
+  run_steps(*sim_b, 3);
 
   constexpr int kRounds = 10;
   std::thread ta([&] {
@@ -473,7 +475,7 @@ TEST_F(CheckpointTest, PeriodicOverwriteKeepsLatestSnapshot) {
   auto sim = make_sim();
   sim->initialize();
   for (int k = 0; k < 3; ++k) {
-    sim->run(1);
+    run_steps(*sim, 1);
     core::save_checkpoint(*sim, path_);  // overwrite in place each step
   }
   auto restored = make_sim();
@@ -555,7 +557,7 @@ TEST(ReaderFuzz, MutatedCheckpointsLoadOrThrowCheckError) {
     auto sim = make_small_sim();
     sim->set_fault_harness(&inert);
     sim->initialize();
-    sim->run(3);  // a trained predictor: restore refits it
+    run_steps(*sim, 3);  // a trained predictor: restore refits it
     core::save_checkpoint(*sim, path);
   }
   std::uint32_t version = 0;

@@ -59,13 +59,25 @@ TEST(Cli, FlagForms) {
 TEST(Cli, UnknownOptionFails) {
   ArgParser args = make_parser();
   const char* argv[] = {"prog", "--bogus=1"};
-  EXPECT_FALSE(args.parse(2, argv));
+  EXPECT_EXIT(args.parse(2, argv), ::testing::ExitedWithCode(2),
+              "unknown option '--bogus'(.|\n)*options:");
 }
 
 TEST(Cli, MissingValueFails) {
   ArgParser args = make_parser();
   const char* argv[] = {"prog", "--n"};
-  EXPECT_FALSE(args.parse(2, argv));
+  EXPECT_EXIT(args.parse(2, argv), ::testing::ExitedWithCode(2),
+              "option '--n' needs a value(.|\n)*options:");
+}
+
+TEST(Cli, CheckpointFlagsAreNotBuiltIn) {
+  // Only --trace is built in; a binary that reads --checkpoint,
+  // --checkpoint-every or --resume registers them itself.
+  ArgParser args = make_parser();
+  const char* argv[] = {"prog", "--resume=x"};
+  EXPECT_EXIT(args.parse(2, argv), ::testing::ExitedWithCode(2),
+              "unknown option '--resume'");
+  EXPECT_EQ(args.usage().find("--checkpoint"), std::string::npos);
 }
 
 TEST(Cli, HelpReturnsFalse) {
@@ -77,7 +89,8 @@ TEST(Cli, HelpReturnsFalse) {
 TEST(Cli, PositionalArgumentRejected) {
   ArgParser args = make_parser();
   const char* argv[] = {"prog", "stray"};
-  EXPECT_FALSE(args.parse(2, argv));
+  EXPECT_EXIT(args.parse(2, argv), ::testing::ExitedWithCode(2),
+              "unexpected argument 'stray'(.|\n)*options:");
 }
 
 TEST(Cli, UnregisteredLookupThrows) {

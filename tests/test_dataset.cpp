@@ -39,42 +39,6 @@ TEST(Dataset, MatricesMaterialize) {
   EXPECT_DOUBLE_EQ(y(0, 1), 3.0);
 }
 
-TEST(Dataset, SplitPreservesAllExamples) {
-  Dataset d(1, 1);
-  for (int i = 0; i < 100; ++i) {
-    const double v = i;
-    d.add(std::vector<double>{v}, std::vector<double>{2 * v});
-  }
-  util::Rng rng(5);
-  const auto [train, test] = d.split(0.25, rng);
-  EXPECT_EQ(test.size(), 25u);
-  EXPECT_EQ(train.size(), 75u);
-  // Every original feature appears exactly once across the two sets.
-  std::vector<int> seen(100, 0);
-  for (std::size_t i = 0; i < train.size(); ++i) {
-    ++seen[static_cast<std::size_t>(train.features(i)[0])];
-  }
-  for (std::size_t i = 0; i < test.size(); ++i) {
-    ++seen[static_cast<std::size_t>(test.features(i)[0])];
-  }
-  for (int s : seen) EXPECT_EQ(s, 1);
-}
-
-TEST(Dataset, SplitIsDeterministicForSeed) {
-  Dataset d(1, 1);
-  for (int i = 0; i < 20; ++i) {
-    const double v = i;
-    d.add(std::vector<double>{v}, std::vector<double>{v});
-  }
-  util::Rng rng1(9), rng2(9);
-  const auto [t1, s1] = d.split(0.5, rng1);
-  const auto [t2, s2] = d.split(0.5, rng2);
-  ASSERT_EQ(t1.size(), t2.size());
-  for (std::size_t i = 0; i < t1.size(); ++i) {
-    EXPECT_DOUBLE_EQ(t1.features(i)[0], t2.features(i)[0]);
-  }
-}
-
 TEST(Dataset, ClearKeepsDims) {
   Dataset d(2, 2);
   d.add(std::vector<double>{1.0, 2.0}, std::vector<double>{3.0, 4.0});

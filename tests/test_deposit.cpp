@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "util/check.hpp"
 #include "beam/bunch.hpp"
@@ -20,9 +21,12 @@ ParticleSet single_particle(double s, double y, double weight = 1.0) {
   return p;
 }
 
-class DepositSchemes : public ::testing::TestWithParam<DepositScheme> {};
+/// Sum of all node values (≈ deposited charge / (dx·dy)).
+double grid_total(const Grid2D& rho) {
+  return std::accumulate(rho.data().begin(), rho.data().end(), 0.0);
+}
 
-TEST_P(DepositSchemes, ConservesCharge) {
+TEST(Deposit, ConservesCharge) {
   const GridSpec spec = make_centered_grid(17, 17, 4.0, 4.0);
   Grid2D rho(spec);
   util::Rng rng(3);
@@ -31,47 +35,16 @@ TEST_P(DepositSchemes, ConservesCharge) {
   params.sigma_y = 0.8;
   params.charge = 3.0;
   const ParticleSet p = sample_gaussian_bunch(5000, params, rng);
-  const double dropped = deposit(p, GetParam(), rho);
+  const double dropped = deposit(p, rho);
   // Deposited density × cell area + dropped = total charge.
-  EXPECT_NEAR(rho.sum() * spec.dx * spec.dy + dropped, 3.0, 1e-10);
+  EXPECT_NEAR(grid_total(rho) * spec.dx * spec.dy + dropped, 3.0, 1e-10);
   EXPECT_LT(dropped, 0.01);  // ±4σ box at σ=0.8 drops almost nothing
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchemes, DepositSchemes,
-                         ::testing::Values(DepositScheme::kNGP,
-                                           DepositScheme::kCIC,
-                                           DepositScheme::kTSC));
-
-TEST(Deposit, NgpPutsAllChargeOnNearestNode) {
-  const GridSpec spec = make_centered_grid(5, 5, 2.0, 2.0);
-  Grid2D rho(spec);
-  deposit(single_particle(0.4, -0.6), DepositScheme::kNGP, rho);
-  // Nearest node to (0.4,-0.6): ix=2, iy=1 (gx=2.4, gy=1.4).
-  EXPECT_GT(rho.at(2, 1), 0.0);
-  EXPECT_DOUBLE_EQ(rho.sum(), rho.at(2, 1));
-}
-
-TEST(Deposit, CicCentroidPreserved) {
-  const GridSpec spec = make_centered_grid(9, 9, 4.0, 4.0);
-  Grid2D rho(spec);
-  deposit(single_particle(0.3, -1.2), DepositScheme::kCIC, rho);
-  double cx = 0.0, cy = 0.0, total = 0.0;
-  for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
-    for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
-      const double v = rho.at(ix, iy);
-      cx += v * spec.x_at(ix);
-      cy += v * spec.y_at(iy);
-      total += v;
-    }
-  }
-  EXPECT_NEAR(cx / total, 0.3, 1e-12);
-  EXPECT_NEAR(cy / total, -1.2, 1e-12);
 }
 
 TEST(Deposit, TscCentroidPreserved) {
   const GridSpec spec = make_centered_grid(9, 9, 4.0, 4.0);
   Grid2D rho(spec);
-  deposit(single_particle(-0.7, 0.9), DepositScheme::kTSC, rho);
+  deposit(single_particle(-0.7, 0.9), rho);
   double cx = 0.0, cy = 0.0, total = 0.0;
   for (std::uint32_t iy = 0; iy < spec.ny; ++iy) {
     for (std::uint32_t ix = 0; ix < spec.nx; ++ix) {
@@ -88,7 +61,7 @@ TEST(Deposit, TscCentroidPreserved) {
 TEST(Deposit, TscSpreadsOver9Nodes) {
   const GridSpec spec = make_centered_grid(9, 9, 4.0, 4.0);
   Grid2D rho(spec);
-  deposit(single_particle(0.1, 0.1), DepositScheme::kTSC, rho);
+  deposit(single_particle(0.1, 0.1), rho);
   int nonzero = 0;
   for (double v : rho.data()) {
     if (v != 0.0) ++nonzero;
@@ -99,10 +72,9 @@ TEST(Deposit, TscSpreadsOver9Nodes) {
 TEST(Deposit, OutsideParticleDropped) {
   const GridSpec spec = make_centered_grid(5, 5, 1.0, 1.0);
   Grid2D rho(spec);
-  const double dropped =
-      deposit(single_particle(10.0, 0.0, 2.0), DepositScheme::kTSC, rho);
+  const double dropped = deposit(single_particle(10.0, 0.0, 2.0), rho);
   EXPECT_GT(dropped, 0.0);
-  EXPECT_DOUBLE_EQ(rho.sum(), 0.0);
+  EXPECT_DOUBLE_EQ(grid_total(rho), 0.0);
 }
 
 TEST(Gradient, LongitudinalOfLinearField) {

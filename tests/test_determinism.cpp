@@ -31,6 +31,7 @@ namespace bd {
 namespace {
 
 using testing::expect_identical;
+using testing::run_steps;
 
 simt::KernelMetrics run_synthetic_launch() {
   const simt::DeviceSpec spec = simt::tesla_k40();
@@ -161,13 +162,13 @@ TEST(Determinism, CheckpointRoundTripBitwiseIdentical) {
   core::Simulation sim(
       config, std::make_unique<core::PredictiveSolver>(simt::tesla_k40()));
   sim.initialize();
-  sim.run(2);
+  run_steps(sim, 2);
   core::save_checkpoint(sim, path);
-  const std::vector<core::StepStats> straight = sim.run(2);
+  const std::vector<core::StepStats> straight = run_steps(sim, 2);
 
   core::restore_checkpoint(sim, path);
   EXPECT_EQ(sim.current_step(), 2);
-  const std::vector<core::StepStats> resumed = sim.run(2);
+  const std::vector<core::StepStats> resumed = run_steps(sim, 2);
   std::remove(path.c_str());
 
   ASSERT_EQ(straight.size(), resumed.size());
@@ -357,10 +358,11 @@ TEST(Determinism, ScratchStopsGrowingAfterWarmup) {
   core::Simulation sim(
       config, std::make_unique<core::PredictiveSolver>(simt::tesla_k40()));
   sim.initialize();
-  sim.run(3);  // warm-up: bootstrap + first predictive steps grow buffers
+  // Warm-up: bootstrap + first predictive steps grow buffers.
+  run_steps(sim, 3);
 
   registry.reset();
-  sim.run(3);
+  run_steps(sim, 3);
   auto steady = registry.snapshot().counters;
   EXPECT_EQ(steady.count("rp.scratch_grows"), 0u)
       << "steady state grew scratch " << steady["rp.scratch_grows"]
@@ -373,7 +375,7 @@ TEST(Determinism, ScratchStopsGrowingAfterWarmup) {
   core::restore_checkpoint(sim, path);
   std::remove(path.c_str());
   registry.reset();
-  sim.run(2);
+  run_steps(sim, 2);
   steady = registry.snapshot().counters;
   EXPECT_EQ(steady.count("rp.scratch_grows"), 0u);
   EXPECT_GT(steady["rp.scratch_reuses"], 0u);
@@ -393,7 +395,7 @@ std::vector<core::StepStats> run_solo(std::uint64_t seed, std::size_t steps) {
   core::Simulation sim(
       config, std::make_unique<core::PredictiveSolver>(simt::tesla_k40()));
   sim.initialize();
-  return sim.run(steps);
+  return run_steps(sim, steps);
 }
 
 std::uint64_t global_counter(const std::string& name) {

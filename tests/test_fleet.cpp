@@ -30,6 +30,7 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/parallel.hpp"
@@ -38,6 +39,8 @@
 
 namespace bd {
 namespace {
+
+using bd::testing::run_steps;
 
 namespace fs = std::filesystem;
 
@@ -358,7 +361,7 @@ TEST_F(FleetSpoolTest, ResumesFromPreexistingSpoolFile) {
   auto sim = build_sim(42);
   sim->set_fault_harness(&inert);
   sim->initialize();
-  sim->run(kPrefix);
+  run_steps(*sim, kPrefix);
   const std::string spool = dir_ + "/warm.ckpt";
   core::save_checkpoint(*sim, spool);
 
@@ -478,8 +481,8 @@ TEST_F(FleetSpoolTest, QuarantineAfterExhaustedRetries) {
   EXPECT_EQ(quarantine[0].attempts, 2u);
   EXPECT_FALSE(quarantine[0].error.empty());
   // The last good checkpoint stays on disk for postmortem.
-  ASSERT_FALSE(quarantine[0].checkpoint_path.empty());
-  EXPECT_TRUE(fs::exists(quarantine[0].checkpoint_path));
+  ASSERT_FALSE(quarantine[0].spool_checkpoint.empty());
+  EXPECT_TRUE(fs::exists(quarantine[0].spool_checkpoint));
 
   EXPECT_EQ(global_counter("fleet.quarantined"), 1u);
   EXPECT_EQ(global_counter("fleet.retries"), 1u);

@@ -16,12 +16,15 @@
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
 #include "simt/device.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/faultinject.hpp"
 #include "util/telemetry.hpp"
 
 namespace bd {
 namespace {
+
+using bd::testing::run_steps;
 
 // ---------------------------------------------------------------------------
 // HealthMonitor / DegradationLadder units
@@ -246,7 +249,7 @@ TEST_F(GuardedSimTest, HealthReportAbsentWhenChecksOff) {
   core::SimConfig config = guarded_config();
   config.health_checks = false;
   auto sim = guarded_sim(config);
-  const auto stats = sim->run(1);
+  const auto stats = run_steps(*sim, 1);
   EXPECT_FALSE(stats[0].health.has_value());
 }
 
@@ -254,7 +257,7 @@ TEST_F(GuardedSimTest, ContainsGridNanInjection) {
   const auto before = util::telemetry::MetricsRegistry::global().snapshot();
   auto sim = guarded_sim();
   util::faultinject::install("grid_nan@2:8");
-  const auto stats = sim->run(4);
+  const auto stats = run_steps(*sim, 4);
 
   ASSERT_TRUE(stats[1].health.has_value());
   EXPECT_GT(stats[1].health->nan_moments, 0u);
@@ -284,7 +287,7 @@ TEST_F(GuardedSimTest, ContainsForecastCorruptionAndWalksTheLadder) {
   // the step is flagged, and with demote_after=1 the ladder demotes; two
   // clean steps later it promotes back.
   util::faultinject::install("forecast@3");
-  const auto stats = sim->run(6);
+  const auto stats = run_steps(*sim, 6);
 
   ASSERT_TRUE(stats[2].health.has_value());
   EXPECT_GT(stats[2].health->sanitized_forecasts, 0u);
@@ -311,7 +314,7 @@ TEST_F(GuardedSimTest, ContainsPoolJobException) {
   // predictive solve); the pool rethrows on the caller, the guarded solve
   // catches, resets the poisoned solver and recomputes with the last rung.
   util::faultinject::install("pool_throw@2");
-  const auto stats = sim->run(3);
+  const auto stats = run_steps(*sim, 3);
 
   ASSERT_TRUE(stats[1].health.has_value());
   EXPECT_TRUE(stats[1].health->solver_exception);
@@ -328,7 +331,7 @@ TEST_F(GuardedSimTest, PoolExceptionPropagatesWhenChecksOff) {
   config.health_checks = false;
   auto sim = guarded_sim(config);
   util::faultinject::install("pool_throw@2");
-  sim->run(1);
+  run_steps(*sim, 1);
   EXPECT_THROW(sim->step(), std::runtime_error);
 }
 
@@ -336,16 +339,16 @@ TEST_F(GuardedSimTest, TruncatedCheckpointWriteKeepsPreviousSnapshot) {
   const std::string path =
       ::testing::TempDir() + "bd_health_truncate_test.ckpt";
   auto sim = guarded_sim();
-  sim->run(1);
+  run_steps(*sim, 1);
   core::save_checkpoint(*sim, path);
-  sim->run(1);
+  run_steps(*sim, 1);
   util::faultinject::install("checkpoint_truncate");
   EXPECT_THROW(core::save_checkpoint(*sim, path), bd::CheckError);
   util::faultinject::clear();
 
   // The step-1 snapshot survives the simulated mid-write crash, and the
   // run continues unharmed after the failed save.
-  const auto stats = sim->run(2);
+  const auto stats = run_steps(*sim, 2);
   expect_finite_physics(*sim, stats);
   auto restored = guarded_sim();
   core::restore_checkpoint(*restored, path);
@@ -358,14 +361,14 @@ TEST_F(GuardedSimTest, MonitorAndLadderStateSurviveCheckpoint) {
   const std::string path = ::testing::TempDir() + "bd_health_ckpt_state.ckpt";
   auto sim = guarded_sim();
   util::faultinject::install("forecast@3");
-  sim->run(3);  // demoted at step 3
+  run_steps(*sim, 3);  // demoted at step 3
   EXPECT_EQ(sim->active_tier(), 1u);
   core::save_checkpoint(*sim, path);
 
   auto restored = guarded_sim();
   core::restore_checkpoint(*restored, path);
   EXPECT_EQ(restored->active_tier(), 1u);  // ladder state came back
-  const auto stats = restored->run(2);     // promote_after=2 clean steps
+  const auto stats = run_steps(*restored, 2);  // promote_after=2 clean steps
   ASSERT_TRUE(stats[1].health.has_value());
   EXPECT_TRUE(stats[1].health->promoted);
   EXPECT_EQ(restored->active_tier(), 0u);

@@ -1,8 +1,8 @@
 #pragma once
 /// Shared fixtures for solver-level tests: a small rp-problem over a
 /// continuum-filled (noise-free) moment history, a bitwise KernelMetrics
-/// comparison, a bitwise integrand-vs-reference comparison and a one-query
-/// regressor prediction.
+/// comparison, a bitwise integrand-vs-reference comparison, a one-query
+/// regressor prediction and an n-step simulation run.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "beam/units.hpp"
 #include "beam/wake.hpp"
 #include "core/problem.hpp"
+#include "core/simulation.hpp"
 #include "quad/integrand.hpp"
 #include "simt/metrics.hpp"
 #include "simt_oracle.hpp"
@@ -67,6 +68,15 @@ std::vector<double> predict(const Model& model,
   std::vector<double> out(model.target_dim());
   model.predict_into(features, out);
   return out;
+}
+
+/// Runs `n` steps of `sim` and returns their statistics in step order.
+inline std::vector<core::StepStats> run_steps(core::Simulation& sim,
+                                              std::size_t n) {
+  std::vector<core::StepStats> all;
+  all.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) all.push_back(sim.step());
+  return all;
 }
 
 /// Bit-for-bit comparison of every KernelMetrics field the paper reports.

@@ -23,9 +23,7 @@ TEST(Ridge, RecoversLinearFunction) {
     d.add(std::vector<double>{x0, x1},
           std::vector<double>{3.0 * x0 - 2.0 * x1 + 1.0});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   model.fit(d);
   for (int q = 0; q < 20; ++q) {
     const double x0 = rng.uniform(-2, 2);
@@ -42,27 +40,12 @@ TEST(Ridge, QuadraticExpansionFitsQuadratic) {
     const double x = rng.uniform(-1, 1);
     d.add(std::vector<double>{x}, std::vector<double>{x * x - 0.5 * x});
   }
-  RidgeRegressor model;  // poly_degree = 2 default
+  RidgeRegressor model;
   model.fit(d);
   for (double x : {-0.7, -0.2, 0.0, 0.4, 0.9}) {
     EXPECT_NEAR(predict(model, std::vector<double>{x})[0], x * x - 0.5 * x,
                 1e-5);
   }
-}
-
-TEST(Ridge, LinearModelCannotFitQuadratic) {
-  util::Rng rng(13);
-  Dataset d(1, 1);
-  for (int i = 0; i < 100; ++i) {
-    const double x = rng.uniform(-1, 1);
-    d.add(std::vector<double>{x}, std::vector<double>{x * x});
-  }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
-  model.fit(d);
-  // Best linear fit of x² on [-1,1] is ~1/3; large pointwise error at 0.
-  EXPECT_GT(std::abs(predict(model, std::vector<double>{0.0})[0]), 0.1);
 }
 
 TEST(Ridge, MultiOutput) {
@@ -72,9 +55,7 @@ TEST(Ridge, MultiOutput) {
     const double x = rng.uniform(-1, 1);
     d.add(std::vector<double>{x}, std::vector<double>{x, 2 * x, -x + 1});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   model.fit(d);
   const auto p = predict(model, std::vector<double>{0.5});
   EXPECT_NEAR(p[0], 0.5, 1e-6);
@@ -89,10 +70,7 @@ TEST(Ridge, RegularizationShrinksIllConditionedFit) {
     const double x = i * 0.1;
     d.add(std::vector<double>{x, x}, std::vector<double>{2 * x});
   }
-  LinRegConfig config;
-  config.poly_degree = 1;
-  config.ridge = 1e-4;
-  RidgeRegressor model(config);
+  RidgeRegressor model;
   EXPECT_NO_THROW(model.fit(d));
   EXPECT_NEAR(predict(model, std::vector<double>{1.0, 1.0})[0], 2.0, 1e-2);
 }

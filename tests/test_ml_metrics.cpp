@@ -8,12 +8,6 @@
 namespace bd::ml {
 namespace {
 
-TEST(MlMetrics, MseKnown) {
-  const std::vector<double> p{1.0, 2.0, 3.0};
-  const std::vector<double> t{1.0, 0.0, 6.0};
-  EXPECT_NEAR(mse(p, t), (0.0 + 4.0 + 9.0) / 3.0, 1e-12);
-}
-
 TEST(MlMetrics, MaeKnown) {
   const std::vector<double> p{1.0, -2.0};
   const std::vector<double> t{0.0, 2.0};

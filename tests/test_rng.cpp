@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -11,6 +11,13 @@
 
 namespace bd::util {
 namespace {
+
+/// Standard deviation of a large sample, from its mean and RMS.
+double sample_stddev(std::span<const double> xs) {
+  const double m = mean(xs);
+  const double r = rms(xs);
+  return std::sqrt(r * r - m * m);
+}
 
 TEST(SplitMix64, KnownSequence) {
   // Reference values for seed 1234567 from the public-domain SplitMix64.
@@ -35,20 +42,6 @@ TEST(Xoshiro256, DifferentSeedsDiffer) {
     if (g1.next() == g2.next()) ++equal;
   }
   EXPECT_EQ(equal, 0);
-}
-
-TEST(Xoshiro256, JumpProducesDisjointStream) {
-  Xoshiro256 base(7);
-  Xoshiro256 jumped(7);
-  jumped.jump();
-  std::set<std::uint64_t> head;
-  Xoshiro256 replay(7);
-  for (int i = 0; i < 1000; ++i) head.insert(replay.next());
-  int collisions = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (head.count(jumped.next())) ++collisions;
-  }
-  EXPECT_EQ(collisions, 0);
 }
 
 TEST(Rng, UniformInUnitInterval) {
@@ -81,7 +74,7 @@ TEST(Rng, NormalMomentsMatch) {
   std::vector<double> xs(50000);
   for (double& x : xs) x = rng.normal();
   EXPECT_NEAR(mean(xs), 0.0, 0.02);
-  EXPECT_NEAR(stddev(xs), 1.0, 0.02);
+  EXPECT_NEAR(sample_stddev(xs), 1.0, 0.02);
 }
 
 TEST(Rng, NormalScaledMoments) {
@@ -89,7 +82,7 @@ TEST(Rng, NormalScaledMoments) {
   std::vector<double> xs(50000);
   for (double& x : xs) x = rng.normal(3.0, 2.0);
   EXPECT_NEAR(mean(xs), 3.0, 0.05);
-  EXPECT_NEAR(stddev(xs), 2.0, 0.05);
+  EXPECT_NEAR(sample_stddev(xs), 2.0, 0.05);
 }
 
 TEST(Rng, UniformIndexBounds) {
@@ -107,17 +100,6 @@ TEST(Rng, UniformIndexZeroIsZero) {
   Rng rng(1);
   EXPECT_EQ(rng.uniform_index(0), 0u);
   EXPECT_EQ(rng.uniform_index(1), 0u);
-}
-
-TEST(Rng, SplitStreamsAreIndependent) {
-  Rng parent(77);
-  Rng child = parent.split();
-  std::vector<double> a(5000), b(5000);
-  for (int i = 0; i < 5000; ++i) {
-    a[static_cast<std::size_t>(i)] = parent.uniform();
-    b[static_cast<std::size_t>(i)] = child.uniform();
-  }
-  EXPECT_LT(std::abs(correlation(a, b)), 0.05);
 }
 
 TEST(Rng, ReproducibleAcrossInstances) {

@@ -8,11 +8,14 @@
 #include "beam/analytic.hpp"
 #include "core/predictive.hpp"
 #include "core/simulation.hpp"
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace bd::core {
 namespace {
+
+using bd::testing::run_steps;
 
 SimConfig small_config() {
   SimConfig config;
@@ -86,7 +89,7 @@ TEST(Simulation, TransverseNeedsSecondSolver) {
 TEST(Simulation, StepsAdvanceAndRecordStats) {
   Simulation sim(small_config(), predictive());
   sim.initialize();
-  const auto stats = sim.run(3);
+  const auto stats = run_steps(sim, 3);
   ASSERT_EQ(stats.size(), 3u);
   EXPECT_EQ(stats[0].step, 1);
   EXPECT_EQ(stats[2].step, 3);
@@ -102,7 +105,7 @@ TEST(Simulation, RigidBunchDoesNotMove) {
   Simulation sim(small_config(), predictive());
   sim.initialize();
   const double s0 = sim.particles().s()[0];
-  sim.run(2);
+  run_steps(sim, 2);
   EXPECT_DOUBLE_EQ(sim.particles().s()[0], s0);
 }
 
@@ -112,7 +115,7 @@ TEST(Simulation, DynamicBunchEvolvesUnderSelfForce) {
   Simulation sim(config, predictive());
   sim.initialize();
   const double s0 = sim.particles().s()[100];
-  sim.run(3);
+  run_steps(sim, 3);
   EXPECT_NE(sim.particles().s()[100], s0);
   // Momenta picked up finite force kicks.
   double max_ps = 0.0;
@@ -126,7 +129,7 @@ TEST(Simulation, ForceGridMatchesAnalyticAtCenterline) {
   config.particles = 200000;  // tame Monte-Carlo noise
   Simulation sim(config, predictive());
   sim.initialize();
-  sim.run(2);
+  run_steps(sim, 2);
   const beam::Grid2D& force = sim.force_s();
   const beam::GridSpec& spec = force.spec();
   const std::uint32_t iy = spec.ny / 2;
@@ -147,7 +150,7 @@ TEST(Simulation, TransverseSolveProducesAntisymmetricForce) {
   Simulation sim(config, predictive(),
                  std::make_unique<PredictiveSolver>(simt::tesla_k40()));
   sim.initialize();
-  sim.run(1);
+  run_steps(sim, 1);
   const beam::Grid2D& fy = sim.force_y();
   const beam::GridSpec& spec = fy.spec();
   // F_y above the axis and below the axis have opposite signs.
@@ -172,8 +175,8 @@ TEST(Simulation, DeterministicForSeed) {
   Simulation b(small_config(), predictive());
   a.initialize();
   b.initialize();
-  a.run(2);
-  b.run(2);
+  run_steps(a, 2);
+  run_steps(b, 2);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.particles().s()[i], b.particles().s()[i]);
   }
@@ -190,7 +193,7 @@ TEST(Simulation, MonteCarloErrorShrinksWithParticles) {
     Simulation sim(config, std::make_unique<baselines::TwoPhaseSolver>(
                                simt::tesla_k40()));
     sim.initialize();
-    sim.run(1);
+    run_steps(sim, 1);
     const beam::Grid2D& force = sim.force_s();
     const beam::GridSpec& spec = force.spec();
     double mse = 0.0;

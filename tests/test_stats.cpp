@@ -20,16 +20,6 @@ TEST(Stats, MeanEmptyIsZero) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
 }
 
-TEST(Stats, VarianceUnbiased) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  // mean 5, sum sq dev 32, unbiased variance 32/7.
-  EXPECT_NEAR(variance(xs), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Stats, VarianceOfSingletonIsZero) {
-  EXPECT_DOUBLE_EQ(variance(std::vector<double>{3.0}), 0.0);
-}
-
 TEST(Stats, RmsKnown) {
   const std::vector<double> xs{3.0, 4.0};
   EXPECT_NEAR(rms(xs), std::sqrt(12.5), 1e-12);

@@ -207,7 +207,7 @@ TEST(Wake, DepositedBunchApproachesContinuum) {
     util::Rng rng(77);
     const ParticleSet bunch = sample_gaussian_bunch(n, params, rng);
     Grid2D rho(spec()), grad(spec());
-    deposit(bunch, DepositScheme::kTSC, rho);
+    deposit(bunch, rho);
     longitudinal_gradient(rho, grad);
     GridHistory noisy(spec(), 16);
     noisy.fill_all(20, rho, grad);

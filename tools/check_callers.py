@@ -18,9 +18,11 @@ How it reads the sources:
   * in a .cpp file, a line starting in column 0 is a definition of the one
     name it defines (the first identifier followed by `(`); every other
     identifier on that line is a use;
-  * a use is any other occurrence of the name as an identifier. The check
-    is by name, so a name one class uses keeps another class's function of
-    the same name alive.
+  * a use is any other occurrence of the name in call context: `name(`,
+    `name<...>(`, `&name` or `&Class::name`. A variable, parameter or field
+    of the same name is not a use. The check is by name, so a call of one
+    class's function keeps another class's function of the same name
+    alive.
 
 Fails when extraction breaks (fewer than MIN_HARVEST declared names), when a
 declared name has no use, or when an allow-list entry is stale.
@@ -246,6 +248,23 @@ def definition_sites(text):
     return sites
 
 
+# After an identifier: optional template arguments, then `(`.
+CALL_AFTER = re.compile(r"\s*(?:<[^;{}()]*>\s*)?\(")
+# Before an identifier: `&` right before optional `Class::` qualifiers. A
+# `&&` is a logical and, and `T& name` declares a reference; neither is a
+# use.
+ADDRESS_BEFORE = re.compile(r"(?<![&\w])&(?:[A-Za-z_]\w*\s*::\s*)*$")
+
+
+def is_call(text, start, end):
+    """Whether the identifier text[start:end] is called or has its address
+    taken."""
+    if CALL_AFTER.match(text, end):
+        return True
+    line_start = text.rfind("\n", 0, start) + 1
+    return ADDRESS_BEFORE.search(text, line_start, start) is not None
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else \
         os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -274,7 +293,8 @@ def main():
     used = set()
     for path, text in files.items():
         for m in IDENT.finditer(text):
-            if m.group() in declared and (path, m.start()) not in excluded:
+            if m.group() in declared and (path, m.start()) not in excluded \
+                    and is_call(text, m.start(), m.end()):
                 used.add(m.group())
 
     fail = False

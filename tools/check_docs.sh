@@ -7,15 +7,16 @@
 #   3. no markdown file may contain a dead relative link;
 #   4. the fleet journal's record kinds in src/core/fleet.cpp and the
 #      record-kind table in docs/ROBUSTNESS.md must list the same kinds;
-#   5. every backticked `PredictiveOptions::x`, `ClusteringAccel::x`,
-#      `RpClusteringOptions::x` or `KnnConfig::x` in README.md, DESIGN.md,
-#      EXPERIMENTS.md or docs/*.md must name a member its header declares;
+#   5. every backticked `PredictiveOptions::x`, `ClusteringAccel::x` or
+#      `RpClusteringOptions::x` in README.md, DESIGN.md, EXPERIMENTS.md or
+#      docs/*.md must name a member its header declares;
 #   6. every backticked src/ module path in those files (`quad/simpson`,
 #      `beam/wake_batch.cpp`, `src/core/fleet.{hpp,cpp}`, `simt/*`) must
 #      name an existing file or directory under src/;
 #   7. every function declared in a src/ header must be called from src/,
-#      bench/, examples/ or stepbench/ (tools/check_callers.py; tests do
-#      not count, and an allow-list with a reason per entry exempts a few).
+#      bench/, examples/ or stepbench/ (tools/check_callers.py: only a call
+#      or an address-of counts, tests do not count, and an allow-list with
+#      a reason per entry exempts a few).
 # Pure grep/sed plus one python3 script — no build needed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -145,7 +146,6 @@ check_members() {
 check_members PredictiveOptions src/core/predictive.hpp
 check_members ClusteringAccel src/core/clustering.hpp
 check_members RpClusteringOptions src/core/clustering.hpp
-check_members KnnConfig src/ml/knn.hpp
 
 # --- 6. documented src/ module paths ---------------------------------------
 # A path is `<dir>/<name>` with <dir> a top-level directory of src/ and an

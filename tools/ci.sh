@@ -25,11 +25,11 @@
 # telemetry name documented in docs/METRICS.md and every documented name
 # still used, no dead markdown links, the fleet journal's record kinds
 # matching docs/ROBUSTNESS.md's record-kind table, every documented
-# PredictiveOptions/ClusteringAccel/RpClusteringOptions/KnnConfig member
-# still declared in its header, every documented src/ module path
-# naming an existing file or directory, and every function a src/ header
-# declares having a caller in src/, bench/, examples/ or stepbench/ — not
-# only in tests (tools/check_callers.py).
+# PredictiveOptions/ClusteringAccel/RpClusteringOptions member still
+# declared in its header, every documented src/ module path naming an
+# existing file or directory, and every function a src/ header declares
+# being called in src/, bench/, examples/ or stepbench/ — not only in
+# tests (tools/check_callers.py).
 #
 # A perf-smoke stage runs bench_rp_eval against the checked-in baseline
 # (tools/perf_baseline_rp_eval.json). Eval counts are deterministic, so
