@@ -72,8 +72,9 @@ void BM_KdTreeQuery(benchmark::State& state) {
   ml::KdTree tree;
   tree.build(points, n, 3);
   std::vector<double> query{0.1, -0.2, 0.3};
+  std::vector<ml::Neighbor> neighbors;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.query(query, 4));
+    benchmark::DoNotOptimize(tree.query(query, 4, neighbors));
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
@@ -99,6 +100,31 @@ void BM_KnnPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KnnPredict);
+
+// The forecast's shape: a one-step training window over a 64x64 grid, so
+// the step feature is constant, and every query sits one step ahead.
+void BM_KnnPredictNextStep(benchmark::State& state) {
+  util::Rng rng(4);
+  ml::Dataset data(3, 12);
+  std::vector<double> target(12);
+  for (int iy = 0; iy < 64; ++iy) {
+    for (int ix = 0; ix < 64; ++ix) {
+      for (double& t : target) t = rng.uniform(1, 30);
+      data.add(std::vector<double>{ix * 0.1, iy * 0.1, 7.0}, target);
+    }
+  }
+  ml::KNNRegressor knn;
+  knn.fit(data);
+  std::vector<double> out(12);
+  std::size_t point = 0;
+  for (auto _ : state) {
+    const double query[] = {(point % 64) * 0.1, (point / 64 % 64) * 0.1, 8.0};
+    knn.predict_into(query, out);
+    benchmark::DoNotOptimize(out.data());
+    point += 37;
+  }
+}
+BENCHMARK(BM_KnnPredictNextStep);
 
 void BM_KMeansTiles(benchmark::State& state) {
   const auto tiles = static_cast<std::size_t>(state.range(0));

@@ -75,6 +75,21 @@ int main(int argc, char** argv) {
 
   const std::string journal_dir = args.get_string("journal");
   if (!journal_dir.empty()) {
+    // The supervisor checkpoints into its spool and resumes from it on its
+    // own, so the manual checkpoint flags would be silently ignored.
+    std::string ignored;
+    if (!args.get_string("checkpoint").empty()) ignored += " --checkpoint";
+    if (args.get_int("checkpoint-every") != 0) {
+      ignored += " --checkpoint-every";
+    }
+    if (!args.get_string("resume").empty()) ignored += " --resume";
+    if (!ignored.empty()) {
+      std::fprintf(stderr,
+                   "quickstart: --journal checkpoints and resumes the run "
+                   "itself; drop%s\n",
+                   ignored.c_str());
+      return 2;
+    }
     // Supervised mode: the fleet journals the job into <journal_dir>,
     // checkpoints it every step, retries step failures from the last
     // checkpoint, and — because submit() adopts an incomplete journaled

@@ -52,7 +52,8 @@ WakeIntegrand::WakeIntegrand(const GridHistory& history,
           nc[static_cast<std::size_t>(i)] * inner_width;
     }
   } else {
-    const quad::GaussRule rule = quad::gauss_legendre(model.inner_points);
+    const quad::GaussRule& rule =
+        quad::gauss_legendre(model.inner_points);
     for (int i = 0; i < model.inner_points; ++i) {
       inner_y[static_cast<std::size_t>(i)] =
           y_point + w * rule.nodes[static_cast<std::size_t>(i)];

@@ -1,6 +1,7 @@
 #include "core/predictive.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -149,19 +150,28 @@ PatternField PredictiveSolver::forecast(const RpProblem& problem) const {
   PatternField predicted(num_points, problem.num_subregions);
   // The paper parallelizes this per-point loop on the host (§IV-A);
   // predict_into is const and reentrant, and each point writes only its
-  // own pattern row — bit-identical for any thread count.
-  util::parallel_for(0, num_points, [&](std::size_t p) {
-    if (p == 0 && util::faultinject::enabled() &&
-        util::faultinject::fire(util::faultinject::FaultClass::kPoolThrow,
-                                problem.step)) {
-      throw std::runtime_error("fault injected: pool job failure in forecast");
+  // own pattern row — bit-identical for any thread count. Chunks sum the
+  // kd-tree nodes their queries visit; the forecast adds the total once.
+  std::atomic<std::uint64_t> nodes_visited{0};
+  util::parallel_for_chunked(0, num_points, 0, [&](std::size_t lo,
+                                                   std::size_t hi) {
+    std::uint64_t visited = 0;
+    for (std::size_t p = lo; p < hi; ++p) {
+      if (p == 0 && util::faultinject::enabled() &&
+          util::faultinject::fire(util::faultinject::FaultClass::kPoolThrow,
+                                  problem.step)) {
+        throw std::runtime_error(
+            "fault injected: pool job failure in forecast");
+      }
+      double features[kFeatureDim];
+      problem.point_coords(p, features[0], features[1]);
+      features[2] = static_cast<double>(problem.step);
+      visited += predictor_->predict_into(
+          std::span<const double>(features, kFeatureDim), predicted.at(p));
     }
-    double features[kFeatureDim];
-    problem.point_coords(p, features[0], features[1]);
-    features[2] = static_cast<double>(problem.step);
-    predictor_->predict_into(std::span<const double>(features, kFeatureDim),
-                             predicted.at(p));
+    nodes_visited += visited;
   });
+  telemetry::counter_add("predictive.knn_nodes_visited", nodes_visited);
   return predicted;
 }
 

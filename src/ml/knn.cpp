@@ -22,16 +22,17 @@ void KNNRegressor::fit(const Dataset& data) {
   tree_.build(scaled_features_, train_.size(), train_.feature_dim());
 }
 
-void KNNRegressor::predict_into(std::span<const double> features,
-                                std::span<double> out) const {
+std::size_t KNNRegressor::predict_into(std::span<const double> features,
+                                       std::span<double> out) const {
   BD_CHECK_MSG(fitted(), "predict before fit");
   BD_CHECK(features.size() == train_.feature_dim());
   BD_CHECK(out.size() == train_.target_dim());
 
-  std::vector<double> query(features.begin(), features.end());
+  thread_local std::vector<double> query;
+  thread_local std::vector<Neighbor> neighbors;
+  query.assign(features.begin(), features.end());
   scaler_.transform(query);
-
-  const std::vector<Neighbor> neighbors = tree_.query(query, k_);
+  const std::size_t visited = tree_.query(query, k_, neighbors);
 
   std::fill(out.begin(), out.end(), 0.0);
   double weight_sum = 0.0;
@@ -41,7 +42,7 @@ void KNNRegressor::predict_into(std::span<const double> features,
       // Exact match: return its target directly.
       const auto target = train_.targets(n.index);
       std::copy(target.begin(), target.end(), out.begin());
-      return;
+      return visited;
     }
     const double w = 1.0 / d;
     const auto target = train_.targets(n.index);
@@ -50,6 +51,7 @@ void KNNRegressor::predict_into(std::span<const double> features,
   }
   BD_CHECK(weight_sum > 0.0);
   for (double& v : out) v /= weight_sum;
+  return visited;
 }
 
 }  // namespace bd::ml

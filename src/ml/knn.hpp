@@ -28,9 +28,11 @@ class KNNRegressor {
   void fit(const Dataset& data);
 
   /// Predict the target vector for one query point into a caller-provided
-  /// buffer of target_dim() values (avoids allocation in loops).
-  void predict_into(std::span<const double> features,
-                    std::span<double> out) const;
+  /// buffer of target_dim() values. Reentrant; the scaled query and the
+  /// neighbour list live in per-thread scratch, so a warm thread allocates
+  /// nothing. Returns the number of kd-tree nodes the query visited.
+  std::size_t predict_into(std::span<const double> features,
+                           std::span<double> out) const;
 
   bool fitted() const { return !train_.empty(); }
   std::size_t target_dim() const { return train_.target_dim(); }

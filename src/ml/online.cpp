@@ -97,17 +97,12 @@ void OnlinePredictor::load(util::BinaryReader& in) {
   if (steps_seen_ > 0) refit();
 }
 
-void OnlinePredictor::predict_into(std::span<const double> features,
-                                   std::span<double> out) const {
+std::size_t OnlinePredictor::predict_into(std::span<const double> features,
+                                          std::span<double> out) const {
   BD_CHECK_MSG(ready(), "predictor not trained yet");
-  switch (kind_) {
-    case PredictorKind::kKnn:
-      knn_.predict_into(features, out);
-      break;
-    case PredictorKind::kRidge:
-      ridge_.predict_into(features, out);
-      break;
-  }
+  if (kind_ == PredictorKind::kKnn) return knn_.predict_into(features, out);
+  ridge_.predict_into(features, out);
+  return 0;
 }
 
 }  // namespace bd::ml

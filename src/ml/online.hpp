@@ -40,8 +40,9 @@ class OnlinePredictor {
                     std::span<const double> targets, std::size_t count);
 
   /// Forecast the access pattern for one grid point. Requires ready().
-  void predict_into(std::span<const double> features,
-                    std::span<double> out) const;
+  /// Returns the kd-tree nodes a kNN query visited (0 for ridge).
+  std::size_t predict_into(std::span<const double> features,
+                           std::span<double> out) const;
 
   /// True once at least one step has been observed.
   bool ready() const {

@@ -1,6 +1,8 @@
 #include "quad/gauss.hpp"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <utility>
 
 #include "util/check.hpp"
@@ -20,10 +22,8 @@ std::pair<double, double> legendre(int n, double x) {
   const double dp = n * (x * p1 - p0) / (x * x - 1.0);
   return {p1, dp};
 }
-}  // namespace
 
-GaussRule gauss_legendre(int n) {
-  BD_CHECK_MSG(n >= 1, "Gauss rule needs n >= 1");
+GaussRule compute_gauss_legendre(int n) {
   GaussRule rule;
   rule.nodes.resize(static_cast<std::size_t>(n));
   rule.weights.resize(static_cast<std::size_t>(n));
@@ -52,10 +52,21 @@ GaussRule gauss_legendre(int n) {
   if (n % 2 == 1) rule.nodes[static_cast<std::size_t>(n / 2)] = 0.0;
   return rule;
 }
+}  // namespace
+
+const GaussRule& gauss_legendre(int n) {
+  BD_CHECK_MSG(n >= 1, "Gauss rule needs n >= 1");
+  static std::mutex mutex;
+  static std::map<int, GaussRule> rules;  // map nodes never move
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto [it, fresh] = rules.try_emplace(n);
+  if (fresh) it->second = compute_gauss_legendre(n);
+  return it->second;
+}
 
 double gauss_integrate(const std::function<double(double)>& f, double a,
                        double b, int n) {
-  const GaussRule rule = gauss_legendre(n);
+  const GaussRule& rule = gauss_legendre(n);
   const double mid = 0.5 * (a + b);
   const double half = 0.5 * (b - a);
   double acc = 0.0;

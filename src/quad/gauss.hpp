@@ -16,9 +16,10 @@ struct GaussRule {
   std::vector<double> weights;
 };
 
-/// Compute the n-point Gauss–Legendre rule (n >= 1). Accurate to machine
-/// precision for n up to several hundred.
-GaussRule gauss_legendre(int n);
+/// The n-point Gauss–Legendre rule (n >= 1). Accurate to machine
+/// precision for n up to several hundred. Each rule is computed once, on
+/// its first request; later calls, from any thread, return the same rule.
+const GaussRule& gauss_legendre(int n);
 
 /// Integrate f over [a, b] with the n-point Gauss–Legendre rule.
 double gauss_integrate(const std::function<double(double)>& f, double a,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "simt/cache.hpp"
 #include "simt/coalescer.hpp"
@@ -183,43 +184,88 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   return replay;
 }
 
-std::uint32_t l2_partitions(const DeviceSpec& spec) {
-  constexpr std::uint32_t kMaxPartitions = 32;
-  const std::uint32_t sets = SetAssocCache::sets_for(
-      spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+namespace {
+
+/// The shared L2 at L1-line granularity, as replay_caches models it. An L1
+/// miss fetches its line's `sectors` L2 sectors one after another, and
+/// sector k of every line maps only to sets with index k mod `sectors`. So
+/// the sets that hold one line's sectors all see the same sequence of
+/// lines, and hit or miss together: one access per line, with its outcome
+/// counted `sectors` times, reproduces the sector-level L2. When the L2
+/// has fewer sets than a line has sectors, each set takes
+/// `sectors / sector_sets` of every line's sectors in a row, and its LRU
+/// order keeps them adjacent only while its ways divide evenly by that.
+struct LineL2 {
+  std::uint32_t sectors;     ///< L2 sectors per L1 line; scales every count
+  std::uint32_t line_bytes;  ///< l2_line_bytes * sectors
+  std::uint32_t sets;
+  std::uint32_t ways;
+};
+
+LineL2 line_l2(const DeviceSpec& spec) {
   const std::uint32_t sectors =
       std::max<std::uint32_t>(1, spec.l1_line_bytes / spec.l2_line_bytes);
-  return std::clamp<std::uint32_t>(sets / sectors, 1, kMaxPartitions);
+  const std::uint32_t sector_sets = SetAssocCache::sets_for(
+      spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
+  const std::uint32_t per_set =
+      std::max<std::uint32_t>(1, sectors / sector_sets);
+  BD_CHECK_MSG(spec.l2_ways % per_set == 0,
+               "L2 of " << sector_sets << " sets and " << spec.l2_ways
+                        << " ways cannot be replayed per line: each set holds "
+                        << per_set << " sectors of every line");
+  return {sectors, spec.l2_line_bytes * sectors,
+          std::max<std::uint32_t>(1, sector_sets / sectors),
+          spec.l2_ways / per_set};
+}
+
+}  // namespace
+
+std::uint32_t l2_partitions(const DeviceSpec& spec) {
+  constexpr std::uint32_t kMaxPartitions = 32;
+  return std::min(line_l2(spec).sets, kMaxPartitions);
 }
 
 KernelMetrics replay_caches(const DeviceSpec& spec,
                             std::span<const std::vector<WarpReplay>> sm_warps,
                             std::size_t warps_per_chunk) {
   BD_CHECK_MSG(warps_per_chunk > 0, "chunks must hold at least one warp");
-  // Partition p owns the L2 sets [p * part_sets, (p + 1) * part_sets): the
-  // high bits of the set index pick the partition, and its share of the
-  // L2 is a cache of part_sets sets, which indexes a sector by the low
-  // bits. Lines are L1-line aligned and part_sets is at least the sectors
-  // per line, so all sectors of a line fall in one partition.
+  // Partition p owns the line sets [p * part_sets, (p + 1) * part_sets):
+  // the high bits of the set index pick the partition, and its share of
+  // the L2 is a cache of part_sets sets, which indexes a line by the low
+  // bits.
+  const LineL2 l2 = line_l2(spec);
   const std::uint32_t partitions = l2_partitions(spec);
-  const std::uint32_t sets = SetAssocCache::sets_for(
-      spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
-  const std::uint32_t part_sets = sets / partitions;
-  const int sector_shift = std::countr_zero(spec.l2_line_bytes);
+  const std::uint32_t part_sets = l2.sets / partitions;
+  const int line_shift = std::countr_zero(l2.line_bytes);
   const int part_shift = std::countr_zero(part_sets);
   const auto partition_of = [&](std::uint64_t line) {
     BD_DCHECK(line % spec.l1_line_bytes == 0);
     return static_cast<std::size_t>(
-        ((line >> sector_shift) & (sets - 1)) >> part_shift);
+        ((line >> line_shift) & (l2.sets - 1)) >> part_shift);
   };
 
   // ---- 2a: per-SM L1s, misses bucketed by L2 partition in replay order ----
+  // Each SM is a serial task, so the SMs are claimed longest stream first
+  // (ties by SM index): the largest cannot start last and run alone.
+  std::vector<std::size_t> stream_lines(sm_warps.size(), 0);
+  for (std::size_t sm = 0; sm < sm_warps.size(); ++sm) {
+    for (const WarpReplay& warp : sm_warps[sm]) {
+      stream_lines[sm] += warp.lines.size();
+    }
+  }
+  std::vector<std::size_t> claim_order(sm_warps.size());
+  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+  std::stable_sort(claim_order.begin(), claim_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return stream_lines[a] > stream_lines[b];
+                   });
   struct SmShard {
     KernelMetrics partial;
     std::vector<std::vector<std::uint64_t>> misses;  // one per partition
   };
   std::vector<SmShard> shards(sm_warps.size());
-  util::parallel_for(0, sm_warps.size(), [&](std::size_t sm) {
+  util::parallel_for(0, sm_warps.size(), [&](std::size_t claim) {
+    const std::size_t sm = claim_order[claim];
     SmShard& shard = shards[sm];
     shard.misses.resize(partitions);
     SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
@@ -238,31 +284,32 @@ KernelMetrics replay_caches(const DeviceSpec& spec,
   });
 
   // ---- 2b: each L2 partition takes its buckets SM-major -------------------
-  // An L1 miss fetches its line as L2-sector transactions.
-  std::vector<KernelMetrics> l2_partials(partitions);
+  // One access per L1 miss; the line hits or misses in all its sectors.
+  // Tasks count into locals: adjacent 16-byte results share a cache line.
+  std::vector<CacheStats> l2_lines(partitions);
   util::parallel_for(0, partitions, [&](std::size_t p) {
-    KernelMetrics& partial = l2_partials[p];
-    SetAssocCache l2(part_sets * spec.l2_ways * spec.l2_line_bytes,
-                     spec.l2_line_bytes, spec.l2_ways);
+    CacheStats lines;
+    SetAssocCache cache(part_sets * l2.ways * l2.line_bytes, l2.line_bytes,
+                        l2.ways);
     for (const SmShard& shard : shards) {
       for (std::uint64_t line : shard.misses[p]) {
-        for (std::uint32_t off = 0; off < spec.l1_line_bytes;
-             off += spec.l2_line_bytes) {
-          if (l2.access(line + off)) {
-            ++partial.l2.hits;
-          } else {
-            ++partial.l2.misses;
-            partial.dram_bytes += spec.l2_line_bytes;
-          }
+        if (cache.access(line)) {
+          ++lines.hits;
+        } else {
+          ++lines.misses;
         }
       }
     }
+    l2_lines[p] = lines;
   });
 
   KernelMetrics out;
   out.warp_size = spec.warp_size;
   for (const SmShard& shard : shards) out += shard.partial;
-  for (const KernelMetrics& partial : l2_partials) out += partial;
+  for (const CacheStats& lines : l2_lines) out.l2 += lines;
+  out.l2.hits *= l2.sectors;
+  out.l2.misses *= l2.sectors;
+  out.dram_bytes = out.l2.misses * spec.l2_line_bytes;
   return out;
 }
 

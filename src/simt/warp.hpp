@@ -183,8 +183,12 @@ class WarpRecorder final : public LaneProbe {
 };
 
 /// Number of set partitions replay_caches splits the shared L2 into: up
-/// to 32, and at most as many as keep every L1 line's L2 sectors inside
-/// one partition (so a 32-set L2 with four sectors per line gets 8).
+/// to 32, and at most its line sets. replay_caches models the L2 at L1-line
+/// granularity — lines of l1_line_bytes, sets / sectors sets (at least
+/// one), where sectors = l1_line_bytes / l2_line_bytes — so a 32-set L2
+/// with four sectors per line has 8 line sets and gets 8 partitions.
+/// Throws CheckError for an L2 that cannot be modeled per line (see
+/// replay_caches).
 std::uint32_t l2_partitions(const DeviceSpec& spec);
 
 /// Pass 2 of simt::launch: replays per-SM warp streams through the caches
@@ -193,11 +197,17 @@ std::uint32_t l2_partitions(const DeviceSpec& spec);
 /// `warps_per_chunk` warps are co-resident and interleave in the SM's L1.
 ///
 /// Both stages run on the thread pool. 2a replays every SM's private L1 in
-/// parallel and buckets its L1 misses by L2 set partition. 2b replays each
-/// partition's buckets in SM order through that partition's share of the
-/// L2. L2 sets are independent and LRU compares only within a set, so the
-/// result equals one serial L2 fed every SM's misses SM-major — bit for
-/// bit, at any BD_NUM_THREADS.
+/// parallel, longest stream first, and buckets its L1 misses by L2 set
+/// partition. 2b replays each partition's buckets in SM order through that
+/// partition's share of the L2, one access per L1 miss. An L1 miss fetches
+/// its line's sectors in order, and the sets that hold them see the same
+/// line sequence, so each access counts `sectors` L2 hits or misses (and a
+/// miss moves `sectors` L2 lines from DRAM). When the L2 has fewer sets
+/// than a line has sectors, each set takes `sectors / sets` sectors of
+/// every line in a row; its ways must divide by that number, or this
+/// throws CheckError. L2 sets are independent and LRU compares only within
+/// a set, so the result equals one serial sector-level L2 fed every SM's
+/// misses SM-major — bit for bit, at any BD_NUM_THREADS.
 KernelMetrics replay_caches(const DeviceSpec& spec,
                             std::span<const std::vector<WarpReplay>> sm_warps,
                             std::size_t warps_per_chunk);

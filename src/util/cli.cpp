@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -15,6 +17,26 @@ namespace {
 [[noreturn]] void exit_with_usage(const std::string& usage) {
   std::fprintf(stderr, "\n%s", usage.c_str());
   std::exit(2);
+}
+
+/// `text` as a whole base-10 integer, or nothing when any of it is not one
+/// or it is out of range.
+std::optional<std::int64_t> to_int(const std::string& text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// `text` as a whole double, or nothing when any of it is not one or it is
+/// out of range.
+std::optional<double> to_double(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 }  // namespace
 
@@ -88,6 +110,14 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       }
       value = argv[++i];
     }
+    if ((opt.kind == Kind::kInt && !to_int(value)) ||
+        (opt.kind == Kind::kDouble && !to_double(value))) {
+      std::fprintf(stderr, "%s: option '--%s' needs %s, got '%s'\n",
+                   program_.c_str(), name.c_str(),
+                   opt.kind == Kind::kInt ? "an integer" : "a number",
+                   value.c_str());
+      exit_with_usage(usage());
+    }
     opt.value = value;
   }
   if (const std::string& path = get_string("trace"); !path.empty()) {
@@ -112,11 +142,11 @@ const ArgParser::Option& ArgParser::find(const std::string& name,
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::strtoll(find(name, Kind::kInt).value.c_str(), nullptr, 10);
+  return *to_int(find(name, Kind::kInt).value);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::strtod(find(name, Kind::kDouble).value.c_str(), nullptr);
+  return *to_double(find(name, Kind::kDouble).value);
 }
 
 const std::string& ArgParser::get_string(const std::string& name) const {

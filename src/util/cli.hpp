@@ -39,7 +39,8 @@ class ArgParser {
 
   /// Parse argv. Returns false after printing usage to stdout on --help,
   /// so callers write `if (!args.parse(...)) return 0;`. On an unknown
-  /// option, a missing value or a stray argument it prints the error and
+  /// option, a missing value, a stray argument, or an int or double value
+  /// that is not wholly a base-10 number in range, it prints the error and
   /// the usage to stderr and exits the process with status 2.
   bool parse(int argc, const char* const* argv);
 

@@ -70,6 +70,26 @@ TEST(Cli, MissingValueFails) {
               "option '--n' needs a value(.|\n)*options:");
 }
 
+TEST(Cli, MalformedNumbersFail) {
+  // A value must be wholly a number in range: strtoll-style prefix parsing
+  // would run `--n=abc` as 0 and `--n=12x` as 12.
+  for (const char* arg :
+       {"--n=abc", "--n=12x", "--n=", "--n=99999999999999999999",
+        "--tol=abc", "--tol=0.5x", "--tol=", "--tol=1e999"}) {
+    ArgParser args = make_parser();
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(args.parse(2, argv), ::testing::ExitedWithCode(2),
+                "option '--(n|tol)' needs (an integer|a number), got "
+                "(.|\n)*options:")
+        << arg;
+  }
+  ArgParser args = make_parser();
+  const char* argv[] = {"prog", "--n=-3", "--tol", "2.5e-3"};
+  ASSERT_TRUE(args.parse(4, argv));
+  EXPECT_EQ(args.get_int("n"), -3);
+  EXPECT_EQ(args.get_double("tol"), 2.5e-3);
+}
+
 TEST(Cli, CheckpointFlagsAreNotBuiltIn) {
   // Only --trace is built in; a binary that reads --checkpoint,
   // --checkpoint-every or --resume registers them itself.

@@ -223,11 +223,17 @@ TEST(Executor, LaunchMatchesTraceOracle) {
   };
   DeviceSpec few_resident = test_device();
   few_resident.resident_warps_per_sm = 4;
+  // A K40 with a 32 KB, 2-way L2: 128 line sets in 32 partitions of 4, and
+  // the kernel's lines conflict in them.
+  DeviceSpec small_l2 = tesla_k40();
+  small_l2.l2_bytes = 32 * 1024;
+  small_l2.l2_ways = 2;
   const LaunchConfig config{7, 72};
-  for (const DeviceSpec& spec : {test_device(), few_resident, tesla_k40()}) {
+  for (const DeviceSpec& spec :
+       {test_device(), few_resident, tesla_k40(), small_l2}) {
     SCOPED_TRACE(::testing::Message()
                  << spec.name << ", " << spec.resident_warps_per_sm
-                 << " resident warps per SM");
+                 << " resident warps per SM, L2 " << spec.l2_bytes << " B");
     const KernelMetrics want = oracle_launch(spec, config, kernel);
     EXPECT_GT(want.l1.hits, 0u);
     EXPECT_GT(want.l2.hits, 0u);

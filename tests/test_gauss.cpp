@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "quad/gauss.hpp"
 #include "util/check.hpp"
@@ -28,6 +31,25 @@ TEST(Gauss, NodesSymmetricAndSorted) {
       EXPECT_GT(rule.nodes[static_cast<std::size_t>(i)],
                 rule.nodes[static_cast<std::size_t>(i - 1)]);
     }
+  }
+}
+
+TEST(Gauss, RuleComputedOncePerPointCount) {
+  // Every request for n points, from any thread, gets the one rule
+  // computed on the first request.
+  constexpr int kMaxN = 12;
+  std::vector<std::array<const GaussRule*, kMaxN + 1>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& rules : seen) {
+    threads.emplace_back([&rules] {
+      for (int n = kMaxN; n >= 1; --n) rules[n] = &gauss_legendre(n);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int n = 1; n <= kMaxN; ++n) {
+    const GaussRule& rule = gauss_legendre(n);
+    for (const auto& rules : seen) EXPECT_EQ(rules[n], &rule) << "n=" << n;
+    EXPECT_EQ(rule.nodes.size(), static_cast<std::size_t>(n));
   }
 }
 

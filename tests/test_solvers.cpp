@@ -10,6 +10,7 @@
 #include "core/predictive.hpp"
 #include "test_helpers.hpp"
 #include "util/stats.hpp"
+#include "util/telemetry.hpp"
 
 namespace bd::core {
 namespace {
@@ -189,6 +190,27 @@ TEST(PredictiveSolver, ForecastApproximatesObserved) {
                                last.observed.flat().end());
   const double corr = util::correlation(predicted, observed);
   EXPECT_GT(corr, 0.9);
+}
+
+TEST(PredictiveSolver, ForecastCountsKdTreeNodesVisited) {
+  // One forecast adds its queries' visited kd-tree nodes to the counter.
+  // The window holds one step, so every query sits one step off the
+  // training points; the bounding boxes must still prune almost all of
+  // the tree.
+  ProblemFixture fixture(32, 1e-6);
+  PredictiveSolver solver(simt::tesla_k40());
+  solver.solve(fixture.problem);
+  fixture.advance();
+  util::telemetry::MetricsRegistry registry;
+  {
+    const util::telemetry::TelemetryScope scope(&registry, nullptr);
+    solver.forecast(fixture.problem);
+  }
+  const std::uint64_t points = fixture.problem.num_points();
+  const std::uint64_t visited =
+      registry.snapshot().counters.at("predictive.knn_nodes_visited");
+  EXPECT_GE(visited, points);  // every query visits the root
+  EXPECT_LT(visited, points * points / 10);
 }
 
 TEST(PredictiveSolver, FallbackShrinksAfterLearning) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "simt/warp.hpp"
 #include "simt_oracle.hpp"
@@ -363,6 +364,93 @@ TEST(Warp, L2PartitionCountClampsToSets) {
   DeviceSpec tiny = test_device();
   tiny.l2_bytes = 256;  // 2 sets, fewer than a line's sectors
   EXPECT_EQ(l2_partitions(tiny), 1u);
+}
+
+/// Seeded per-SM streams of one-line loads, 4 warps per SM: half the
+/// lines come from a hot set a quarter of the L2's size, the rest from a
+/// pool twice its size, so the L1s mostly miss and the L2 both hits and
+/// evicts.
+std::vector<std::vector<WarpReplay>> seeded_miss_streams(
+    const DeviceSpec& spec, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::uint64_t l2_lines = spec.l2_bytes / spec.l1_line_bytes;
+  const std::uint64_t hot = std::max<std::uint64_t>(1, l2_lines / 4);
+  const std::uint64_t pool = 2 * l2_lines;
+  std::vector<std::vector<WarpReplay>> streams(spec.num_sms);
+  for (std::vector<WarpReplay>& warps : streams) {
+    warps.resize(4);
+    for (WarpReplay& warp : warps) {
+      warp.offsets.push_back(0);
+      for (int load = 0; load < 600; ++load) {
+        const std::uint64_t line = rng.uniform_index(2) == 0
+                                       ? rng.uniform_index(hot)
+                                       : hot + rng.uniform_index(pool);
+        warp.lines.push_back(0x4000000 + line * spec.l1_line_bytes);
+        warp.offsets.push_back(static_cast<std::uint32_t>(warp.lines.size()));
+      }
+    }
+  }
+  return streams;
+}
+
+TEST(Warp, LineGranularL2MatchesSectorOracle) {
+  // One L2 access per L1 miss, counted once per sector, against the
+  // sector-by-sector tick-LRU oracle: on the K40, on the test device, on
+  // L2s with fewer sets than a line has sectors (2 sets of 128 or of 6
+  // ways) and on a single set.
+  DeviceSpec two_sets = test_device();
+  two_sets.l2_bytes = 8192;
+  two_sets.l2_ways = 128;
+  DeviceSpec two_sets_six_ways = test_device();
+  two_sets_six_ways.l2_bytes = 384;
+  two_sets_six_ways.l2_ways = 6;
+  DeviceSpec one_set = test_device();
+  one_set.l2_bytes = 4096;
+  one_set.l2_ways = 128;
+  for (const DeviceSpec& spec :
+       {tesla_k40(), test_device(), two_sets, two_sets_six_ways, one_set}) {
+    SCOPED_TRACE(::testing::Message() << spec.name << ", L2 " << spec.l2_bytes
+                                      << " B, " << spec.l2_ways << " ways");
+    const std::uint64_t sectors = spec.l1_line_bytes / spec.l2_line_bytes;
+    for (std::uint64_t seed : {1u, 2u}) {
+      const auto streams = seeded_miss_streams(spec, seed);
+      std::set<std::uint64_t> lines;
+      for (const auto& warps : streams) {
+        for (const WarpReplay& warp : warps) {
+          lines.insert(warp.lines.begin(), warp.lines.end());
+        }
+      }
+      const std::uint64_t distinct_lines = lines.size();
+      for (std::size_t chunk : {1u, 4u}) {
+        const KernelMetrics want =
+            bd::testing::serial_replay(spec, streams, chunk);
+        const KernelMetrics got = replay_caches(spec, streams, chunk);
+        // Hits, and more misses than lines: the L2 evicted.
+        ASSERT_GT(want.l2.hits, 0u);
+        ASSERT_GT(want.l2.misses, distinct_lines * sectors);
+        EXPECT_EQ(got.l1.misses, want.l1.misses);
+        EXPECT_EQ(got.l2.hits, want.l2.hits);
+        EXPECT_EQ(got.l2.misses, want.l2.misses);
+        EXPECT_EQ(got.dram_bytes, want.dram_bytes);
+      }
+    }
+  }
+}
+
+TEST(Warp, LineGranularL2RejectsUnevenWays) {
+  // A set that takes a run of r sectors of every line needs ways divisible
+  // by r, or an eviction can split a line's sectors.
+  DeviceSpec uneven = test_device();
+  uneven.l2_bytes = 192;  // 2 sets of 3 ways
+  uneven.l2_ways = 3;
+  DeviceSpec one_set = test_device();
+  one_set.l2_bytes = 192;  // 1 set of 6 ways, 4 sectors of every line
+  one_set.l2_ways = 6;
+  for (const DeviceSpec& spec : {uneven, one_set}) {
+    const auto streams = seeded_miss_streams(spec, 3);
+    EXPECT_THROW(replay_caches(spec, streams, 4), CheckError);
+    EXPECT_THROW(l2_partitions(spec), CheckError);
+  }
 }
 
 }  // namespace

@@ -141,7 +141,8 @@ class ScalarWakeIntegrand final : public quad::RadialIntegrand {
             nc[static_cast<std::size_t>(i)] * inner_width_;
       }
     } else {
-      const quad::GaussRule rule = quad::gauss_legendre(model.inner_points);
+      const quad::GaussRule& rule =
+          quad::gauss_legendre(model.inner_points);
       for (int i = 0; i < model.inner_points; ++i) {
         inner_y_[static_cast<std::size_t>(i)] =
             y_point + w * rule.nodes[static_cast<std::size_t>(i)];
