@@ -8,12 +8,16 @@
 ///     bit-for-bit identical across thread counts (see
 ///     tests/test_determinism.cpp); only the host wall clock moves.
 ///
-///  2. **Sharded cache replay** — executor pass 2 (simt::replay_caches)
-///     in isolation: a deterministic synthetic warp workload (per-SM
-///     replay streams) is replayed through per-SM L1s on the pool, then
-///     through the shared L2 sharded by set partition, at the same thread
-///     counts. Every cache counter is checked bitwise against the 1-thread
-///     replay; any drift fails the run regardless of flags.
+///  2. **Sharded cache replay** — the executor's cache replay
+///     (simt::replay_caches) in isolation: a deterministic synthetic warp
+///     workload (per-SM replay streams) is replayed through per-SM L1s on
+///     the pool, then through the shared L2 sharded by set partition, at
+///     the same thread counts. Every cache counter is checked bitwise
+///     against the 1-thread replay; any drift fails the run regardless of
+///     flags.
+///
+/// Each thread count first runs one untimed solver step (phase 1) and one
+/// untimed replay (phase 2) on its new pool.
 ///
 /// Emits BENCH_scaling.json: per thread count, host seconds per phase and
 /// the speedups over the 1-thread run. With
@@ -99,6 +103,13 @@ struct PhaseSeconds {
 
 PhaseSeconds run_at(unsigned threads, std::size_t steps) {
   util::ThreadPool::set_global_threads(threads);
+  {
+    // One untimed step on its own solver warms the new pool: a fresh
+    // process can run all its pool threads on one CPU for its first
+    // moments.
+    Scenario warm_up;
+    core::PredictiveSolver(simt::tesla_k40(), {}).solve(warm_up.problem);
+  }
   Scenario scenario;
   core::PredictiveSolver solver(simt::tesla_k40(), {});
   PhaseSeconds acc;
@@ -158,8 +169,8 @@ struct ReplayWorkload {
   }
 };
 
-/// Executor pass 2 on the workload at the current pool width, through the
-/// function simt::launch uses, with every warp of an SM co-resident.
+/// The cache replay of the workload at the current pool width, through the
+/// two stages simt::launch uses, with every warp of an SM co-resident.
 simt::KernelMetrics replay_once(const ReplayWorkload& work) {
   return simt::replay_caches(work.spec, work.streams, work.warps_per_sm);
 }
@@ -180,6 +191,7 @@ struct ReplayResult {
 ReplayResult replay_at(unsigned threads, const ReplayWorkload& work,
                        std::size_t reps) {
   util::ThreadPool::set_global_threads(threads);
+  replay_once(work);  // untimed: warms the new pool
   ReplayResult out;
   out.seconds = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {

@@ -1,12 +1,16 @@
 #include "simt/executor.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "simt/warp.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/telemetry.hpp"
+#include "util/timer.hpp"
 
 namespace bd::simt {
 
@@ -33,8 +37,10 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   const std::uint32_t resident = std::max<std::uint32_t>(
       1, spec.resident_warps_per_sm / warps_per_block);
   const std::uint32_t num_sms = spec.num_sms;
+  // Checks the L2 geometry before any lane runs.
+  CacheReplay replay(spec, num_sms);
 
-  // --- Pass 1 (parallel): execute lanes, analyze warps -------------------
+  // --- Pass 1 (parallel): execute lanes, analyze warps, replay L1s -------
   // One task per warp: task w runs warp w % warps_per_block of block
   // w / warps_per_block, its lanes serially in lane order on one thread;
   // any two warps may run concurrently, warps of one block included (the
@@ -44,16 +50,61 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
   // round-robin: block b is the (b / num_sms)-th block of SM b % num_sms,
   // so each task writes its warp's stream straight to its place in that
   // SM's warp list and its divergence/coalescing counters to a private
-  // KernelMetrics. Pass 1 shares no mutable state between tasks.
+  // KernelMetrics.
+  //
+  // On each SM, chunks of `resident` consecutive blocks are co-resident
+  // and their warps' streams interleave in the SM's L1 (stage 2a). Chunk c
+  // of SM s, at index c * num_sms + s, counts its warps not yet recorded;
+  // the task that records its last warp replays it, unless the SM's
+  // previous chunk has not been replayed yet. Then the chunk is only
+  // marked, and the task that replays the previous chunk replays it next,
+  // so an SM's chunks pass its L1 in block order and no task waits. A
+  // replayed chunk's streams are freed at once.
   const std::size_t num_warps =
       std::size_t{config.num_blocks} * warps_per_block;
+  const std::size_t chunk_warps = std::size_t{resident} * warps_per_block;
   std::vector<KernelMetrics> analysis(num_warps);
   std::vector<std::vector<WarpReplay>> sm_warps(num_sms);
+  struct ChunkQueue {
+    std::mutex mutex;
+    std::size_t next = 0;        // the first chunk not yet replayed
+    std::vector<bool> recorded;  // chunk c holds all its streams
+  };
+  std::vector<ChunkQueue> queues(num_sms);
   for (std::uint32_t sm = 0; sm < num_sms && sm < config.num_blocks; ++sm) {
     const std::uint32_t sm_blocks =
         (config.num_blocks - sm + num_sms - 1) / num_sms;
     sm_warps[sm].resize(std::size_t{sm_blocks} * warps_per_block);
+    queues[sm].recorded.resize((sm_warps[sm].size() + chunk_warps - 1) /
+                               chunk_warps);
   }
+  // SM 0 holds the most chunks.
+  std::vector<std::atomic<std::uint32_t>> unrecorded(
+      queues[0].recorded.size() * num_sms);
+  for (std::uint32_t block = 0; block < config.num_blocks; ++block) {
+    unrecorded[block / num_sms / resident * num_sms + block % num_sms] +=
+        warps_per_block;
+  }
+  std::atomic<std::uint64_t> l1_replay_ns{0};
+  const auto replay_recorded = [&](std::uint32_t sm, std::size_t chunk) {
+    ChunkQueue& queue = queues[sm];
+    std::unique_lock lock(queue.mutex);
+    queue.recorded[chunk] = true;
+    if (chunk != queue.next) return;
+    const std::span<WarpReplay> warps = sm_warps[sm];
+    do {
+      lock.unlock();
+      const util::WallTimer timer;
+      const std::span<WarpReplay> streams = warps.subspan(
+          chunk * chunk_warps,
+          std::min(chunk_warps, warps.size() - chunk * chunk_warps));
+      replay.replay_chunk(sm, streams);
+      for (WarpReplay& stream : streams) stream = {};
+      l1_replay_ns += static_cast<std::uint64_t>(timer.seconds() * 1e9);
+      lock.lock();
+      chunk = ++queue.next;
+    } while (chunk < queue.recorded.size() && queue.recorded[chunk]);
+  };
   telemetry::TraceSession& session = telemetry::current_trace();
   const double lane_pass_start = session.enabled() ? session.now_us() : 0.0;
   util::parallel_for_chunked(0, num_warps, 1, [&](std::size_t lo,
@@ -73,29 +124,32 @@ KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,
         ctx.global_id = block * config.threads_per_block + t;
         kernel(ctx, recorder);
       }
-      sm_warps[block % num_sms][std::size_t{block / num_sms} *
-                                    warps_per_block +
-                                warp] = recorder.finish(analysis[w]);
+      const std::uint32_t sm = block % num_sms;
+      const std::size_t sm_block = block / num_sms;
+      sm_warps[sm][sm_block * warps_per_block + warp] =
+          recorder.finish(analysis[w]);
+      const std::size_t chunk = sm_block / resident;
+      if (unrecorded[chunk * num_sms + sm].fetch_sub(1) == 1) {
+        replay_recorded(sm, chunk);
+      }
     }
   });
   if (session.enabled()) {
     session.record_complete("simt.lane_pass", "simt", lane_pass_start,
                             session.now_us() - lane_pass_start, "");
   }
+  telemetry::counter_add("simt.l1_replay_ns", l1_replay_ns.load());
   const double replay_start = session.enabled() ? session.now_us() : 0.0;
 
-  // --- Pass 2 (sharded): replay memory traffic through the caches -------
-  // On each SM, groups of `resident` consecutive blocks are co-resident and
-  // their warps' streams interleave in the private L1. replay_caches runs
-  // the per-SM L1s in parallel, then the shared L2 sharded by set: every
-  // cache transition, and therefore KernelMetrics, is bit-for-bit
-  // independent of BD_NUM_THREADS and of pass-1 scheduling. Analysis
-  // partials are integer sums, so their order does not matter.
+  // --- Pass 2 (sharded): the shared L2 -----------------------------------
+  // Every L1 has replayed; the L2 replays sharded by set, each set taking
+  // the SMs' misses SM-major. Every cache transition, and therefore
+  // KernelMetrics, is bit-for-bit independent of BD_NUM_THREADS and of
+  // pass-1 scheduling. Analysis partials are integer sums, so their order
+  // does not matter.
   const std::uint32_t num_shards = std::min(num_sms, config.num_blocks);
-  KernelMetrics metrics = replay_caches(
-      spec, sm_warps, std::size_t{resident} * warps_per_block);
+  KernelMetrics metrics = replay.replay_l2();
   for (const KernelMetrics& warp : analysis) metrics += warp;
-  sm_warps = {};  // release the streams inside the replay span
 
   if (session.enabled()) {
     session.record_complete("simt.cache_replay", "simt", replay_start,

@@ -10,19 +10,25 @@
 ///
 /// Execution is a two-pass pipeline:
 ///
-///  1. *Lane execution* (parallel): kernel lambdas run warp by warp on the
-///     process thread pool (util/parallel.hpp, BD_NUM_THREADS), one task
-///     per warp, its lanes streaming into one WarpRecorder that derives
-///     the warp's divergence/coalescing counters and transaction stream in
-///     the same pass. This is where all the quadrature time goes.
-///  2. *Cache replay* (sharded, simt::replay_caches): per-SM L1 state is
-///     independent, so each SM's warps replay through its private L1 in
-///     parallel on the pool, bucketing L1-miss lines by L2 set partition
-///     in replay order; the L2 partitions then replay in parallel, each
-///     taking its buckets SM-major. L2 sets are independent, so every set
-///     sees the access order of one serial SM-major L2 replay, and cache
-///     state and every KernelMetrics counter are independent of
-///     scheduling and of BD_NUM_THREADS.
+///  1. *Lane execution and L1 replay* (parallel): kernel lambdas run warp
+///     by warp on the process thread pool (util/parallel.hpp,
+///     BD_NUM_THREADS), one task per warp, its lanes streaming into one
+///     WarpRecorder that derives the warp's divergence/coalescing counters
+///     and transaction stream in the same pass. This is where all the
+///     quadrature time goes. On each SM, chunks of co-resident blocks
+///     interleave their streams in the SM's private L1: the task that
+///     records a chunk's last warp replays the chunk through that L1
+///     (simt::CacheReplay::replay_chunk), bucketing its L1-miss lines by L2
+///     set partition in replay order, and frees its streams. An SM's
+///     chunks replay in block order: a chunk recorded before the SM's
+///     previous one is replayed waits, without blocking a thread, for the
+///     task that replays the previous chunk to take it next. So a launch
+///     holds only the streams of chunks still being recorded.
+///  2. *L2 replay* (sharded, simt::CacheReplay::replay_l2): the L2
+///     partitions replay in parallel, each taking its buckets SM-major. L2
+///     sets are independent, so every set sees the access order of one
+///     serial SM-major L2 replay, and cache state and every KernelMetrics
+///     counter are independent of scheduling and of BD_NUM_THREADS.
 ///
 /// Lane-concurrency contract (what kernel bodies must obey, mirroring a
 /// real GPU, which orders neither its blocks nor the warps of a block): the
@@ -66,14 +72,16 @@ using KernelFn = std::function<void(const ThreadCtx&, LaneProbe&)>;
 ///
 /// Deterministic: identical inputs produce identical metrics — bit for bit,
 /// for any BD_NUM_THREADS — because divergence/coalescing counters are
-/// integer sums over warps, per-SM L1 replay is self-contained per shard,
-/// and each L2 set partition replays its share of the misses in the fixed
-/// SM-major block order.
+/// integer sums over warps, each SM's L1 takes its chunks in block order
+/// whichever warp finishes last, and each L2 set partition replays its
+/// share of the misses in the fixed SM-major block order.
 ///
 /// Observability: every launch emits a `simt.launch` trace span (geometry
 /// plus the headline KernelMetrics as span args) with `simt.lane_pass` /
-/// `simt.cache_replay` child spans for the two passes, and updates the
-/// `simt.*` metrics — see docs/METRICS.md. Capture is observational only
+/// `simt.cache_replay` child spans for the two passes (the L1 replay runs
+/// inside the lane pass; its summed thread time is the
+/// `simt.l1_replay_ns` counter), and updates the `simt.*` metrics — see
+/// docs/METRICS.md. Capture is observational only
 /// and never perturbs the returned metrics
 /// (tests/test_determinism.cpp).
 KernelMetrics launch(const DeviceSpec& spec, const LaunchConfig& config,

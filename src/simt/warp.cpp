@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 
 #include "simt/cache.hpp"
 #include "simt/coalescer.hpp"
@@ -16,37 +15,6 @@ namespace {
 constexpr std::uint16_t kInitialLines = 8;
 /// The largest power-of-two capacity a line set's 16-bit field holds.
 constexpr std::uint16_t kMaxLines = 1u << 15;
-
-/// L1 stage of the cache replay: interleaves several warps' transaction
-/// streams through the SM's private L1 round-robin, one instruction at a
-/// time — the concurrency model of an SM's warp schedulers. Scattered
-/// per-warp streams thrash the shared L1; streams touching common lines
-/// share it. Accumulates L1 hit/miss counters into `out` and appends the
-/// line address of every L1 miss to `l2_misses` in replay order.
-void replay_interleaved_l1(std::span<const WarpReplay> replays,
-                           SetAssocCache& l1, KernelMetrics& out,
-                           std::vector<std::uint64_t>& l2_misses) {
-  std::size_t rounds = 0;
-  for (const WarpReplay& replay : replays) {
-    rounds = std::max(rounds, replay.loads());
-  }
-  // Round i issues load i of every warp that has one.
-  for (std::size_t i = 0; i < rounds; ++i) {
-    for (const WarpReplay& replay : replays) {
-      if (i >= replay.loads()) continue;
-      for (std::uint32_t k = replay.offsets[i]; k < replay.offsets[i + 1];
-           ++k) {
-        const std::uint64_t line = replay.lines[k];
-        if (l1.access(line)) {
-          ++out.l1.hits;
-        } else {
-          ++out.l1.misses;
-          l2_misses.push_back(line);
-        }
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -186,7 +154,7 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
 
 namespace {
 
-/// The shared L2 at L1-line granularity, as replay_caches models it. An L1
+/// The shared L2 at L1-line granularity, as CacheReplay models it. An L1
 /// miss fetches its line's `sectors` L2 sectors one after another, and
 /// sector k of every line maps only to sets with index k mod `sectors`. So
 /// the sets that hold one line's sectors all see the same sequence of
@@ -225,92 +193,104 @@ std::uint32_t l2_partitions(const DeviceSpec& spec) {
   return std::min(line_l2(spec).sets, kMaxPartitions);
 }
 
-KernelMetrics replay_caches(const DeviceSpec& spec,
-                            std::span<const std::vector<WarpReplay>> sm_warps,
-                            std::size_t warps_per_chunk) {
-  BD_CHECK_MSG(warps_per_chunk > 0, "chunks must hold at least one warp");
-  // Partition p owns the line sets [p * part_sets, (p + 1) * part_sets):
-  // the high bits of the set index pick the partition, and its share of
-  // the L2 is a cache of part_sets sets, which indexes a line by the low
-  // bits.
+// Partition p owns the line sets [p * part_sets, (p + 1) * part_sets): the
+// high bits of the set index pick the partition, and its share of the L2 is
+// a cache of part_sets sets, which indexes a line by the low bits.
+CacheReplay::CacheReplay(const DeviceSpec& spec, std::uint32_t num_sms)
+    : warp_size_(spec.warp_size),
+      l1_line_bytes_(spec.l1_line_bytes),
+      l2_line_bytes_(spec.l2_line_bytes) {
   const LineL2 l2 = line_l2(spec);
-  const std::uint32_t partitions = l2_partitions(spec);
-  const std::uint32_t part_sets = l2.sets / partitions;
-  const int line_shift = std::countr_zero(l2.line_bytes);
-  const int part_shift = std::countr_zero(part_sets);
-  const auto partition_of = [&](std::uint64_t line) {
-    BD_DCHECK(line % spec.l1_line_bytes == 0);
-    return static_cast<std::size_t>(
-        ((line >> line_shift) & (l2.sets - 1)) >> part_shift);
-  };
+  partitions_ = l2_partitions(spec);
+  sectors_ = l2.sectors;
+  line_bytes_ = l2.line_bytes;
+  ways_ = l2.ways;
+  part_sets_ = l2.sets / partitions_;
+  line_shift_ = std::countr_zero(l2.line_bytes);
+  set_mask_ = l2.sets - 1;
+  part_shift_ = std::countr_zero(part_sets_);
+  sms_.assign(num_sms,
+              Sm{SetAssocCache(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways),
+                 {}, std::vector<std::vector<std::uint64_t>>(partitions_)});
+}
 
-  // ---- 2a: per-SM L1s, misses bucketed by L2 partition in replay order ----
-  // Each SM is a serial task, so the SMs are claimed longest stream first
-  // (ties by SM index): the largest cannot start last and run alone.
-  std::vector<std::size_t> stream_lines(sm_warps.size(), 0);
-  for (std::size_t sm = 0; sm < sm_warps.size(); ++sm) {
-    for (const WarpReplay& warp : sm_warps[sm]) {
-      stream_lines[sm] += warp.lines.size();
-    }
+void CacheReplay::replay_chunk(std::uint32_t sm,
+                               std::span<const WarpReplay> warps) {
+  Sm& state = sms_[sm];
+  // Counts go to a local: the SMs' states sit side by side, and other
+  // threads replay the other SMs.
+  CacheStats stats;
+  std::size_t rounds = 0;
+  for (const WarpReplay& replay : warps) {
+    rounds = std::max(rounds, replay.loads());
   }
-  std::vector<std::size_t> claim_order(sm_warps.size());
-  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
-  std::stable_sort(claim_order.begin(), claim_order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return stream_lines[a] > stream_lines[b];
-                   });
-  struct SmShard {
-    KernelMetrics partial;
-    std::vector<std::vector<std::uint64_t>> misses;  // one per partition
-  };
-  std::vector<SmShard> shards(sm_warps.size());
-  util::parallel_for(0, sm_warps.size(), [&](std::size_t claim) {
-    const std::size_t sm = claim_order[claim];
-    SmShard& shard = shards[sm];
-    shard.misses.resize(partitions);
-    SetAssocCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    const std::span<const WarpReplay> warps = sm_warps[sm];
-    std::vector<std::uint64_t> chunk_misses;
-    for (std::size_t begin = 0; begin < warps.size();
-         begin += warps_per_chunk) {
-      chunk_misses.clear();
-      replay_interleaved_l1(
-          warps.subspan(begin, std::min(warps_per_chunk, warps.size() - begin)),
-          l1, shard.partial, chunk_misses);
-      for (std::uint64_t line : chunk_misses) {
-        shard.misses[partition_of(line)].push_back(line);
+  // Round i issues load i of every warp that has one.
+  for (std::size_t i = 0; i < rounds; ++i) {
+    for (const WarpReplay& replay : warps) {
+      if (i >= replay.loads()) continue;
+      for (std::uint32_t k = replay.offsets[i]; k < replay.offsets[i + 1];
+           ++k) {
+        const std::uint64_t line = replay.lines[k];
+        BD_DCHECK(line % l1_line_bytes_ == 0);
+        if (state.l1.access(line)) {
+          ++stats.hits;
+        } else {
+          ++stats.misses;
+          state.misses[((line >> line_shift_) & set_mask_) >> part_shift_]
+              .push_back(line);
+        }
       }
     }
-  });
+  }
+  state.l1_stats += stats;
+}
 
-  // ---- 2b: each L2 partition takes its buckets SM-major -------------------
-  // One access per L1 miss; the line hits or misses in all its sectors.
-  // Tasks count into locals: adjacent 16-byte results share a cache line.
-  std::vector<CacheStats> l2_lines(partitions);
-  util::parallel_for(0, partitions, [&](std::size_t p) {
+KernelMetrics CacheReplay::replay_l2() {
+  // Each partition takes its buckets SM-major, one access per L1 miss; the
+  // line hits or misses in all its sectors. Tasks count into locals:
+  // adjacent 16-byte results share a cache line.
+  std::vector<CacheStats> l2_lines(partitions_);
+  util::parallel_for(0, partitions_, [&](std::size_t p) {
     CacheStats lines;
-    SetAssocCache cache(part_sets * l2.ways * l2.line_bytes, l2.line_bytes,
-                        l2.ways);
-    for (const SmShard& shard : shards) {
-      for (std::uint64_t line : shard.misses[p]) {
+    SetAssocCache cache(part_sets_ * ways_ * line_bytes_, line_bytes_, ways_);
+    for (Sm& sm : sms_) {
+      for (std::uint64_t line : sm.misses[p]) {
         if (cache.access(line)) {
           ++lines.hits;
         } else {
           ++lines.misses;
         }
       }
+      sm.misses[p] = {};
     }
     l2_lines[p] = lines;
   });
 
   KernelMetrics out;
-  out.warp_size = spec.warp_size;
-  for (const SmShard& shard : shards) out += shard.partial;
+  out.warp_size = warp_size_;
+  for (const Sm& sm : sms_) out.l1 += sm.l1_stats;
   for (const CacheStats& lines : l2_lines) out.l2 += lines;
-  out.l2.hits *= l2.sectors;
-  out.l2.misses *= l2.sectors;
-  out.dram_bytes = out.l2.misses * spec.l2_line_bytes;
+  out.l2.hits *= sectors_;
+  out.l2.misses *= sectors_;
+  out.dram_bytes = out.l2.misses * l2_line_bytes_;
   return out;
+}
+
+KernelMetrics replay_caches(const DeviceSpec& spec,
+                            std::span<const std::vector<WarpReplay>> sm_warps,
+                            std::size_t warps_per_chunk) {
+  BD_CHECK_MSG(warps_per_chunk > 0, "chunks must hold at least one warp");
+  CacheReplay replay(spec, static_cast<std::uint32_t>(sm_warps.size()));
+  util::parallel_for(0, sm_warps.size(), [&](std::size_t sm) {
+    const std::span<const WarpReplay> warps = sm_warps[sm];
+    for (std::size_t begin = 0; begin < warps.size();
+         begin += warps_per_chunk) {
+      replay.replay_chunk(
+          static_cast<std::uint32_t>(sm),
+          warps.subspan(begin, std::min(warps_per_chunk, warps.size() - begin)));
+    }
+  });
+  return replay.replay_l2();
 }
 
 }  // namespace bd::simt

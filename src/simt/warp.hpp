@@ -6,13 +6,14 @@
 /// site are the lanes that were active when the warp issued that
 /// instruction. The analyzer (WarpRecorder, the probe the lanes write to)
 /// derives divergence statistics and each warp's coalesced memory stream;
-/// replay_caches runs those streams through the per-SM L1s and the shared
+/// CacheReplay runs those streams through the per-SM L1s and the shared
 /// L2.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "simt/cache.hpp"
 #include "simt/device.hpp"
 #include "simt/metrics.hpp"
 #include "simt/probe.hpp"
@@ -182,32 +183,70 @@ class WarpRecorder final : public LaneProbe {
   Sums sums_;
 };
 
-/// Number of set partitions replay_caches splits the shared L2 into: up
-/// to 32, and at most its line sets. replay_caches models the L2 at L1-line
+/// Number of set partitions the cache replay splits the shared L2 into: up
+/// to 32, and at most its line sets. The replay models the L2 at L1-line
 /// granularity — lines of l1_line_bytes, sets / sectors sets (at least
 /// one), where sectors = l1_line_bytes / l2_line_bytes — so a 32-set L2
 /// with four sectors per line has 8 line sets and gets 8 partitions.
 /// Throws CheckError for an L2 that cannot be modeled per line (see
-/// replay_caches).
+/// CacheReplay).
 std::uint32_t l2_partitions(const DeviceSpec& spec);
 
-/// Pass 2 of simt::launch: replays per-SM warp streams through the caches
-/// and returns the cache counters (L1/L2 hits and misses, DRAM bytes).
-/// `sm_warps[s]` holds SM s's warps in block order; consecutive groups of
-/// `warps_per_chunk` warps are co-resident and interleave in the SM's L1.
-///
-/// Both stages run on the thread pool. 2a replays every SM's private L1 in
-/// parallel, longest stream first, and buckets its L1 misses by L2 set
-/// partition. 2b replays each partition's buckets in SM order through that
-/// partition's share of the L2, one access per L1 miss. An L1 miss fetches
-/// its line's sectors in order, and the sets that hold them see the same
-/// line sequence, so each access counts `sectors` L2 hits or misses (and a
-/// miss moves `sectors` L2 lines from DRAM). When the L2 has fewer sets
-/// than a line has sectors, each set takes `sectors / sets` sectors of
-/// every line in a row; its ways must divide by that number, or this
-/// throws CheckError. L2 sets are independent and LRU compares only within
-/// a set, so the result equals one serial sector-level L2 fed every SM's
-/// misses SM-major — bit for bit, at any BD_NUM_THREADS.
+/// The cache replay of one launch (pass 2 of simt::launch), in two stages.
+/// Stage 2a replays each SM's chunks of co-resident warps through the SM's
+/// private L1 and buckets its L1 misses by L2 set partition in replay
+/// order. Stage 2b replays each partition's buckets in SM order through
+/// that partition's share of the L2, one access per L1 miss. An L1 miss
+/// fetches its line's sectors in order, and the sets that hold them see
+/// the same line sequence, so each access counts `sectors` L2 hits or
+/// misses (and a miss moves `sectors` L2 lines from DRAM). When the L2 has
+/// fewer sets than a line has sectors, each set takes `sectors / sets`
+/// sectors of every line in a row; its ways must divide by that number, or
+/// the constructor throws CheckError. L2 sets are independent and LRU
+/// compares only within a set, so the result equals one serial
+/// sector-level L2 fed every SM's misses SM-major — bit for bit, whichever
+/// threads run the stages.
+class CacheReplay {
+ public:
+  CacheReplay(const DeviceSpec& spec, std::uint32_t num_sms);
+
+  /// Stage 2a: replays SM `sm`'s next chunk through its L1. The chunk's
+  /// warps interleave round-robin, one load instruction at a time — the
+  /// concurrency model of an SM's warp schedulers: scattered per-warp
+  /// streams thrash the shared L1, streams touching common lines share it.
+  /// An SM's chunks must come in block order and one at a time; chunks of
+  /// different SMs may replay concurrently.
+  void replay_chunk(std::uint32_t sm, std::span<const WarpReplay> warps);
+
+  /// Stage 2b, on the thread pool, once after every chunk: returns the
+  /// cache counters of the whole replay (every SM's L1 hits and misses, the
+  /// L2's, DRAM bytes). Each partition frees its buckets once replayed.
+  KernelMetrics replay_l2();
+
+ private:
+  struct Sm {
+    SetAssocCache l1;
+    CacheStats l1_stats;
+    std::vector<std::vector<std::uint64_t>> misses;  // one per partition
+  };
+
+  std::uint32_t warp_size_;
+  std::uint32_t l1_line_bytes_;
+  std::uint32_t l2_line_bytes_;  ///< one L2 sector
+  std::uint32_t sectors_;        ///< L2 sectors per L1 line
+  std::uint32_t line_bytes_;     ///< the modeled L2 line: an L1 line
+  std::uint32_t ways_;
+  std::uint32_t partitions_;
+  std::uint32_t part_sets_;      ///< line sets per partition
+  int line_shift_;
+  std::uint64_t set_mask_;
+  int part_shift_;
+  std::vector<Sm> sms_;
+};
+
+/// Both stages back to back on the thread pool: `sm_warps[s]` holds SM s's
+/// warps in block order, and consecutive groups of `warps_per_chunk` warps
+/// are co-resident. The SMs replay their L1s in parallel.
 KernelMetrics replay_caches(const DeviceSpec& spec,
                             std::span<const std::vector<WarpReplay>> sm_warps,
                             std::size_t warps_per_chunk);

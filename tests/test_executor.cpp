@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -12,6 +14,8 @@
 #include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
+#include "util/telemetry.hpp"
 
 namespace bd::simt {
 namespace {
@@ -120,6 +124,16 @@ TEST(Executor, ValidatesLaunchConfig) {
   EXPECT_THROW(launch(spec, LaunchConfig{0, 32}, noop), CheckError);
   EXPECT_THROW(launch(spec, LaunchConfig{1, 0}, noop), CheckError);
   EXPECT_THROW(launch(spec, LaunchConfig{1, 4096}, noop), CheckError);
+  // An L2 the replay cannot model per line (2 sets of 3 ways, each taking
+  // 2 sectors of every line) is rejected before any lane runs.
+  DeviceSpec uneven_l2 = spec;
+  uneven_l2.l2_bytes = 192;
+  uneven_l2.l2_ways = 3;
+  bool ran = false;
+  EXPECT_THROW(launch(uneven_l2, LaunchConfig{1, 32},
+                      [&](const ThreadCtx&, LaneProbe&) { ran = true; }),
+               CheckError);
+  EXPECT_FALSE(ran);
 }
 
 TEST(Executor, PartialLastWarpAccounted) {
@@ -192,11 +206,9 @@ KernelMetrics oracle_launch(const DeviceSpec& spec,
   return metrics;
 }
 
-TEST(Executor, LaunchMatchesTraceOracle) {
-  // Every event kind, load_run included, and a site id shared by a load
-  // and a branch. 72 threads per block leave an 8-lane last warp; 7 blocks
-  // put several blocks on each SM of test_device(), and with 4 resident
-  // warps per SM each block's 3 warps replay as their own chunk.
+/// Every event kind, load_run included, and a site id shared by a load and
+/// a branch.
+KernelFn mixed_kernel() {
   constexpr std::uint32_t kRun = site_id("exec/run");
   constexpr std::uint32_t kShared = site_id("exec/shared");
   // Fixed device-virtual addresses: the cache replay must not depend on
@@ -204,7 +216,7 @@ TEST(Executor, LaunchMatchesTraceOracle) {
   const auto word = [](std::uint64_t i) {
     return reinterpret_cast<const void*>(0x40000000 + 8 * i);
   };
-  const KernelFn kernel = [&](const ThreadCtx& ctx, LaneProbe& p) {
+  return [word](const ThreadCtx& ctx, LaneProbe& p) {
     const std::uint32_t g = ctx.global_id;
     const std::uint32_t trips = 1 + (g * 7) % 5;
     p.branch(kShared, g % 3 == 0);
@@ -221,8 +233,27 @@ TEST(Executor, LaunchMatchesTraceOracle) {
     p.count_flops(10 + g % 7);
     p.branch(kShared, trips > 2);
   };
-  DeviceSpec few_resident = test_device();
-  few_resident.resident_warps_per_sm = 4;
+}
+
+/// test_device() with 4 resident warps per SM: a block of 72 threads (3
+/// warps) is a chunk of its own, so each SM replays several chunks.
+DeviceSpec few_resident_device() {
+  DeviceSpec spec = test_device();
+  spec.resident_warps_per_sm = 4;
+  return spec;
+}
+
+void spin_for(std::chrono::microseconds delay) {
+  const auto until = std::chrono::steady_clock::now() + delay;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(Executor, LaunchMatchesTraceOracle) {
+  // 72 threads per block leave an 8-lane last warp; 7 blocks put several
+  // blocks on each SM of test_device(), and with 4 resident warps per SM
+  // each block's 3 warps replay as their own chunk.
+  const KernelFn kernel = mixed_kernel();
   // A K40 with a 32 KB, 2-way L2: 128 line sets in 32 partitions of 4, and
   // the kernel's lines conflict in them.
   DeviceSpec small_l2 = tesla_k40();
@@ -230,7 +261,7 @@ TEST(Executor, LaunchMatchesTraceOracle) {
   small_l2.l2_ways = 2;
   const LaunchConfig config{7, 72};
   for (const DeviceSpec& spec :
-       {test_device(), few_resident, tesla_k40(), small_l2}) {
+       {test_device(), few_resident_device(), tesla_k40(), small_l2}) {
     SCOPED_TRACE(::testing::Message()
                  << spec.name << ", " << spec.resident_warps_per_sm
                  << " resident warps per SM, L2 " << spec.l2_bytes << " B");
@@ -245,6 +276,104 @@ TEST(Executor, LaunchMatchesTraceOracle) {
     }
   }
   util::ThreadPool::set_global_threads(0);
+}
+
+TEST(Executor, ChunksReplayInOrderWhenWarpsFinishShuffled) {
+  // Each SM's chunks must pass its L1 in block order, whichever chunk's
+  // last warp is recorded first. Lane 0 of every warp spins for a seeded
+  // time, and about one warp in four spins 2 ms. Both launches put several
+  // chunks on an SM and more blocks than SMs, and both L1s are small enough
+  // that the order of an SM's chunks changes the counts:
+  //  * test_device() with 4 resident warps: 9 blocks of 3 warps, a chunk
+  //    each, on 2 SMs. An SM's next chunk is two blocks on, so at 8
+  //    threads most seeds see a later chunk finish first.
+  //  * a K40 with an 8 KB L1 and a 64 KB L2: 40 blocks of 8 warps on 15
+  //    SMs, 2 blocks per chunk. An SM's chunks are 15 blocks apart, so
+  //    they mostly finish in order; this case checks the chunk bookkeeping
+  //    on a real geometry.
+  const KernelFn kernel = mixed_kernel();
+  DeviceSpec small_caches = tesla_k40();
+  small_caches.l1_bytes = 8 * 1024;
+  small_caches.l2_bytes = 64 * 1024;
+  struct Case {
+    DeviceSpec spec;
+    LaunchConfig config;
+    std::uint64_t seeds;
+  };
+  for (const Case& c : {Case{few_resident_device(), LaunchConfig{9, 72}, 8},
+                        Case{small_caches, LaunchConfig{40, 256}, 1}}) {
+    SCOPED_TRACE(::testing::Message() << c.spec.name << ", "
+                                      << c.config.num_blocks << " blocks");
+    const std::uint32_t warps_per_block =
+        (c.config.threads_per_block + c.spec.warp_size - 1) /
+        c.spec.warp_size;
+    const KernelMetrics want = oracle_launch(c.spec, c.config, kernel);
+    EXPECT_GT(want.l1.hits, 0u);
+    for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+      util::Rng rng(seed);
+      std::vector<std::chrono::microseconds> delay(c.config.num_blocks *
+                                                   warps_per_block);
+      for (auto& d : delay) {
+        d = std::chrono::microseconds(rng.uniform_index(4) == 0
+                                          ? 2000
+                                          : rng.uniform_index(100));
+      }
+      const KernelFn shuffled = [&](const ThreadCtx& ctx, LaneProbe& p) {
+        if (ctx.thread_id % c.spec.warp_size == 0) {
+          spin_for(delay[ctx.block_id * warps_per_block +
+                         ctx.thread_id / c.spec.warp_size]);
+        }
+        kernel(ctx, p);
+      };
+      for (unsigned threads : {1u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", "
+                                          << threads << " threads");
+        util::ThreadPool::set_global_threads(threads);
+        bd::testing::expect_identical(launch(c.spec, c.config, shuffled),
+                                      want);
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+TEST(Executor, LaneThrowAfterChunksReplayedIsRethrown) {
+  // A lane of the last block throws once earlier chunks have replayed
+  // through their L1s and freed their streams: at 1 thread the warps run
+  // in order, and at 8 the throwing lane first spins 20 ms. launch
+  // rethrows the lane's exception, and the next launch is unaffected.
+  const DeviceSpec spec = few_resident_device();
+  const LaunchConfig config{9, 72};
+  const KernelFn kernel = mixed_kernel();
+  const KernelFn throwing = [&](const ThreadCtx& ctx, LaneProbe& p) {
+    kernel(ctx, p);
+    if (ctx.block_id == config.num_blocks - 1 && ctx.thread_id == 40) {
+      spin_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("lane 40 of the last block");
+    }
+  };
+  const KernelMetrics want = oracle_launch(spec, config, kernel);
+  for (unsigned threads : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    util::ThreadPool::set_global_threads(threads);
+    try {
+      launch(spec, config, throwing);
+      ADD_FAILURE() << "launch did not rethrow the lane's exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "lane 40 of the last block");
+    }
+    bd::testing::expect_identical(launch(spec, config, kernel), want);
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+TEST(Executor, L1ReplayThreadTimeIsCounted) {
+  // The L1 replay runs inside the lane pass, where no span shows it; its
+  // summed thread time goes to the launching thread's registry.
+  util::telemetry::MetricsRegistry registry;
+  const util::telemetry::TelemetryScope scope(&registry, nullptr);
+  launch(few_resident_device(), LaunchConfig{9, 72}, mixed_kernel());
+  EXPECT_GT(registry.snapshot().counters.at("simt.l1_replay_ns"), 0u);
 }
 
 }  // namespace

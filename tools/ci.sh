@@ -47,7 +47,10 @@
 # identity and the >= 2x batched-vs-scalar throughput floor)
 # and bench_scaling against tools/perf_baseline_scaling.json (sharded
 # replay counters identical to serial always; the replay speedup floor
-# only on hosts with >= 4 hardware threads).
+# only on hosts with >= 4 hardware threads). Last, it runs a 3-step 128^2
+# quickstart (1e5 particles) with a pool of 4 under
+# tools/check_peak_rss.py, which reads the child's peak RSS with
+# getrusage and fails above the ceiling in tools/perf_baseline_rss.json.
 #
 # A mutants stage checks that the tests still catch known defects. Each
 # tools/mutants/<name>.patch is a minimal diff to src/ after a header of
@@ -135,6 +138,9 @@ perf_smoke() {
   ./build/bench/bench_scaling \
     --json=BENCH_scaling.json \
     --check-baseline=tools/perf_baseline_scaling.json
+  cmake --build --preset default -j "$(nproc)" --target quickstart
+  BD_NUM_THREADS=4 tools/check_peak_rss.py tools/perf_baseline_rss.json \
+    ./build/examples/quickstart --grid 128 --particles 100000 --steps 3
 }
 
 mutants() {
