@@ -16,8 +16,9 @@
 ///     against the 1-thread replay; any drift fails the run regardless of
 ///     flags.
 ///
-/// Each thread count first runs one untimed solver step (phase 1) and one
-/// untimed replay (phase 2) on its new pool.
+/// Each thread count first runs one untimed solver step (phase 1) on its
+/// new pool. Phase 2 takes the counts in turn, once per repetition, each
+/// on a new pool after one untimed replay.
 ///
 /// Emits BENCH_scaling.json: per thread count, host seconds per phase and
 /// the speedups over the 1-thread run. With
@@ -142,28 +143,32 @@ struct ReplayWorkload {
       : spec(simt::tesla_k40()), warps_per_sm(warps), streams(spec.num_sms) {
     std::uint64_t lcg = 0x243f6a8885a308d3ull;  // fixed seed: deterministic
     const std::uint64_t line = spec.l1_line_bytes;
+    simt::StreamWriter writer(spec.l1_line_bytes);
+    std::vector<std::uint64_t> lines;
     for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
       streams[sm].reserve(warps_per_sm);
       for (std::size_t w = 0; w < warps_per_sm; ++w) {
-        simt::WarpReplay replay;
-        replay.offsets.push_back(0);
         // Each warp sweeps its own window; every 4th instruction scatters.
         const std::uint64_t base = (sm * warps_per_sm + w) * 512 * line;
         for (std::size_t i = 0; i < instructions_per_warp; ++i) {
+          lines.clear();
           if (i % 4 == 3) {
             for (int k = 0; k < 8; ++k) {
               lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-              replay.lines.push_back(((lcg >> 20) % (1u << 16)) * line);
+              lines.push_back(((lcg >> 20) % (1u << 16)) * line);
             }
+            // A load's lines are distinct and ascending, as a warp's
+            // coalescer leaves them.
+            std::sort(lines.begin(), lines.end());
+            lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
           } else {
             for (int k = 0; k < 4; ++k) {
-              replay.lines.push_back(base + (i * 4 + k) * line);
+              lines.push_back(base + (i * 4 + k) * line);
             }
           }
-          replay.offsets.push_back(
-              static_cast<std::uint32_t>(replay.lines.size()));
+          writer.add(lines.data(), lines.size());
         }
-        streams[sm].push_back(std::move(replay));
+        streams[sm].push_back(writer.take());
       }
     }
   }
@@ -188,16 +193,23 @@ struct ReplayResult {
   simt::KernelMetrics metrics;
 };
 
-ReplayResult replay_at(unsigned threads, const ReplayWorkload& work,
-                       std::size_t reps) {
-  util::ThreadPool::set_global_threads(threads);
-  replay_once(work);  // untimed: warms the new pool
-  ReplayResult out;
-  out.seconds = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    util::WallTimer timer;
-    out.metrics = replay_once(work);
-    out.seconds = std::min(out.seconds, timer.seconds());
+/// Best-of-`reps` replay wall at each thread count. The counts take turns:
+/// each repetition times every count once, each on a new pool after one
+/// untimed replay, so a stretch of time short of CPUs hits every count
+/// alike instead of all the repetitions of one.
+std::vector<ReplayResult> replay_at(const std::vector<unsigned>& counts,
+                                    const ReplayWorkload& work,
+                                    std::size_t reps) {
+  std::vector<ReplayResult> out(counts.size());
+  for (ReplayResult& r : out) r.seconds = 1e300;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      util::ThreadPool::set_global_threads(counts[i]);
+      replay_once(work);  // untimed: warms the new pool
+      util::WallTimer timer;
+      out[i].metrics = replay_once(work);
+      out[i].seconds = std::min(out[i].seconds, timer.seconds());
+    }
   }
   return out;
 }
@@ -258,8 +270,8 @@ int main(int argc, char** argv) {
   std::printf("%8s  %12s  %8s  %s\n", "threads", "replay s", "speedup",
               "counters");
   ReplayWorkload work(replay_warps, replay_instr);
-  std::vector<ReplayResult> replay;
-  for (unsigned t : counts) replay.push_back(replay_at(t, work, replay_reps));
+  const std::vector<ReplayResult> replay =
+      replay_at(counts, work, replay_reps);
   util::ThreadPool::set_global_threads(0);
 
   int failures = 0;

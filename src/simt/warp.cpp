@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "simt/cache.hpp"
 #include "simt/coalescer.hpp"
@@ -18,11 +19,61 @@ constexpr std::uint16_t kMaxLines = 1u << 15;
 
 }  // namespace
 
-WarpRecorder::WarpRecorder(const DeviceSpec& spec)
-    : warp_size_(spec.warp_size), line_bytes_(spec.l1_line_bytes) {
-  BD_CHECK_MSG(std::has_single_bit(line_bytes_),
+void varint::Buffer::grow(std::size_t n) {
+  const std::size_t capacity = std::max({2 * capacity_, size_ + n,
+                                         std::size_t{64}});
+  auto data = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+  if (size_ != 0) std::memcpy(data.get(), data_.get(), size_);
+  data_ = std::move(data);
+  capacity_ = capacity;
+}
+
+StreamWriter::StreamWriter(std::uint32_t line_bytes)
+    : shift_(std::countr_zero(line_bytes)) {
+  BD_CHECK_MSG(std::has_single_bit(line_bytes),
                "line size must be a power of two");
 }
+
+void StreamWriter::add(const std::uint64_t* lines, std::size_t count) {
+  // A count, a first line and count - 1 gaps, each at most kMaxBytes.
+  std::uint8_t* out = bytes_.room((count + 1) * varint::kMaxBytes);
+  out = varint::put(out, count);
+  if (count != 0) {
+    const int shift = shift_;
+    BD_DCHECK((lines[0] & ((std::uint64_t{1} << shift) - 1)) == 0);
+    std::uint64_t line = lines[0] >> shift;
+    out = varint::put(out, varint::zigzag(line, first_));
+    first_ = line;
+    for (std::size_t k = 1; k < count; ++k) {
+      const std::uint64_t next = lines[k] >> shift;
+      BD_DCHECK(next > line && next << shift == lines[k]);
+      out = varint::put(out, next - line - 1);
+      line = next;
+    }
+  }
+  bytes_.commit(out);
+  ++loads_;
+}
+
+WarpReplay StreamWriter::take() {
+  WarpReplay replay;
+  replay.bytes.assign(bytes_.data(), bytes_.data() + bytes_.size());
+  replay.loads = loads_;
+  bytes_.clear();
+  loads_ = 0;
+  first_ = 0;
+  return replay;
+}
+
+StreamReader::StreamReader(const WarpReplay& replay, std::uint32_t line_bytes)
+    : pos_(replay.bytes.data()),
+      left_(replay.loads),
+      shift_(std::countr_zero(line_bytes)) {}
+
+WarpRecorder::WarpRecorder(const DeviceSpec& spec)
+    : warp_size_(spec.warp_size),
+      line_bytes_(spec.l1_line_bytes),
+      stream_(spec.l1_line_bytes) {}
 
 void WarpRecorder::begin_lane() {
   BD_CHECK_MSG(lanes_ < warp_size_, "warp must hold 1..warp_size lanes");
@@ -106,16 +157,11 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   // ---- loads: one issue slot each, one transaction per distinct line ------
   const std::size_t num_loads = loads_.size();
   std::size_t num_lines = 0;
-  loads_.for_each([&](const LineSet& set) { num_lines += set.size; });
-  WarpReplay replay;
-  replay.lines.reserve(num_lines);
-  replay.offsets.reserve(num_loads + 1);
-  replay.offsets.push_back(0);
   loads_.for_each([&](const LineSet& set) {
-    const auto first = arena_.begin() + set.begin;
-    replay.lines.insert(replay.lines.end(), first, first + set.size);
-    replay.offsets.push_back(static_cast<std::uint32_t>(replay.lines.size()));
+    stream_.add(arena_.data() + set.begin, set.size);
+    num_lines += set.size;
   });
+  WarpReplay replay = stream_.take();
   out.load_instructions += num_loads;
   out.warp_instructions += num_loads;
   out.lane_slots += num_loads * warp_size_;
@@ -199,6 +245,7 @@ std::uint32_t l2_partitions(const DeviceSpec& spec) {
 CacheReplay::CacheReplay(const DeviceSpec& spec, std::uint32_t num_sms)
     : warp_size_(spec.warp_size),
       l1_line_bytes_(spec.l1_line_bytes),
+      l1_shift_(std::countr_zero(spec.l1_line_bytes)),
       l2_line_bytes_(spec.l2_line_bytes) {
   const LineL2 l2 = line_l2(spec);
   partitions_ = l2_partitions(spec);
@@ -209,9 +256,12 @@ CacheReplay::CacheReplay(const DeviceSpec& spec, std::uint32_t num_sms)
   line_shift_ = std::countr_zero(l2.line_bytes);
   set_mask_ = l2.sets - 1;
   part_shift_ = std::countr_zero(part_sets_);
-  sms_.assign(num_sms,
-              Sm{SetAssocCache(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways),
-                 {}, std::vector<std::vector<std::uint64_t>>(partitions_)});
+  sms_.reserve(num_sms);
+  for (std::uint32_t sm = 0; sm < num_sms; ++sm) {
+    sms_.push_back(
+        Sm{SetAssocCache(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways), {},
+           std::vector<MissBucket>(partitions_)});
+  }
 }
 
 void CacheReplay::replay_chunk(std::uint32_t sm,
@@ -220,26 +270,32 @@ void CacheReplay::replay_chunk(std::uint32_t sm,
   // Counts go to a local: the SMs' states sit side by side, and other
   // threads replay the other SMs.
   CacheStats stats;
-  std::size_t rounds = 0;
+  std::vector<StreamReader> readers;
+  readers.reserve(warps.size());
   for (const WarpReplay& replay : warps) {
-    rounds = std::max(rounds, replay.loads());
+    if (replay.loads != 0) readers.emplace_back(replay, l1_line_bytes_);
   }
-  // Round i issues load i of every warp that has one.
-  for (std::size_t i = 0; i < rounds; ++i) {
-    for (const WarpReplay& replay : warps) {
-      if (i >= replay.loads()) continue;
-      for (std::uint32_t k = replay.offsets[i]; k < replay.offsets[i + 1];
-           ++k) {
-        const std::uint64_t line = replay.lines[k];
-        BD_DCHECK(line % l1_line_bytes_ == 0);
-        if (state.l1.access(line)) {
-          ++stats.hits;
-        } else {
-          ++stats.misses;
-          state.misses[((line >> line_shift_) & set_mask_) >> part_shift_]
-              .push_back(line);
-        }
-      }
+  const auto record = [&](std::uint64_t line) {
+    if (state.l1.access(line)) {
+      ++stats.hits;
+    } else {
+      ++stats.misses;
+      state.misses[((line >> line_shift_) & set_mask_) >> part_shift_].push(
+          line >> l1_shift_);
+    }
+  };
+  // Each round issues the next load of every warp that has one; a warp
+  // whose loads ran out leaves the rounds.
+  while (!readers.empty()) {
+    bool finished = false;
+    for (StreamReader& reader : readers) {
+      reader.next(record);
+      finished |= reader.loads_left() == 0;
+    }
+    if (finished) {
+      std::erase_if(readers, [](const StreamReader& reader) {
+        return reader.loads_left() == 0;
+      });
     }
   }
   state.l1_stats += stats;
@@ -253,15 +309,15 @@ KernelMetrics CacheReplay::replay_l2() {
   util::parallel_for(0, partitions_, [&](std::size_t p) {
     CacheStats lines;
     SetAssocCache cache(part_sets_ * ways_ * line_bytes_, line_bytes_, ways_);
+    const int l1_shift = l1_shift_;
     for (Sm& sm : sms_) {
-      for (std::uint64_t line : sm.misses[p]) {
-        if (cache.access(line)) {
+      sm.misses[p].drain([&](std::uint64_t line) {
+        if (cache.access(line << l1_shift)) {
           ++lines.hits;
         } else {
           ++lines.misses;
         }
-      }
-      sm.misses[p] = {};
+      });
     }
     l2_lines[p] = lines;
   });

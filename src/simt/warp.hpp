@@ -9,7 +9,9 @@
 /// CacheReplay runs those streams through the per-SM L1s and the shared
 /// L2.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -20,18 +22,185 @@
 
 namespace bd::simt {
 
-/// The coalesced memory stream of one warp, ready for cache replay: one
-/// CSR stream of the distinct line addresses of every warp-level load, in
-/// program order, each load's lines ascending.
-struct WarpReplay {
-  std::vector<std::uint64_t> lines;
-  /// Load i reads lines[offsets[i], offsets[i + 1]); empty when the warp
-  /// issued no loads.
-  std::vector<std::uint32_t> offsets;
+/// The varint code of the cache replay's two large buffers, the warp
+/// streams (WarpReplay) and the L1-miss buckets (MissBucket). A value is
+/// written 7 bits a byte, lowest first, and every byte but its last has
+/// bit 7 set, so a value below 128 takes one byte. A signed step is zigzag
+/// coded first (0, -1, 1, -2, ... become 0, 1, 2, 3, ...), so a short step
+/// down is as short as one up. Steps wrap modulo 2^64, so every 64-bit
+/// value round-trips.
+namespace varint {
 
-  std::size_t loads() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
+/// The most bytes one value takes.
+inline constexpr std::size_t kMaxBytes = 10;
+
+/// Writes `value` at `out`, which has room for kMaxBytes, and returns the
+/// end of what it wrote.
+inline std::uint8_t* put(std::uint8_t* out, std::uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value | 0x80);
+    value >>= 7;
   }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
+
+/// Reads the value at `in` and moves `in` past it.
+inline std::uint64_t get(const std::uint8_t*& in) {
+  std::uint64_t value = *in++;
+  if (value < 0x80) return value;
+  value &= 0x7f;
+  for (int shift = 7;; shift += 7) {
+    const std::uint64_t byte = *in++;
+    value |= (byte & 0x7f) << shift;
+    if (byte < 0x80) return value;
+  }
+}
+
+/// The step from `from` to `to` as a zigzag code.
+inline std::uint64_t zigzag(std::uint64_t to, std::uint64_t from) {
+  const std::uint64_t step = to - from;
+  return (step << 1) ^ (0 - (step >> 63));
+}
+
+/// The value `code` steps to from `from`.
+inline std::uint64_t unzigzag(std::uint64_t from, std::uint64_t code) {
+  return from + ((code >> 1) ^ (0 - (code & 1)));
+}
+
+/// A byte buffer that codes write through a raw pointer: room(n) returns
+/// where the next n bytes go, and commit() takes the end of what was
+/// written there. Growth doubles the capacity and leaves new bytes
+/// unwritten, so pages a buffer never writes stay untouched.
+class Buffer {
+ public:
+  std::uint8_t* room(std::size_t n) {
+    if (capacity_ - size_ < n) grow(n);
+    return data_.get() + size_;
+  }
+  void commit(const std::uint8_t* end) {
+    size_ = static_cast<std::size_t>(end - data_.get());
+  }
+  const std::uint8_t* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  /// Empties the buffer; keeps its capacity.
+  void clear() { size_ = 0; }
+  /// Empties the buffer and frees its memory.
+  void release() { *this = {}; }
+
+ private:
+  void grow(std::size_t n);
+
+  std::unique_ptr<std::uint8_t[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
+}  // namespace varint
+
+/// The coalesced memory stream of one warp, ready for cache replay: every
+/// warp-level load in program order, each as its distinct lines, ascending.
+/// Lines count in L1 lines (address >> log2(l1_line_bytes)), and each load
+/// is coded as
+///   - its line count, as a varint;
+///   - if that is not zero, the zigzag varint of its first line minus the
+///     first line of the last load before it that had one (0 for the
+///     warp's first);
+///   - for each further line, its gap from the line before it, minus one,
+///     as a varint: lines are distinct and ascending, so the gap is at
+///     least one.
+/// StreamWriter writes it and StreamReader reads it back. On Table II and
+/// quickstart runs it took about a sixth of the bytes of raw 8-byte lines
+/// with 4-byte load offsets.
+struct WarpReplay {
+  std::vector<std::uint8_t> bytes;
+  std::size_t loads = 0;
+};
+
+/// Writes WarpReplay streams, load by load. The buffer grows to the
+/// largest stream it has written and is reused by the next.
+class StreamWriter {
+ public:
+  explicit StreamWriter(std::uint32_t line_bytes);
+
+  /// Appends the next load: `count` distinct line addresses, ascending,
+  /// each a multiple of the line size.
+  void add(const std::uint64_t* lines, std::size_t count);
+
+  /// Hands over the stream written so far, in a buffer of its size, and
+  /// starts the next one.
+  WarpReplay take();
+
+ private:
+  varint::Buffer bytes_;
+  std::size_t loads_ = 0;
+  std::uint64_t first_ = 0;  // the last load's first line, in lines
+  int shift_;
+};
+
+/// Reads a WarpReplay back, load by load, from the bytes it views.
+class StreamReader {
+ public:
+  StreamReader(const WarpReplay& replay, std::uint32_t line_bytes);
+
+  std::size_t loads_left() const { return left_; }
+
+  /// Reads the next load, calling `fn(line)` for each of its line
+  /// addresses, ascending. Needs loads_left() > 0.
+  template <typename Fn>
+  void next(Fn&& fn) {
+    const std::uint8_t* in = pos_;
+    const int shift = shift_;
+    std::uint64_t count = varint::get(in);
+    if (count != 0) {
+      std::uint64_t line = varint::unzigzag(first_, varint::get(in));
+      first_ = line;
+      fn(line << shift);
+      while (--count != 0) {
+        line += varint::get(in) + 1;
+        fn(line << shift);
+      }
+    }
+    pos_ = in;
+    --left_;
+  }
+
+ private:
+  const std::uint8_t* pos_;
+  std::size_t left_;
+  std::uint64_t first_ = 0;
+  int shift_;
+};
+
+/// One SM's L1 misses for one L2 set partition, in replay order: per miss,
+/// the zigzag varint of its value (the caller's line number) minus the
+/// bucket's previous miss, 0 before the first.
+class MissBucket {
+ public:
+  void push(std::uint64_t line) {
+    bytes_.commit(varint::put(bytes_.room(varint::kMaxBytes),
+                              varint::zigzag(line, last_)));
+    last_ = line;
+  }
+
+  /// Calls `fn(line)` for every miss, in push order, then frees the
+  /// bucket.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    const std::uint8_t* in = bytes_.data();
+    const std::uint8_t* const end = in + bytes_.size();
+    std::uint64_t line = 0;
+    while (in != end) {
+      line = varint::unzigzag(line, varint::get(in));
+      fn(line);
+    }
+    bytes_.release();
+    last_ = 0;
+  }
+
+ private:
+  varint::Buffer bytes_;
+  std::uint64_t last_ = 0;
 };
 
 /// The warp analyzer, as the probe a warp's lanes write to. The lanes run
@@ -40,8 +209,9 @@ struct WarpReplay {
 /// occurrences per site and lane on its own, so the order in which a lane
 /// mixes kinds changes no grouping. A load instruction is numbered when
 /// its first lane reaches it, so instructions are numbered in (lane,
-/// position) order. Tables and line storage are reused across warps, so a
-/// warm recorder allocates only the streams it returns.
+/// position) order. Tables, line storage and the stream writer's buffer are
+/// reused across warps, so a warm recorder allocates only the streams it
+/// returns.
 class WarpRecorder final : public LaneProbe {
  public:
   explicit WarpRecorder(const DeviceSpec& spec);
@@ -180,6 +350,7 @@ class WarpRecorder final : public LaneProbe {
   SiteTable<std::uint8_t> branches_;  // instruction -> bit 0 taken seen,
                                       //   bit 1 not-taken seen
   std::vector<std::uint64_t> arena_;  // the slices of every LineSet
+  StreamWriter stream_;
   Sums sums_;
 };
 
@@ -195,7 +366,7 @@ std::uint32_t l2_partitions(const DeviceSpec& spec);
 /// The cache replay of one launch (pass 2 of simt::launch), in two stages.
 /// Stage 2a replays each SM's chunks of co-resident warps through the SM's
 /// private L1 and buckets its L1 misses by L2 set partition in replay
-/// order. Stage 2b replays each partition's buckets in SM order through
+/// order, each bucket a MissBucket of L1 line numbers. Stage 2b replays each partition's buckets in SM order through
 /// that partition's share of the L2, one access per L1 miss. An L1 miss
 /// fetches its line's sectors in order, and the sets that hold them see
 /// the same line sequence, so each access counts `sectors` L2 hits or
@@ -227,11 +398,12 @@ class CacheReplay {
   struct Sm {
     SetAssocCache l1;
     CacheStats l1_stats;
-    std::vector<std::vector<std::uint64_t>> misses;  // one per partition
+    std::vector<MissBucket> misses;  // one per partition
   };
 
   std::uint32_t warp_size_;
   std::uint32_t l1_line_bytes_;
+  int l1_shift_;                 ///< log2(l1_line_bytes_)
   std::uint32_t l2_line_bytes_;  ///< one L2 sector
   std::uint32_t sectors_;        ///< L2 sectors per L1 line
   std::uint32_t line_bytes_;     ///< the modeled L2 line: an L1 line

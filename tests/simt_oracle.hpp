@@ -247,25 +247,26 @@ inline CoalesceResult coalesce(const std::vector<LaneAccess>& accesses,
 /// A warp's loads as one line list per warp-level load, program order.
 using LoadStream = std::vector<std::vector<std::uint64_t>>;
 
-/// The CSR stream of simt::WarpReplay as a LoadStream.
-inline LoadStream loads_of(const simt::WarpReplay& replay) {
+/// A varint-coded simt::WarpReplay as a LoadStream, through
+/// simt::StreamReader.
+inline LoadStream loads_of(const simt::WarpReplay& replay,
+                           std::uint32_t line_bytes) {
   LoadStream loads;
-  for (std::size_t i = 0; i < replay.loads(); ++i) {
-    loads.emplace_back(replay.lines.begin() + replay.offsets[i],
-                       replay.lines.begin() + replay.offsets[i + 1]);
+  simt::StreamReader reader(replay, line_bytes);
+  while (reader.loads_left() != 0) {
+    std::vector<std::uint64_t>& lines = loads.emplace_back();
+    reader.next([&](std::uint64_t line) { lines.push_back(line); });
   }
   return loads;
 }
 
-/// A LoadStream as the CSR stream of simt::WarpReplay.
-inline simt::WarpReplay replay_of(const LoadStream& loads) {
-  simt::WarpReplay replay;
-  replay.offsets.push_back(0);
-  for (const auto& lines : loads) {
-    replay.lines.insert(replay.lines.end(), lines.begin(), lines.end());
-    replay.offsets.push_back(static_cast<std::uint32_t>(replay.lines.size()));
-  }
-  return replay;
+/// A LoadStream as a varint-coded simt::WarpReplay, through
+/// simt::StreamWriter. Each load's lines must be distinct and ascending.
+inline simt::WarpReplay replay_of(const LoadStream& loads,
+                                  std::uint32_t line_bytes) {
+  simt::StreamWriter writer(line_bytes);
+  for (const auto& lines : loads) writer.add(lines.data(), lines.size());
+  return writer.take();
 }
 
 /// The hash-map warp analyzer: groups every event kind by (site,
@@ -381,13 +382,9 @@ inline LoadStream analyze_warp_groups(std::span<const LaneTrace> traces,
 /// One SM's L1, serially: the warps' streams interleaved round-robin one
 /// load at a time (round i issues load i of every warp that has one). L1
 /// misses are appended to `l2_misses` in replay order.
-inline void replay_interleaved_l1(std::span<const simt::WarpReplay> replays,
+inline void replay_interleaved_l1(std::span<const LoadStream> streams,
                                   TickLruCache& l1, simt::KernelMetrics& out,
                                   std::vector<std::uint64_t>& l2_misses) {
-  std::vector<LoadStream> streams;
-  for (const simt::WarpReplay& replay : replays) {
-    streams.push_back(loads_of(replay));
-  }
   for (std::size_t i = 0;; ++i) {
     bool issued = false;
     for (const LoadStream& loads : streams) {
@@ -428,28 +425,29 @@ inline void replay_l2_lines(const std::vector<std::uint64_t>& lines,
 
 /// Serial cache replay of one SM: the warps' streams through its L1, then
 /// the L1 misses through the shared L2 — the pre-sharding executor.
-inline void replay_interleaved(std::span<const simt::WarpReplay> replays,
+inline void replay_interleaved(std::span<const oracle::LoadStream> streams,
                                const simt::DeviceSpec& spec,
                                oracle::TickLruCache& l1,
                                oracle::TickLruCache& l2,
                                simt::KernelMetrics& out) {
   std::vector<std::uint64_t> l2_misses;
-  oracle::replay_interleaved_l1(replays, l1, out, l2_misses);
+  oracle::replay_interleaved_l1(streams, l1, out, l2_misses);
   oracle::replay_l2_lines(l2_misses, spec, l2, out);
 }
 
 /// Cache counters of the serial reference: per-SM L1 + one shared L2
 /// replayed SM-major through replay_interleaved, `warps_per_chunk`
-/// co-resident warps at a time — the pre-sharding executor.
+/// co-resident warps at a time — the pre-sharding executor. It reads the
+/// warps' lines as plain lists, so no stream code sits on its side.
 inline simt::KernelMetrics serial_replay(
     const simt::DeviceSpec& spec,
-    const std::vector<std::vector<simt::WarpReplay>>& streams,
+    const std::vector<std::vector<oracle::LoadStream>>& streams,
     std::size_t warps_per_chunk) {
   simt::KernelMetrics out;
   oracle::TickLruCache l2(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways);
   for (std::uint32_t sm = 0; sm < spec.num_sms; ++sm) {
     oracle::TickLruCache l1(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways);
-    const std::span<const simt::WarpReplay> warps = streams[sm];
+    const std::span<const oracle::LoadStream> warps = streams[sm];
     for (std::size_t begin = 0; begin < warps.size();
          begin += warps_per_chunk) {
       replay_interleaved(
@@ -460,13 +458,27 @@ inline simt::KernelMetrics serial_replay(
   return out;
 }
 
+/// Each SM's warps as the varint-coded streams simt::replay_caches takes.
+inline std::vector<std::vector<simt::WarpReplay>> replays_of(
+    const std::vector<std::vector<oracle::LoadStream>>& streams,
+    std::uint32_t line_bytes) {
+  std::vector<std::vector<simt::WarpReplay>> replays(streams.size());
+  for (std::size_t sm = 0; sm < streams.size(); ++sm) {
+    for (const oracle::LoadStream& loads : streams[sm]) {
+      replays[sm].push_back(oracle::replay_of(loads, line_bytes));
+    }
+  }
+  return replays;
+}
+
 /// Analyze one warp and replay it alone.
 inline void analyze_warp(std::span<const LaneTrace> lanes,
                          const simt::DeviceSpec& spec,
                          oracle::TickLruCache& l1, oracle::TickLruCache& l2,
                          simt::KernelMetrics& out) {
-  const simt::WarpReplay replay = record_warp(lanes, spec, out);
-  replay_interleaved({&replay, 1}, spec, l1, l2, out);
+  const oracle::LoadStream loads =
+      oracle::loads_of(record_warp(lanes, spec, out), spec.l1_line_bytes);
+  replay_interleaved({&loads, 1}, spec, l1, l2, out);
 }
 
 }  // namespace bd::testing

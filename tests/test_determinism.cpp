@@ -289,11 +289,19 @@ TEST(Determinism, ShardedReplayMatchesSerialReference) {
                  << simt::l2_partitions(spec) << " partitions");
     simt::KernelMetrics analysis;
     const auto streams = synthetic_sm_streams(spec, 6, analysis);
+    std::vector<std::vector<testing::oracle::LoadStream>> loads(
+        streams.size());
+    for (std::size_t sm = 0; sm < streams.size(); ++sm) {
+      for (const simt::WarpReplay& warp : streams[sm]) {
+        loads[sm].push_back(
+            testing::oracle::loads_of(warp, spec.l1_line_bytes));
+      }
+    }
     // Chunks of 6: all of an SM's warps co-resident; of 4: a full chunk,
     // then a partial one.
     for (std::size_t chunk : {6u, 4u}) {
       const simt::KernelMetrics serial =
-          testing::serial_replay(spec, streams, chunk);
+          testing::serial_replay(spec, loads, chunk);
       ASSERT_GT(serial.l1.misses, 0u);
       ASSERT_GT(serial.l2.hits, 0u);
       ASSERT_GT(serial.l2.misses, 0u);

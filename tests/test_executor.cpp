@@ -184,7 +184,7 @@ KernelMetrics oracle_launch(const DeviceSpec& spec,
   const std::uint32_t warps_per_block =
       (config.threads_per_block + spec.warp_size - 1) / spec.warp_size;
   KernelMetrics metrics;
-  std::vector<std::vector<WarpReplay>> sm_warps(spec.num_sms);
+  std::vector<std::vector<oracle::LoadStream>> sm_warps(spec.num_sms);
   for (std::uint32_t block = 0; block < config.num_blocks; ++block) {
     for (std::uint32_t warp = 0; warp < warps_per_block; ++warp) {
       const std::uint32_t lane_end = std::min(
@@ -194,8 +194,8 @@ KernelMetrics oracle_launch(const DeviceSpec& spec,
         const ThreadCtx ctx{block, t, block * config.threads_per_block + t};
         kernel(ctx, lanes.emplace_back());
       }
-      sm_warps[block % spec.num_sms].push_back(oracle::replay_of(
-          oracle::analyze_warp_groups(lanes, spec, metrics)));
+      sm_warps[block % spec.num_sms].push_back(
+          oracle::analyze_warp_groups(lanes, spec, metrics));
     }
   }
   const std::size_t chunk =

@@ -261,12 +261,8 @@ TEST(Warp, AnalyzerMatchesHashMapOracleOnRandomWarps) {
     const oracle::LoadStream expected =
         oracle::analyze_warp_groups(lanes, spec, want);
     bd::testing::expect_identical(got, want);
-    ASSERT_EQ(replay.loads(), expected.size());
-    if (replay.loads() > 0) {
-      EXPECT_EQ(replay.offsets.front(), 0u);
-      EXPECT_EQ(replay.offsets.back(), replay.lines.size());
-    }
-    ASSERT_EQ(oracle::loads_of(replay), expected);
+    ASSERT_EQ(replay.loads, expected.size());
+    ASSERT_EQ(oracle::loads_of(replay, spec.l1_line_bytes), expected);
     for (const auto& lines : expected) {
       widest = std::max(widest, lines.size());
     }
@@ -293,8 +289,8 @@ TEST(Warp, RecorderResetsBetweenWarps) {
     const WarpReplay replay = recorder.finish(got);
     const WarpReplay fresh = bd::testing::record_warp(lanes, spec, want);
     bd::testing::expect_identical(got, want);
-    EXPECT_EQ(replay.lines, fresh.lines);
-    EXPECT_EQ(replay.offsets, fresh.offsets);
+    EXPECT_EQ(oracle::loads_of(replay, spec.l1_line_bytes),
+              oracle::loads_of(fresh, spec.l1_line_bytes));
   }
 }
 
@@ -334,8 +330,8 @@ TEST(Warp, RunsMatchSingleLoads) {
     const WarpReplay expected = singles.finish(want);
     const WarpReplay replay = runs.finish(got);
     bd::testing::expect_identical(got, want);
-    EXPECT_EQ(replay.lines, expected.lines);
-    EXPECT_EQ(replay.offsets, expected.offsets);
+    EXPECT_EQ(oracle::loads_of(replay, spec.l1_line_bytes),
+              oracle::loads_of(expected, spec.l1_line_bytes));
     loads += got.load_instructions;
   }
   EXPECT_GT(loads, 0u);
@@ -350,10 +346,100 @@ TEST(Warp, LoadTouchingTooManyLinesRejected) {
   recorder.begin_lane();
   recorder.load(kLoad, nullptr, kMax * spec.l1_line_bytes);
   KernelMetrics metrics;
-  EXPECT_EQ(recorder.finish(metrics).lines.size(), kMax);
+  const oracle::LoadStream loads =
+      oracle::loads_of(recorder.finish(metrics), spec.l1_line_bytes);
+  ASSERT_EQ(loads.size(), 1u);
+  EXPECT_EQ(loads[0].size(), kMax);
+  EXPECT_EQ(loads[0].back(), (kMax - 1) * spec.l1_line_bytes);
   recorder.begin_lane();
   EXPECT_THROW(recorder.load(kLoad, nullptr, (kMax + 1) * spec.l1_line_bytes),
                CheckError);
+}
+
+TEST(Warp, StreamCodeRoundTrips) {
+  // StreamWriter's code read back by StreamReader gives every load
+  // exactly: empty loads, one-line loads, loads whose lines are adjacent
+  // or far apart, a load of 2^15 lines (the recorder's limit), first lines
+  // that step down as well as up, and lines near 0, at and above 2^39 and
+  // up to the last line below 2^64.
+  constexpr std::size_t kMax = std::size_t{1} << 15;
+  util::Rng rng(27);
+  for (std::uint32_t line_bytes : {128u, 32u}) {
+    SCOPED_TRACE(::testing::Message() << line_bytes << "-byte lines");
+    const std::uint64_t last = ~std::uint64_t{0} / line_bytes;
+    const std::uint64_t regions[] = {0, (std::uint64_t{1} << 39) / line_bytes,
+                                     last - (std::uint64_t{1} << 17)};
+    oracle::LoadStream loads;
+    for (int i = 0; i < 400; ++i) {
+      std::vector<std::uint64_t>& lines = loads.emplace_back();
+      const std::uint64_t kind = rng.uniform_index(8);
+      std::size_t count = kind == 0 ? 0 : kind == 1 ? 1 : 2 + rng.uniform_index(63);
+      if (i == 200) count = kMax;
+      std::uint64_t line =
+          regions[rng.uniform_index(3)] + rng.uniform_index(1 << 16);
+      while (lines.size() < count) {
+        lines.push_back(line * line_bytes);
+        const std::uint64_t gap = count == kMax || rng.uniform_index(4) != 0
+                                      ? 1
+                                      : 1 + rng.uniform_index(1 << 20);
+        if (last - line < gap) break;
+        line += gap;
+      }
+    }
+    loads.push_back({0, last * line_bytes});  // the widest gap
+    loads.push_back({last * line_bytes});     // the longest step up
+    loads.push_back({});
+    loads.push_back({0});                     // and down
+    std::size_t down = 0;
+    std::size_t up = 0;
+    std::uint64_t first = 0;
+    for (const auto& lines : loads) {
+      if (lines.empty()) continue;
+      down += lines.front() < first;
+      up += lines.front() > first;
+      first = lines.front();
+    }
+    ASSERT_GT(down, 100u);
+    ASSERT_GT(up, 100u);
+    ASSERT_EQ(loads[200].size(), kMax);
+
+    const WarpReplay replay = oracle::replay_of(loads, line_bytes);
+    EXPECT_EQ(replay.loads, loads.size());
+    EXPECT_EQ(oracle::loads_of(replay, line_bytes), loads);
+  }
+}
+
+TEST(Warp, MissBucketRoundTrips) {
+  // A bucket drains what was pushed, in push order, and is empty after:
+  // short steps down and up, repeats, jumps anywhere in the 64-bit range
+  // and the two ends of it, over three fills of one bucket.
+  util::Rng rng(2017);
+  MissBucket bucket;
+  for (int fill = 0; fill < 3; ++fill) {
+    SCOPED_TRACE(::testing::Message() << "fill " << fill);
+    std::vector<std::uint64_t> pushed;
+    std::uint64_t line = rng.uniform_index(1 << 20);
+    for (int i = 0; i < 5000; ++i) {
+      const std::uint64_t kind = rng.uniform_index(4);
+      if (kind == 0) {
+        line -= 1 + rng.uniform_index(300);
+      } else if (kind == 1) {
+        line += 1 + rng.uniform_index(300);
+      } else if (kind == 2) {
+        line = rng.bits();
+      }
+      pushed.push_back(line);
+    }
+    for (std::uint64_t end : {std::uint64_t{0}, ~std::uint64_t{0},
+                              std::uint64_t{0}}) {
+      pushed.push_back(end);
+    }
+    for (std::uint64_t value : pushed) bucket.push(value);
+    std::vector<std::uint64_t> drained;
+    bucket.drain([&](std::uint64_t value) { drained.push_back(value); });
+    EXPECT_EQ(drained, pushed);
+    bucket.drain([](std::uint64_t) { ADD_FAILURE() << "drained twice"; });
+  }
 }
 
 TEST(Warp, L2PartitionCountClampsToSets) {
@@ -370,23 +456,21 @@ TEST(Warp, L2PartitionCountClampsToSets) {
 /// lines come from a hot set a quarter of the L2's size, the rest from a
 /// pool twice its size, so the L1s mostly miss and the L2 both hits and
 /// evicts.
-std::vector<std::vector<WarpReplay>> seeded_miss_streams(
+std::vector<std::vector<oracle::LoadStream>> seeded_miss_streams(
     const DeviceSpec& spec, std::uint64_t seed) {
   util::Rng rng(seed);
   const std::uint64_t l2_lines = spec.l2_bytes / spec.l1_line_bytes;
   const std::uint64_t hot = std::max<std::uint64_t>(1, l2_lines / 4);
   const std::uint64_t pool = 2 * l2_lines;
-  std::vector<std::vector<WarpReplay>> streams(spec.num_sms);
-  for (std::vector<WarpReplay>& warps : streams) {
+  std::vector<std::vector<oracle::LoadStream>> streams(spec.num_sms);
+  for (std::vector<oracle::LoadStream>& warps : streams) {
     warps.resize(4);
-    for (WarpReplay& warp : warps) {
-      warp.offsets.push_back(0);
+    for (oracle::LoadStream& warp : warps) {
       for (int load = 0; load < 600; ++load) {
         const std::uint64_t line = rng.uniform_index(2) == 0
                                        ? rng.uniform_index(hot)
                                        : hot + rng.uniform_index(pool);
-        warp.lines.push_back(0x4000000 + line * spec.l1_line_bytes);
-        warp.offsets.push_back(static_cast<std::uint32_t>(warp.lines.size()));
+        warp.push_back({0x4000000 + line * spec.l1_line_bytes});
       }
     }
   }
@@ -416,15 +500,16 @@ TEST(Warp, LineGranularL2MatchesSectorOracle) {
       const auto streams = seeded_miss_streams(spec, seed);
       std::set<std::uint64_t> lines;
       for (const auto& warps : streams) {
-        for (const WarpReplay& warp : warps) {
-          lines.insert(warp.lines.begin(), warp.lines.end());
+        for (const oracle::LoadStream& warp : warps) {
+          for (const auto& load : warp) lines.insert(load.begin(), load.end());
         }
       }
       const std::uint64_t distinct_lines = lines.size();
       for (std::size_t chunk : {1u, 4u}) {
         const KernelMetrics want =
             bd::testing::serial_replay(spec, streams, chunk);
-        const KernelMetrics got = replay_caches(spec, streams, chunk);
+        const KernelMetrics got = replay_caches(
+            spec, bd::testing::replays_of(streams, spec.l1_line_bytes), chunk);
         // Hits, and more misses than lines: the L2 evicted.
         ASSERT_GT(want.l2.hits, 0u);
         ASSERT_GT(want.l2.misses, distinct_lines * sectors);
@@ -447,7 +532,8 @@ TEST(Warp, LineGranularL2RejectsUnevenWays) {
   one_set.l2_bytes = 192;  // 1 set of 6 ways, 4 sectors of every line
   one_set.l2_ways = 6;
   for (const DeviceSpec& spec : {uneven, one_set}) {
-    const auto streams = seeded_miss_streams(spec, 3);
+    const auto streams = bd::testing::replays_of(seeded_miss_streams(spec, 3),
+                                                 spec.l1_line_bytes);
     EXPECT_THROW(replay_caches(spec, streams, 4), CheckError);
     EXPECT_THROW(l2_partitions(spec), CheckError);
   }

@@ -47,10 +47,13 @@
 # identity and the >= 2x batched-vs-scalar throughput floor)
 # and bench_scaling against tools/perf_baseline_scaling.json (sharded
 # replay counters identical to serial always; the replay speedup floor
-# only on hosts with >= 4 hardware threads). Last, it runs a 3-step 128^2
-# quickstart (1e5 particles) with a pool of 4 under
-# tools/check_peak_rss.py, which reads the child's peak RSS with
-# getrusage and fails above the ceiling in tools/perf_baseline_rss.json.
+# only on hosts with >= 4 hardware threads). Last, two peak-RSS ceilings
+# on the SIMT model's cache-replay buffers: tools/check_peak_rss.py reads
+# a child's peak RSS with getrusage and fails above the ceiling in its
+# baseline file. A 3-step 128^2 quickstart (1e5 particles) runs under
+# tools/perf_baseline_rss.json, and a 9-step bench_table2 run
+# (--warmup 1 --measure 8, which adds the heuristic's long warp streams)
+# under tools/perf_baseline_rss_table2.json, each with a pool of 4.
 #
 # A mutants stage checks that the tests still catch known defects. Each
 # tools/mutants/<name>.patch is a minimal diff to src/ after a header of
@@ -141,6 +144,10 @@ perf_smoke() {
   cmake --build --preset default -j "$(nproc)" --target quickstart
   BD_NUM_THREADS=4 tools/check_peak_rss.py tools/perf_baseline_rss.json \
     ./build/examples/quickstart --grid 128 --particles 100000 --steps 3
+  cmake --build --preset default -j "$(nproc)" --target bench_table2
+  BD_NUM_THREADS=4 tools/check_peak_rss.py \
+    tools/perf_baseline_rss_table2.json \
+    ./build/bench/bench_table2 --warmup 1 --measure 8 --csv=table2.csv
 }
 
 mutants() {
