@@ -210,43 +210,47 @@ void BM_AnalyzeWarp(benchmark::State& state) {
 BENCHMARK(BM_AnalyzeWarp);
 
 void BM_AnalyzeWarpStencil(benchmark::State& state) {
-  // One warp of kernel 1 at 64x64: 32 lanes, neighbouring lanes one grid
-  // column apart, 100 samples each. A sample reports the 63 24-byte rows
-  // of its space-time stencil (7 inner nodes x 3 planes x 3 rows, in that
-  // order) as one load_run, addressed as wake_batch.cpp addresses them;
-  // along the samples the column and the newest plane step back, as the
-  // retarded position and time do. About 6,300 loads per lane.
-  constexpr std::uint64_t kNx = 64;
-  constexpr std::uint64_t kPlaneBytes = kNx * kNx * sizeof(double);
+  // One warp of kernel 1 on an nx x nx grid (the argument): 32 lanes,
+  // neighbouring lanes one grid column apart, 100 samples each. A sample
+  // reports the 63 24-byte rows of its space-time stencil (7 inner nodes
+  // x 3 planes x 3 rows, in that order) as one load_groups call of 21
+  // groups of 3 rows a grid pitch apart, addressed as wake_batch.cpp
+  // addresses them; along the samples the column and the newest plane
+  // step back, as the retarded position and time do. About 6,300 row
+  // loads per lane; items count row loads. At 64 the pitch is 4 L1 lines,
+  // so the recorder dedups one row per group; at 40 it is 2.5 lines, so
+  // it dedups every row.
+  const auto nx = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t plane_bytes = nx * nx * sizeof(double);
   constexpr std::uint64_t kDepth = 16;  // history planes in the ring
   constexpr std::uint64_t kBase = 0x4000'0000;
   constexpr std::uint64_t kSamples = 100;
   constexpr std::uint64_t kNodes = 7;
   constexpr std::uint32_t kRowBytes = 3 * sizeof(double);
+  const auto pitch = static_cast<std::int64_t>(nx * sizeof(double));
   const simt::DeviceSpec spec = simt::tesla_k40();
   constexpr std::uint32_t kSite = simt::site_id("bench/stencil-row");
   simt::WarpRecorder recorder(spec);
   simt::KernelMetrics metrics;
-  const void* rows[kNodes * 9];
+  const void* firsts[kNodes * 3];
   for (auto _ : state) {
     for (std::uint64_t lane = 0; lane < 32; ++lane) {
       recorder.begin_lane();
       for (std::uint64_t k = 0; k < kSamples; ++k) {
-        const std::uint64_t ix = 1 + lane + (kSamples - 1 - k) * 30 / kSamples;
+        const std::uint64_t ix =
+            1 + lane + (kSamples - 1 - k) * (nx - 34) / kSamples;
         const std::uint64_t newest = 14 - k * 12 / kSamples;
         std::size_t q = 0;
         for (std::uint64_t node = 0; node < kNodes; ++node) {
-          const std::uint64_t iy = 20 + 4 * node;
+          const std::uint64_t iy = nx / 2 - 12 + 4 * node;
           for (std::uint64_t p = 0; p < 3; ++p) {
             const std::uint64_t plane = (newest - p) % kDepth;
-            for (std::uint64_t r = 0; r < 3; ++r) {
-              rows[q++] = reinterpret_cast<const void*>(
-                  kBase + plane * kPlaneBytes +
-                  ((iy - 1 + r) * kNx + ix - 1) * sizeof(double));
-            }
+            firsts[q++] = reinterpret_cast<const void*>(
+                kBase + plane * plane_bytes +
+                ((iy - 1) * nx + ix - 1) * sizeof(double));
           }
         }
-        recorder.load_run(kSite, rows, kRowBytes, q);
+        recorder.load_groups(kSite, firsts, q, 3, pitch, kRowBytes);
       }
     }
     benchmark::DoNotOptimize(recorder.finish(metrics));
@@ -254,7 +258,7 @@ void BM_AnalyzeWarpStencil(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           32 * kSamples * kNodes * 9);
 }
-BENCHMARK(BM_AnalyzeWarpStencil);
+BENCHMARK(BM_AnalyzeWarpStencil)->Arg(64)->Arg(40);
 
 /// One WakeIntegrand sample (a one-wide eval_batch) on a 128² Gaussian fill.
 void BM_WakeIntegrandEval(benchmark::State& state) {

@@ -6,9 +6,14 @@
 /// consecutive history grids, combined by quadratic (backward-Lagrange)
 /// interpolation in time. WakeIntegrand::eval_batch (wake_batch.cpp)
 /// evaluates it; the scalar reference in tests/wake_oracle.hpp is the
-/// one-sample form it is checked against. Every grid row touched is
-/// reported to the LaneProbe as one global load (3 contiguous doubles), so
-/// the SIMT model sees 9 loads per sample — 3 rows × 3 time planes.
+/// one-sample form it is checked against. Every grid row touched is one
+/// global load (3 contiguous doubles), so the SIMT model sees 9 loads per
+/// sample — 3 rows × 3 time planes. A plane's 3 rows sit one grid pitch
+/// (nx doubles) apart, and eval_batch reports them to the LaneProbe as one
+/// group (LaneProbe::load_groups); on every grid whose pitch is a whole
+/// number of L1 lines the warp analyzer then coalesces the group through
+/// its first row. The scalar reference reports the same 9 loads one by
+/// one.
 
 #include <cstdint>
 
@@ -24,7 +29,12 @@ inline constexpr std::uint32_t kStencilBoundsSite =
 inline constexpr std::uint32_t kStencilRowSite =
     simt::site_id("beam/stencil/row");
 
+/// Rows read per time plane, and time planes per in-bounds space–time
+/// sample.
+inline constexpr int kRowsPerPlane = 3;
+inline constexpr int kPlanesPerSample = 3;
+
 /// Global loads per in-bounds space–time sample (3 planes × 3 rows).
-inline constexpr int kLoadsPerSample = 9;
+inline constexpr int kLoadsPerSample = kPlanesPerSample * kRowsPerPlane;
 
 }  // namespace bd::beam

@@ -35,8 +35,8 @@ namespace bd::beam {
 
 namespace {
 
-constexpr std::size_t kMaxRows =
-    static_cast<std::size_t>(kMaxInnerPoints) * kLoadsPerSample;
+constexpr std::size_t kMaxGroups =
+    static_cast<std::size_t>(kMaxInnerPoints) * kPlanesPerSample;
 
 /// Geometry of one sample, hoisted out of the inner-node loop. Every field
 /// is produced by the same expression the scalar reference evaluates (per
@@ -45,27 +45,29 @@ struct LaneGeom {
   bool ix_ok = false;
   double wx[3] = {0.0, 0.0, 0.0};
   double l0 = 0.0, l1 = 0.0, l2 = 0.0;
-  // Row pointers of every in-bounds inner node, in the scalar reference's
-  // (node, plane, row) order; 9 per node.
-  const double* rows[kMaxRows];
-  std::size_t num_rows = 0;
+  // First-row pointers of every in-bounds inner node, in the scalar
+  // reference's (node, plane) order, 3 per node; row dy of a plane is dy
+  // grid rows (dy * nx doubles) past its first.
+  const double* firsts[kMaxGroups];
+  std::size_t num_groups = 0;
 };
 
 /// Inner accumulation for one lane: the exact op sequence of the scalar
 /// reference's inner loop, reading hoisted geometry.
-double lane_inner_scalar(const LaneGeom& g, const double* inner_w,
-                         const double* inner_wy, const bool* iy_ok, int ic) {
+double lane_inner_scalar(const LaneGeom& g, std::size_t nx,
+                         const double* inner_w, const double* inner_wy,
+                         const bool* iy_ok, int ic) {
   double inner = 0.0;
   std::size_t j = 0;
   for (int i = 0; i < ic; ++i) {
     double f = 0.0;
     if (g.ix_ok && iy_ok[i]) {
-      const double* const* rr = g.rows + 9 * j;
+      const double* const* planes = g.firsts + 3 * j;
       double fp[3];
       for (int p = 0; p < 3; ++p) {
         double acc = 0.0;
         for (int dy = 0; dy < 3; ++dy) {
-          const double* row = rr[3 * p + dy];
+          const double* row = planes[p] + static_cast<std::size_t>(dy) * nx;
           acc += inner_wy[3 * i + dy] *
                  (g.wx[0] * row[0] + g.wx[1] * row[1] + g.wx[2] * row[2]);
         }
@@ -97,7 +99,9 @@ void WakeIntegrand::eval_batch(const double* u, double* out, std::size_t n,
   const std::int64_t oldest =
       newest - static_cast<std::int64_t>(history_.depth()) + 1;
 
-  const void* addrs[kMaxRows];
+  const void* firsts[kMaxGroups];
+  // One plane's rows sit one grid pitch apart.
+  const auto pitch = static_cast<std::int64_t>(nx * sizeof(double));
 
   for (std::size_t k = 0; k < n; ++k) {
     LaneGeom lane;
@@ -132,35 +136,35 @@ void WakeIntegrand::eval_batch(const double* u, double* out, std::size_t n,
         if (!iy_ok[i]) continue;
         const std::int64_t iy = inner_iy_[static_cast<std::size_t>(i)];
         for (int p = 0; p < 3; ++p) {
-          const double* base =
+          lane.firsts[lane.num_groups++] =
               planes[p] + static_cast<std::size_t>(iy - 1) * nx +
               static_cast<std::size_t>(ix - 1);
-          lane.rows[lane.num_rows++] = base;
-          lane.rows[lane.num_rows++] = base + nx;
-          lane.rows[lane.num_rows++] = base + 2 * nx;
         }
       }
     }
     // Per-node bounds branches in node order, then the row loads in the
-    // scalar reference's (node, plane, row) order — per-site sequences
-    // identical to sampling one separation at a time.
+    // scalar reference's (node, plane, row) order, one group of 3 rows a
+    // grid pitch apart per (node, plane) — per-site sequences identical to
+    // sampling one separation at a time. probe_address is affine, so a
+    // plane's rows are its first's probe address plus whole pitches.
     for (int i = 0; i < ic; ++i) {
       const bool inside = lane.ix_ok && iy_ok[i];
       probe.branch(kStencilBoundsSite, inside);
       if (inside) flops += 12 + 10 + 3 * 18 + 5;
     }
-    if (lane.num_rows != 0) {
-      for (std::size_t q = 0; q < lane.num_rows; ++q) {
-        addrs[q] = history_.probe_address(lane.rows[q]);
+    if (lane.num_groups != 0) {
+      for (std::size_t q = 0; q < lane.num_groups; ++q) {
+        firsts[q] = history_.probe_address(lane.firsts[q]);
       }
-      probe.load_run(kStencilRowSite, addrs, 3 * sizeof(double),
-                     lane.num_rows);
+      probe.load_groups(kStencilRowSite, firsts, lane.num_groups,
+                        kRowsPerPlane, pitch, 3 * sizeof(double));
     }
     flops += 2 * static_cast<std::uint64_t>(ic) + 12;
     probe.count_flops(flops);
     const double kernel = radial_kernel(u[k]);
     const double inner =
-        lane_inner_scalar(lane, inner_w_.data(), inner_wy_.data(), iy_ok, ic);
+        lane_inner_scalar(lane, nx, inner_w_.data(), inner_wy_.data(), iy_ok,
+                          ic);
     out[k] = amplitude_ * kernel * inner;
   }
 }

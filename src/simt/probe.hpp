@@ -8,6 +8,7 @@
 ///
 /// Host-side (CPU) phases use NullProbe, which compiles to no-ops.
 
+#include <cstddef>
 #include <cstdint>
 
 namespace bd::simt {
@@ -44,16 +45,27 @@ class LaneProbe {
   /// Record the outcome of a data-dependent branch at `site`.
   virtual void branch(std::uint32_t site, bool taken) = 0;
 
-  /// Record `count` same-width loads issued from static site `site`, in
-  /// program order. Semantically identical to `count` sequential load()
-  /// calls — the default implementation is exactly that loop. Batched
-  /// evaluation paths pay one virtual dispatch per sample block instead of
-  /// one per row, and the warp analyzer (WarpRecorder) overrides it to
-  /// resolve the site once per run; an override must still behave exactly
-  /// like the loop.
-  virtual void load_run(std::uint32_t site, const void* const* addrs,
-                        std::uint32_t bytes, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) load(site, addrs[i], bytes);
+  /// Record `count` groups of `rows` same-width loads issued from static
+  /// site `site`, in program order: row r of group g is at
+  /// `firsts[g] + r * row_stride` bytes, and the stride may be zero or
+  /// negative. Semantically identical to `count * rows` load() calls in
+  /// (g, r) order — the default implementation is exactly that loop, and an
+  /// override must still behave exactly like it. Batched evaluation paths
+  /// pay one virtual dispatch per sample block instead of one per row. The
+  /// warp analyzer (WarpRecorder) overrides it to resolve the site once per
+  /// call and, when the stride is a whole number of cache lines, to
+  /// coalesce each group through its first row: every other row touches
+  /// the same lines shifted by whole strides.
+  virtual void load_groups(std::uint32_t site, const void* const* firsts,
+                           std::size_t count, std::uint32_t rows,
+                           std::int64_t row_stride, std::uint32_t bytes) {
+    const auto stride = static_cast<std::uintptr_t>(row_stride);
+    for (std::size_t g = 0; g < count; ++g) {
+      const auto first = reinterpret_cast<std::uintptr_t>(firsts[g]);
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        load(site, reinterpret_cast<const void*>(first + r * stride), bytes);
+      }
+    }
   }
 };
 
@@ -64,8 +76,8 @@ class NullProbe final : public LaneProbe {
   void load(std::uint32_t, const void*, std::uint32_t) override {}
   void loop_trip(std::uint32_t, std::uint64_t) override {}
   void branch(std::uint32_t, bool) override {}
-  void load_run(std::uint32_t, const void* const*, std::uint32_t,
-                std::size_t) override {}
+  void load_groups(std::uint32_t, const void* const*, std::size_t,
+                   std::uint32_t, std::int64_t, std::uint32_t) override {}
 
   /// Shared instance: NullProbe is stateless.
   static NullProbe& instance() {

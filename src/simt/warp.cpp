@@ -17,6 +17,19 @@ constexpr std::uint16_t kInitialLines = 8;
 /// The largest power-of-two capacity a line set's 16-bit field holds.
 constexpr std::uint16_t kMaxLines = 1u << 15;
 
+/// Writes `lines[0, n) + offset` (modulo 2^64) to `out`, ascending, for
+/// ascending `lines`: the lines at or above 2^64 - offset wrap round to
+/// below the others, so they come first.
+void shift_lines(const std::uint64_t* lines, std::size_t n,
+                 std::uint64_t offset, std::uint64_t* out) {
+  const std::uint64_t* const end = lines + n;
+  const std::uint64_t* const wrap =
+      offset == 0 ? end : std::lower_bound(lines, end, 0 - offset);
+  const auto add = [offset](std::uint64_t line) { return line + offset; };
+  out = std::transform(wrap, end, out, add);
+  std::transform(lines, wrap, out, add);
+}
+
 }  // namespace
 
 void varint::Buffer::grow(std::size_t n) {
@@ -96,17 +109,78 @@ inline void WarpRecorder::insert_line(LineSet& set, std::uint64_t line) {
   insert_below_last(set, line);
 }
 
-void WarpRecorder::load_run(std::uint32_t site, const void* const* addrs,
-                            std::uint32_t bytes, std::size_t count) {
-  LineSet* const sets = loads_.next(site, count);
-  sums_.load_events += count;
-  sums_.bytes_requested += std::uint64_t{bytes} * count;
+void WarpRecorder::load_groups(std::uint32_t site, const void* const* firsts,
+                               std::size_t count, std::uint32_t rows,
+                               std::int64_t row_stride, std::uint32_t bytes) {
+  const std::uint64_t loads = std::uint64_t{rows} * count;
+  if (loads == 0) return;
+  sums_.load_events += loads;
+  sums_.bytes_requested += std::uint64_t{bytes} * loads;
+  const auto stride = static_cast<std::uint64_t>(row_stride);
   const std::uint32_t line_bytes = line_bytes_;
-  for (std::size_t i = 0; i < count; ++i) {
-    for_each_line(reinterpret_cast<std::uint64_t>(addrs[i]), bytes,
-                  line_bytes,
-                  [&](std::uint64_t line) { insert_line(sets[i], line); });
+  const std::uint32_t index = loads_.find(site);
+  LoadShape& site_shape = loads_.shape(index);
+  // Only a stride of whole lines shifts every lane's rows by whole lines,
+  // so only a call of several rows at such a stride keeps group slots.
+  if (rows > 1 && (stride & (line_bytes - 1)) == 0) {
+    const LoadShape shape{rows, stride};
+    if (site_shape.rows == 0) site_shape = shape;
+    if (site_shape.rows > 1 && site_shape != shape) rows_from_now(index);
+  } else if (site_shape.rows != 1) {
+    rows_from_now(index);
   }
+  if (site_shape.rows > 1) {  // the call's shape: a slot per group
+    LineSet* const sets = loads_.next(index, count);
+    for (std::size_t g = 0; g < count; ++g) {
+      for_each_line(reinterpret_cast<std::uint64_t>(firsts[g]), bytes,
+                    line_bytes,
+                    [&](std::uint64_t line) { insert_line(sets[g], line); });
+    }
+    return;
+  }
+  LineSet* set = loads_.next(index, loads);  // a slot per row
+  for (std::size_t g = 0; g < count; ++g) {
+    const auto first = reinterpret_cast<std::uint64_t>(firsts[g]);
+    for (std::uint32_t r = 0; r < rows; ++r, ++set) {
+      for_each_line(first + r * stride, bytes, line_bytes,
+                    [&](std::uint64_t line) { insert_line(*set, line); });
+    }
+  }
+}
+
+void WarpRecorder::rows_from_now(std::uint32_t index) {
+  LoadShape& shape = loads_.shape(index);
+  const LoadShape groups = shape;
+  shape = LoadShape{1, 0};
+  if (groups.rows == 0) return;  // the site's first load
+  loads_.split(index, groups.rows, [&](const LineSet& group, LineSet* rows) {
+    rows[0] = group;
+    for (std::uint32_t r = 1; r < groups.rows; ++r) {
+      rows[r] = shifted(group, r * groups.stride);
+    }
+  });
+}
+
+WarpRecorder::LineSet WarpRecorder::shifted(const LineSet& set,
+                                            std::uint64_t offset) {
+  if (set.size == 0) return LineSet{};
+  LineSet copy = set;
+  copy.begin = static_cast<std::uint32_t>(arena_.size());
+  arena_.resize(arena_.size() + set.capacity);
+  std::uint64_t* const out = arena_.data() + copy.begin;
+  shift_lines(arena_.data() + set.begin, set.size, offset, out);
+  copy.last = out[set.size - 1];
+  return copy;
+}
+
+inline void WarpRecorder::emit(const LineSet& set, std::uint64_t offset) {
+  const std::uint64_t* lines = arena_.data() + set.begin;
+  if (offset != 0) {
+    shifted_.resize(set.size);
+    shift_lines(lines, set.size, offset, shifted_.data());
+    lines = shifted_.data();
+  }
+  stream_.add(lines, set.size);
 }
 
 void WarpRecorder::insert_below_last(LineSet& set, std::uint64_t line) {
@@ -140,13 +214,13 @@ void WarpRecorder::grow(LineSet& set) {
 }
 
 void WarpRecorder::loop_trip(std::uint32_t site, std::uint64_t trips) {
-  std::uint64_t& max_trips = *loops_.next(site, 1);
+  std::uint64_t& max_trips = *loops_.next(loops_.find(site), 1);
   max_trips = std::max(max_trips, trips);
   sums_.loop_trips += trips;
 }
 
 void WarpRecorder::branch(std::uint32_t site, bool taken) {
-  *branches_.next(site, 1) |= taken ? 1 : 2;
+  *branches_.next(branches_.find(site), 1) |= taken ? 1 : 2;
   ++sums_.branch_events;
 }
 
@@ -155,11 +229,13 @@ WarpReplay WarpRecorder::finish(KernelMetrics& out) {
   out.warp_size = warp_size_;
 
   // ---- loads: one issue slot each, one transaction per distinct line ------
-  const std::size_t num_loads = loads_.size();
+  // A group slot is `rows` loads, row r its lines shifted by r strides.
+  std::size_t num_loads = 0;
   std::size_t num_lines = 0;
-  loads_.for_each([&](const LineSet& set) {
-    stream_.add(arena_.data() + set.begin, set.size);
-    num_lines += set.size;
+  loads_.for_each([&](const LineSet& set, const LoadShape& shape) {
+    for (std::uint32_t r = 0; r < shape.rows; ++r) emit(set, r * shape.stride);
+    num_loads += shape.rows;
+    num_lines += std::size_t{set.size} * shape.rows;
   });
   WarpReplay replay = stream_.take();
   out.load_instructions += num_loads;

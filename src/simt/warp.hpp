@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "simt/cache.hpp"
@@ -212,6 +213,18 @@ class MissBucket {
 /// position) order. Tables, line storage and the stream writer's buffer are
 /// reused across warps, so a warm recorder allocates only the streams it
 /// returns.
+///
+/// A load slot stands for one group of its site's shape. The first report
+/// at a site in a warp sets the shape: a load_groups() call of more than
+/// one row at a stride of whole L1 lines makes each slot one group of
+/// that many rows at that stride, and every other report makes each slot
+/// one row. A group slot holds the lines of the group's first row only:
+/// row r of every lane sits r strides past its first row, so the rows'
+/// line sets are the first row's shifted by r strides, and finish() emits
+/// them so. A lane that reports at a group site in another shape first
+/// splits the site's group slots into row slots in place, which is exact:
+/// every earlier report there was whole groups of the one shape, so each
+/// lane's occurrence count at the site was a whole number of groups.
 class WarpRecorder final : public LaneProbe {
  public:
   explicit WarpRecorder(const DeviceSpec& spec);
@@ -220,18 +233,19 @@ class WarpRecorder final : public LaneProbe {
   void begin_lane();
 
   void count_flops(std::uint64_t n) override { sums_.flops += n; }
-  /// A run of one row.
+  /// A group of one row: the site's slots are row slots from this load on.
   void load(std::uint32_t site, const void* addr,
             std::uint32_t bytes) override {
-    load_run(site, &addr, bytes, 1);
+    load_groups(site, &addr, 1, 1, 0, bytes);
   }
   void loop_trip(std::uint32_t site, std::uint64_t trips) override;
   void branch(std::uint32_t site, bool taken) override;
-  /// Resolves `site` once for the whole run. Row i is the lane's (n + i)-th
-  /// load at `site`, where n counts its loads there before the run, exactly
-  /// as with `count` load() calls.
-  void load_run(std::uint32_t site, const void* const* addrs,
-                std::uint32_t bytes, std::size_t count) override;
+  /// Resolves `site` once for the whole call. Row r of group g is the
+  /// lane's (n + g * rows + r)-th load at `site`, where n counts its loads
+  /// there before the call, exactly as with `count * rows` load() calls.
+  void load_groups(std::uint32_t site, const void* const* firsts,
+                   std::size_t count, std::uint32_t rows,
+                   std::int64_t row_stride, std::uint32_t bytes) override;
 
   /// End the warp: accumulates its divergence/coalescing statistics into
   /// `out`, returns its transaction stream for cache replay and resets the
@@ -239,12 +253,16 @@ class WarpRecorder final : public LaneProbe {
   WarpReplay finish(KernelMetrics& out);
 
  private:
+  /// The shape of a loop or branch site's slots: there is none.
+  struct NoShape {};
+
   /// Occurrence counting for one event kind: the n-th event a lane reports
   /// at a site belongs to warp-level instruction (site, n). Holds one
   /// `Slot` per instruction, per site in occurrence order, and the site of
-  /// every instruction in the order lanes first reached them. A kernel has
-  /// few sites, so lookup is a scan behind a last-hit check.
-  template <typename Slot>
+  /// every instruction in the order lanes first reached them, and one
+  /// `Shape` per site. A kernel has few sites, so lookup is a scan behind a
+  /// last-hit check.
+  template <typename Slot, typename Shape = NoShape>
   class SiteTable {
    public:
     /// Forget every instruction (start of a warp); keeps capacity.
@@ -260,11 +278,27 @@ class WarpRecorder final : public LaneProbe {
       for (std::size_t i = 0; i < used_; ++i) sites_[i].next = 0;
     }
 
-    /// The slots of the lane's next `count` events at `site`, in
+    /// The index of `id`'s site; a site new to the warp starts with no
+    /// instruction and a `Shape{}`.
+    std::uint32_t find(std::uint32_t id) {
+      if (last_ < used_ && sites_[last_].id == id) return last_;
+      for (std::uint32_t i = 0; i < used_; ++i) {
+        if (sites_[i].id == id) return last_ = i;
+      }
+      if (used_ == sites_.size()) sites_.emplace_back();
+      Site& s = sites_[used_];
+      s.id = id;
+      s.next = 0;
+      s.shape = Shape{};
+      return last_ = used_++;
+    }
+
+    Shape& shape(std::uint32_t index) { return sites_[index].shape; }
+
+    /// The slots of the lane's next `count` events at site `index`, in
     /// occurrence order. Instructions no earlier lane reached start as
     /// `Slot{}`.
-    Slot* next(std::uint32_t site, std::size_t count) {
-      const std::uint32_t index = find(site);
+    Slot* next(std::uint32_t index, std::size_t count) {
       Site& s = sites_[index];
       const std::size_t occ = s.next;
       for (std::size_t k = s.slots.size(); k < occ + count; ++k) {
@@ -275,40 +309,57 @@ class WarpRecorder final : public LaneProbe {
       return s.slots.data() + occ;
     }
 
-    /// Visit every slot in the order lanes first reached it. A site's
-    /// instructions were created in occurrence order, so one cursor per
-    /// site walks them; the cursors are the occurrence counters, so call
-    /// this only after the warp's last lane.
+    /// Split each instruction at site `index` into `parts` consecutive
+    /// ones, in place: in the site's occurrence order, in the order lanes
+    /// first reached them and in the lane's occurrence count.
+    /// `fill(slot, out)` writes the `parts` slots that replace `slot`.
+    template <typename Fill>
+    void split(std::uint32_t index, std::uint32_t parts, Fill&& fill) {
+      Site& s = sites_[index];
+      const std::size_t n = s.slots.size();
+      s.slots.resize(n * parts);
+      for (std::size_t k = n; k-- > 0;) {
+        const Slot slot = s.slots[k];
+        fill(slot, s.slots.data() + k * parts);
+      }
+      // Each of the site's n entries in order_ becomes `parts` entries.
+      const std::size_t old = order_.size();
+      order_.resize(old + n * (parts - 1));
+      std::size_t out = order_.size();
+      for (std::size_t i = old; i-- > 0;) {
+        const std::uint32_t entry = order_[i];
+        for (std::uint32_t c = entry == index ? parts : 1; c > 0; --c) {
+          order_[--out] = entry;
+        }
+      }
+      s.next *= parts;
+    }
+
+    /// Visit every slot, with its site's shape unless the table has none,
+    /// in the order lanes first reached it. A site's instructions were
+    /// created in occurrence order, so one cursor per site walks them; the
+    /// cursors are the occurrence counters, so call this only after the
+    /// warp's last lane.
     template <typename Fn>
     void for_each(Fn&& fn) {
       next_lane();
       for (std::uint32_t index : order_) {
         Site& s = sites_[index];
-        fn(s.slots[s.next++]);
+        if constexpr (std::is_same_v<Shape, NoShape>) {
+          fn(s.slots[s.next++]);
+        } else {
+          fn(s.slots[s.next++], s.shape);
+        }
       }
     }
-
-    /// Number of instructions.
-    std::size_t size() const { return order_.size(); }
 
    private:
     struct Site {
       std::uint32_t id = 0;
       std::uint32_t next = 0;
+      [[no_unique_address]] Shape shape;
       std::vector<Slot> slots;
     };
-
-    std::uint32_t find(std::uint32_t id) {
-      if (last_ < used_ && sites_[last_].id == id) return last_;
-      for (std::uint32_t i = 0; i < used_; ++i) {
-        if (sites_[i].id == id) return last_ = i;
-      }
-      if (used_ == sites_.size()) sites_.emplace_back();
-      Site& s = sites_[used_];
-      s.id = id;
-      s.next = 0;
-      return last_ = used_++;
-    }
 
     std::vector<Site> sites_;  // [0, used_) are live; the rest keep capacity
     std::uint32_t used_ = 0;
@@ -329,6 +380,16 @@ class WarpRecorder final : public LaneProbe {
   };
   static_assert(sizeof(LineSet) == 16);
 
+  /// What a load site's slots stand for: groups of `rows` loads, row r
+  /// `r * stride` bytes (a whole number of L1 lines) past row 0, or single
+  /// rows (`rows` 1, `stride` 0). `rows` is 0 until the site's first load
+  /// in the warp.
+  struct LoadShape {
+    std::uint32_t rows = 0;
+    std::uint64_t stride = 0;
+    bool operator==(const LoadShape&) const = default;
+  };
+
   /// Totals that do not depend on the grouping, summed as events arrive.
   struct Sums {
     std::uint64_t flops = 0;
@@ -341,15 +402,24 @@ class WarpRecorder final : public LaneProbe {
   void insert_line(LineSet& set, std::uint64_t line);
   void insert_below_last(LineSet& set, std::uint64_t line);
   void grow(LineSet& set);
+  /// Makes the slots of load site `index` row slots from now on: sets the
+  /// shape of a new site, and splits the slots of a group site.
+  void rows_from_now(std::uint32_t index);
+  /// A copy of `set` with `offset` added to every line, in a new arena
+  /// slice of the same capacity.
+  LineSet shifted(const LineSet& set, std::uint64_t offset);
+  /// Appends the lines of `set` plus `offset` to the stream as one load.
+  void emit(const LineSet& set, std::uint64_t offset);
 
   std::uint32_t warp_size_;
   std::uint32_t line_bytes_;
   std::uint32_t lanes_ = 0;
-  SiteTable<LineSet> loads_;          // instruction -> its distinct lines
-  SiteTable<std::uint64_t> loops_;    // instruction -> longest trip count
-  SiteTable<std::uint8_t> branches_;  // instruction -> bit 0 taken seen,
-                                      //   bit 1 not-taken seen
-  std::vector<std::uint64_t> arena_;  // the slices of every LineSet
+  SiteTable<LineSet, LoadShape> loads_;  // instruction -> its distinct lines
+  SiteTable<std::uint64_t> loops_;       // instruction -> longest trip count
+  SiteTable<std::uint8_t> branches_;     // instruction -> bit 0 taken seen,
+                                         //   bit 1 not-taken seen
+  std::vector<std::uint64_t> arena_;     // the slices of every LineSet
+  std::vector<std::uint64_t> shifted_;   // a derived row's lines, for emit()
   StreamWriter stream_;
   Sums sums_;
 };

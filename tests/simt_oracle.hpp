@@ -86,10 +86,11 @@ class CountingProbe final : public simt::LaneProbe {
     loop_iterations_ += trips;
   }
   void branch(std::uint32_t, bool) override { ++branches_; }
-  void load_run(std::uint32_t, const void* const*, std::uint32_t bytes,
-                std::size_t count) override {
-    load_bytes_ += static_cast<std::uint64_t>(bytes) * count;
-    loads_ += count;
+  void load_groups(std::uint32_t, const void* const*, std::size_t count,
+                   std::uint32_t rows, std::int64_t,
+                   std::uint32_t bytes) override {
+    load_bytes_ += static_cast<std::uint64_t>(bytes) * rows * count;
+    loads_ += std::uint64_t{rows} * count;
   }
 
   std::uint64_t flops() const { return flops_; }

@@ -206,10 +206,13 @@ KernelMetrics oracle_launch(const DeviceSpec& spec,
   return metrics;
 }
 
-/// Every event kind, load_run included, and a site id shared by a load and
-/// a branch.
+/// Every event kind, load_groups included, and a site id shared by a load
+/// and a branch. Groups come at a stride of whole lines (4 lines; even
+/// blocks keep one shape there, odd blocks give every fifth lane 2 rows,
+/// which splits the site's group slots) and at a stride that is not.
 KernelFn mixed_kernel() {
   constexpr std::uint32_t kRun = site_id("exec/run");
+  constexpr std::uint32_t kOddRun = site_id("exec/odd-run");
   constexpr std::uint32_t kShared = site_id("exec/shared");
   // Fixed device-virtual addresses: the cache replay must not depend on
   // where the host heap puts anything.
@@ -225,11 +228,13 @@ KernelFn mixed_kernel() {
       p.load(kLoad, word(g * 3 + k * 97), 8);
     }
     if (g % 3 == 0) p.load(kShared, word((g * 131) % 4096), 24);
-    const void* run[4];
+    const void* firsts[4];
     for (std::uint32_t r = 0; r < 4; ++r) {
-      run[r] = word(ctx.block_id * 512 + ctx.thread_id * 4 + r * 64);
+      firsts[r] = word(ctx.block_id * 512 + ctx.thread_id * 4 + r * 200);
     }
-    p.load_run(kRun, run, 16, 1 + g % 4);
+    const std::uint32_t rows = ctx.block_id % 2 == 1 && g % 5 == 0 ? 2 : 3;
+    p.load_groups(kRun, firsts, 1 + g % 4, rows, 512, 16);
+    p.load_groups(kOddRun, firsts, 1 + g % 2, 2, 8 * 37, 16);
     p.count_flops(10 + g % 7);
     p.branch(kShared, trips > 2);
   };

@@ -25,6 +25,8 @@ TEST(NullProbe, IsSharedAndInert) {
   p.load(1, nullptr, 8);
   p.loop_trip(2, 100);
   p.branch(3, true);
+  const void* const first = nullptr;
+  p.load_groups(1, &first, 1, 3, 512, 24);
 }
 
 TEST(CountingProbe, AccumulatesAllKinds) {
@@ -44,6 +46,40 @@ TEST(CountingProbe, AccumulatesAllKinds) {
   p.reset();
   EXPECT_EQ(p.flops(), 0u);
   EXPECT_EQ(p.loads(), 0u);
+}
+
+TEST(LaneProbe, GroupsExpandToLoadsInGroupRowOrder) {
+  // The default load_groups is `count * rows` load() calls in (group, row)
+  // order, row r of group g at firsts[g] + r * row_stride, for a stride up,
+  // down (wrapping round 0) and zero.
+  const void* const firsts[] = {reinterpret_cast<const void*>(0x1000),
+                                reinterpret_cast<const void*>(0x40)};
+  for (std::int64_t stride : {std::int64_t{512}, std::int64_t{-200},
+                              std::int64_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "stride " << stride);
+    bd::testing::LaneTrace trace;
+    trace.load_groups(7, firsts, 2, 3, stride, 24);
+    ASSERT_EQ(trace.loads().size(), 6u);
+    std::size_t k = 0;
+    for (const void* first : firsts) {
+      for (std::int64_t r = 0; r < 3; ++r, ++k) {
+        EXPECT_EQ(trace.loads()[k].site, 7u);
+        EXPECT_EQ(trace.loads()[k].bytes, 24u);
+        EXPECT_EQ(trace.loads()[k].addr,
+                  reinterpret_cast<std::uint64_t>(first) +
+                      static_cast<std::uint64_t>(r * stride));
+      }
+    }
+  }
+  bd::testing::LaneTrace empty;
+  empty.load_groups(7, firsts, 2, 0, 512, 24);
+  empty.load_groups(7, firsts, 0, 3, 512, 24);
+  EXPECT_TRUE(empty.loads().empty());
+
+  bd::testing::CountingProbe counts;
+  counts.load_groups(7, firsts, 2, 3, 512, 24);
+  EXPECT_EQ(counts.loads(), 6u);
+  EXPECT_EQ(counts.load_bytes(), 6u * 24);
 }
 
 TEST(DeviceSpec, K40Defaults) {

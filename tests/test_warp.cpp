@@ -160,15 +160,22 @@ TEST(Warp, EmptyWarpRejected) {
   EXPECT_THROW(recorder.begin_lane(), CheckError);
 }
 
+/// Strides of the random groups: whole 128-byte lines up, down and zero,
+/// and strides that are not whole lines.
+constexpr std::int64_t kStrides[] = {0, 128, 512, -256, -4096, 24, -200, 1};
+
 /// A random warp of 1-32 lanes covering the analyzer's grouping cases:
 /// three load, two loop and two branch sites plus one site id used by both
 /// a load and a branch; every lane picks its own site sequence, so lanes
 /// visit sites in different orders and reach different occurrences; loads
 /// are coalesced, broadcast, scattered, zero-byte, line-straddling or many
-/// lines wide, and a quarter of the load events are runs of 0-70 rows of
-/// one width at one site, as the batched kernels issue them. Each lane
-/// reports its events to its own trace and to `recorder`, in a random
-/// interleaving of the event kinds.
+/// lines wide. A quarter of the load events are load_groups() calls of 0-23
+/// groups of 1-4 rows at a stride from kStrides, as the batched kernels
+/// issue them. In half the warps "load-c" takes only groups of 3 rows 512
+/// bytes apart, so its group slots last to finish(); in the others a lane
+/// may report it in another shape, which splits them. Each lane reports
+/// its events to its own trace and to `recorder`, in a random interleaving
+/// of the event kinds.
 std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
   constexpr std::uint32_t kLoadSites[] = {
       site_id("oracle/load-a"), site_id("oracle/load-b"),
@@ -181,7 +188,8 @@ std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
   constexpr std::uint32_t kWidths[] = {0, 4, 8, 24, 200};
 
   std::vector<LaneTrace> lanes(1 + rng.uniform_index(32));
-  std::vector<const void*> rows;
+  const bool groups_only_at_c = rng.uniform_index(2) == 0;
+  std::vector<const void*> firsts;
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
     recorder.begin_lane();
     LaneProbe* const probes[] = {&lanes[lane], &recorder};
@@ -196,29 +204,42 @@ std::vector<LaneTrace> random_warp(util::Rng& rng, WarpRecorder& recorder) {
       while (pick >= left[kind]) pick -= left[kind++];
       --left[kind];
       if (kind == 0) {
-        const std::uint32_t site = kLoadSites[rng.uniform_index(4)];
+        const std::size_t site_index = rng.uniform_index(4);
+        const std::uint32_t site = kLoadSites[site_index];
         std::uint32_t bytes = kWidths[rng.uniform_index(5)];
         const std::uint64_t pattern = rng.uniform_index(4);
         if (pattern == 2) {  // wide: many lines from one lane
           bytes = 128 * static_cast<std::uint32_t>(1 + rng.uniform_index(12));
         }
-        const bool run = rng.uniform_index(4) == 0;
-        rows.resize(run ? rng.uniform_index(71) : 1);
-        for (const void*& row : rows) {
+        const bool usual_c =
+            site_index == 2 && (groups_only_at_c || rng.uniform_index(8) != 0);
+        const bool grouped = usual_c || rng.uniform_index(4) == 0;
+        std::uint32_t rows = 1;
+        std::int64_t stride = 0;
+        if (usual_c) {
+          rows = 3;
+          stride = 512;
+        } else if (grouped) {
+          rows = 1 + static_cast<std::uint32_t>(rng.uniform_index(4));
+          stride = kStrides[rng.uniform_index(std::size(kStrides))];
+        }
+        firsts.resize(grouped ? rng.uniform_index(24) : 1);
+        for (const void*& first : firsts) {
           std::uint64_t addr = 0x10000 + lane * 8 + i * 256;  // coalesced
           if (pattern == 0) {
             addr = 0x8000 + i * 8;  // same for every lane
           } else if (pattern != 3) {
             addr = 8 * rng.uniform_index(1 << 16);  // scattered or wide
           }
-          row = reinterpret_cast<const void*>(addr);
+          first = reinterpret_cast<const void*>(addr);
           ++i;
         }
         for (LaneProbe* p : probes) {
-          if (run) {
-            p->load_run(site, rows.data(), bytes, rows.size());
+          if (grouped) {
+            p->load_groups(site, firsts.data(), firsts.size(), rows, stride,
+                           bytes);
           } else {
-            p->load(site, rows[0], bytes);
+            p->load(site, firsts[0], bytes);
           }
         }
       } else if (kind == 1) {
@@ -295,46 +316,189 @@ TEST(Warp, RecorderResetsBetweenWarps) {
 }
 
 TEST(Warp, RunsMatchSingleLoads) {
-  // load_run is `count` load() calls: the same rows issued one by one and
-  // grouped into runs give the same stream and counters. Lanes run
-  // different numbers of rows at each site, so a run can start at any
-  // occurrence and reach instructions no earlier lane did.
+  // load_groups is `count * rows` load() calls in (group, row) order: the
+  // same rows issued one by one and as groups give the same stream and
+  // counters, at 128- and 32-byte lines. Groups have 1-4 rows at strides
+  // of whole lines (up, down and zero) and not, of 0, 8, 24 or 200 bytes,
+  // so some rows straddle a line. Lanes issue different numbers of groups
+  // at each site, so a group can start at any occurrence and reach
+  // instructions no earlier lane did. In half the warps each site keeps
+  // one shape, so its group slots last to finish(); in the others a lane
+  // may change it. A sixth of the groups start near address 0, where a
+  // negative stride wraps a row round 2^64.
   constexpr std::uint32_t kSites[] = {site_id("runs/a"), site_id("runs/b")};
   constexpr std::uint32_t kWidths[] = {0, 8, 24, 200};
-  const DeviceSpec spec = tesla_k40();
+  // Row r of a group, modulo 2^64 as load_groups places it.
+  const auto row_of = [](const void* first, std::uint32_t r,
+                         std::int64_t stride) {
+    return reinterpret_cast<const void*>(
+        reinterpret_cast<std::uintptr_t>(first) +
+        r * static_cast<std::uintptr_t>(stride));
+  };
+  DeviceSpec specs[2] = {tesla_k40(), tesla_k40()};
+  specs[1].l1_line_bytes = 32;
   util::Rng rng(1123);
-  WarpRecorder singles(spec);
-  WarpRecorder runs(spec);
-  std::vector<const void*> rows;
+  std::vector<const void*> firsts;
   std::uint64_t loads = 0;
-  for (int warp = 0; warp < 60; ++warp) {
-    SCOPED_TRACE(::testing::Message() << "warp " << warp);
-    const std::size_t lanes = 1 + rng.uniform_index(32);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      singles.begin_lane();
-      runs.begin_lane();
-      for (std::uint64_t n = rng.uniform_index(8); n > 0; --n) {
-        const std::uint32_t site = kSites[rng.uniform_index(2)];
-        const std::uint32_t bytes = kWidths[rng.uniform_index(4)];
-        rows.resize(rng.uniform_index(71));
-        for (const void*& row : rows) {
-          row = reinterpret_cast<const void*>(
-              0x4000'0000 + 8 * (lane + rng.uniform_index(2048)));
+  for (const DeviceSpec& spec : specs) {
+    SCOPED_TRACE(::testing::Message() << spec.l1_line_bytes << "-byte lines");
+    WarpRecorder singles(spec);
+    WarpRecorder groups(spec);
+    for (int warp = 0; warp < 60; ++warp) {
+      SCOPED_TRACE(::testing::Message() << "warp " << warp);
+      struct Shape {
+        std::uint32_t rows;
+        std::int64_t stride;
+        std::uint32_t bytes;
+      };
+      const auto random_shape = [&] {
+        return Shape{1 + static_cast<std::uint32_t>(rng.uniform_index(4)),
+                     kStrides[rng.uniform_index(std::size(kStrides))],
+                     kWidths[rng.uniform_index(4)]};
+      };
+      const Shape fixed[] = {random_shape(), random_shape()};
+      const bool one_shape = warp % 2 == 0;
+      const std::size_t lanes = 1 + rng.uniform_index(32);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        singles.begin_lane();
+        groups.begin_lane();
+        for (std::uint64_t n = rng.uniform_index(8); n > 0; --n) {
+          const std::size_t site = rng.uniform_index(2);
+          const Shape shape = one_shape ? fixed[site] : random_shape();
+          const bool near_zero = rng.uniform_index(6) == 0;
+          firsts.resize(rng.uniform_index(24));
+          for (const void*& first : firsts) {
+            const std::uint64_t word = lane + rng.uniform_index(2048);
+            first = reinterpret_cast<const void*>(
+                near_zero ? 8 * (word % 64) : 0x4000'0000 + 8 * word);
+          }
+          for (const void* first : firsts) {
+            for (std::uint32_t r = 0; r < shape.rows; ++r) {
+              singles.load(kSites[site], row_of(first, r, shape.stride),
+                           shape.bytes);
+            }
+          }
+          groups.load_groups(kSites[site], firsts.data(), firsts.size(),
+                             shape.rows, shape.stride, shape.bytes);
         }
-        for (const void* row : rows) singles.load(site, row, bytes);
-        runs.load_run(site, rows.data(), bytes, rows.size());
       }
+      KernelMetrics want;
+      KernelMetrics got;
+      const WarpReplay expected = singles.finish(want);
+      const WarpReplay replay = groups.finish(got);
+      bd::testing::expect_identical(got, want);
+      EXPECT_EQ(oracle::loads_of(replay, spec.l1_line_bytes),
+                oracle::loads_of(expected, spec.l1_line_bytes));
+      loads += got.load_instructions;
     }
-    KernelMetrics want;
-    KernelMetrics got;
-    const WarpReplay expected = singles.finish(want);
-    const WarpReplay replay = runs.finish(got);
-    bd::testing::expect_identical(got, want);
-    EXPECT_EQ(oracle::loads_of(replay, spec.l1_line_bytes),
-              oracle::loads_of(expected, spec.l1_line_bytes));
-    loads += got.load_instructions;
+
+    // A group's rows hit the 2^15-line cap of a line set where single
+    // loads do: 2^15 lines a row pass, one more throws.
+    constexpr std::uint32_t kMax = 1u << 15;
+    const std::int64_t stride = 4 * std::int64_t{spec.l1_line_bytes};
+    const void* const first = reinterpret_cast<const void*>(0x4000'0000);
+    for (std::uint32_t lines : {kMax, kMax + 1}) {
+      SCOPED_TRACE(::testing::Message() << lines << " lines a row");
+      const std::uint32_t bytes = lines * spec.l1_line_bytes;
+      singles.begin_lane();
+      groups.begin_lane();
+      if (lines > kMax) {
+        EXPECT_THROW(singles.load(kSites[0], first, bytes), CheckError);
+        EXPECT_THROW(groups.load_groups(kSites[0], &first, 1, 3, stride, bytes),
+                     CheckError);
+        continue;
+      }
+      for (std::uint32_t r = 0; r < 3; ++r) {
+        singles.load(kSites[0], row_of(first, r, stride), bytes);
+      }
+      groups.load_groups(kSites[0], &first, 1, 3, stride, bytes);
+      KernelMetrics want;
+      KernelMetrics got;
+      const oracle::LoadStream expected =
+          oracle::loads_of(singles.finish(want), spec.l1_line_bytes);
+      EXPECT_EQ(oracle::loads_of(groups.finish(got), spec.l1_line_bytes),
+                expected);
+      bd::testing::expect_identical(got, want);
+      ASSERT_EQ(expected.size(), 3u);
+      EXPECT_EQ(expected[2].size(), kMax);
+    }
   }
   EXPECT_GT(loads, 0u);
+}
+
+TEST(Warp, GroupSiteSplitsInPlace) {
+  // A load site's slots stand for groups of the first shape reported
+  // there, and a lane that reports the site in another shape splits them
+  // into row slots in place. The first `group_lanes` lanes report the site
+  // as groups of 3 rows 4 lines apart; the last of them switches to single
+  // loads partway, which splits the site in its first lane or after nine
+  // lanes of groups. Lanes up to 19 then report single loads (lane 12
+  // switches to groups partway) and the rest groups 2 lines apart. In the
+  // case without single loads, lanes from `group_lanes` on report groups 2
+  // lines apart, so the second stride splits the site. Between calls each
+  // lane loads at a second site, which splits never touch, so the stream
+  // must keep the order lanes first reached each instruction. Compared
+  // with the hash-map oracle at 128- and 32-byte lines.
+  constexpr std::uint32_t kSite = site_id("split/rows");
+  constexpr std::uint32_t kOther = site_id("split/other");
+  struct Case {
+    std::size_t group_lanes;
+    bool singles;
+  };
+  for (std::uint32_t line_bytes : {128u, 32u}) {
+    for (const Case c : {Case{1, true}, Case{10, true}, Case{10, false}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << line_bytes << "-byte lines, " << c.group_lanes
+                   << " group lanes" << (c.singles ? ", single loads" : ""));
+      DeviceSpec spec = tesla_k40();
+      spec.l1_line_bytes = line_bytes;
+      const std::int64_t line = line_bytes;
+      // The stride of a lane's call-th report; 0 for single loads.
+      const auto stride_of = [&](std::size_t lane,
+                                 std::uint64_t call) -> std::int64_t {
+        if (lane < c.group_lanes) {
+          return c.singles && lane + 1 == c.group_lanes && call >= 2 ? 0
+                                                                     : 4 * line;
+        }
+        if (!c.singles || lane >= 20 || (lane == 12 && call >= 2)) {
+          return 2 * line;
+        }
+        return 0;
+      };
+      WarpRecorder recorder(spec);
+      std::vector<LaneTrace> lanes(32);
+      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+        recorder.begin_lane();
+        LaneProbe* const probes[] = {&lanes[lane], &recorder};
+        for (std::uint64_t call = 0; call < 4; ++call) {
+          const void* firsts[3];
+          for (std::uint64_t g = 0; g < 3; ++g) {
+            firsts[g] = reinterpret_cast<const void*>(
+                0x4000'0000 + 8 * lane + 24 * g + 1000 * call);
+          }
+          const std::int64_t stride = stride_of(lane, call);
+          for (LaneProbe* p : probes) {
+            if (stride == 0) {
+              for (const void* first : firsts) p->load(kSite, first, 24);
+            } else {
+              p->load_groups(kSite, firsts, 3, 3, stride, 24);
+            }
+            p->load(kOther, firsts[call % 3], 8);
+          }
+        }
+      }
+      KernelMetrics got;
+      KernelMetrics want;
+      const WarpReplay replay = recorder.finish(got);
+      const oracle::LoadStream expected =
+          oracle::analyze_warp_groups(lanes, spec, want);
+      bd::testing::expect_identical(got, want);
+      EXPECT_EQ(oracle::loads_of(replay, spec.l1_line_bytes), expected);
+      // 4 calls of 9 rows in the longest lanes, and 4 loads at the other
+      // site.
+      EXPECT_EQ(got.load_instructions, 4u * 9 + 4);
+    }
+  }
 }
 
 TEST(Warp, LoadTouchingTooManyLinesRejected) {
